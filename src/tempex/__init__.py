@@ -51,7 +51,6 @@ from .scheduler import (
     Schedule,
     VerifyReport,
     assemble_schedule,
-    common_refinement,
     explore,
     explore_detailed,
     find_covering_tuple,
@@ -64,7 +63,7 @@ from .scheduler import (
     tau,
     verify_schedule,
 )
-from .tour import CircularInterval, DfsTour, build_dfs_tour, covered_by_union
+from .tour import DfsTour, arc_mask, build_dfs_tour
 from .treefind import EdgeWeights, TreeStats, absence_weights, find_good_tree
 
 __all__ = [name for name in dir() if not name.startswith("_")]

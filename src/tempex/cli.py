@@ -232,7 +232,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     header = "instance,n,k,delta,rho,t,scheduleSpan,scheduleLength,tau,attempts,wallMillis"
     lines = [header]
     for i, row in enumerate(rows):
-        n, k, delta, seed = row["n"], row["k"], row["delta"], row["seed"]
+        try:
+            n, k, delta, seed = row["n"], row["k"], row["delta"], row["seed"]
+        except KeyError as exc:
+            raise ValueError(f"manifest row {i}: missing key {exc.args[0]!r}") from None
         rho = rho_for(k)
         budget = step_budget(n, k)
         lifetime = rho * (delta + budget)

@@ -114,6 +114,31 @@ def _bridge(
     return None
 
 
+def _reconnect(
+    n: int, adjacency: dict[int, tuple[int, ...]], removed: set[Edge], rng: SplitMix64
+) -> tuple[list[Edge], int]:
+    """Edges that reconnect the tree minus `removed`, and the fallback count.
+
+    Each removed edge gets one bridging edge between the two components it
+    separates; when no bridge exists the removed edge itself is kept, which
+    counts as a fallback.
+    """
+    label = _components(n, adjacency, removed)
+    members: dict[int, list[int]] = {}
+    for v, c in enumerate(label):
+        members.setdefault(c, []).append(v)
+    added: list[Edge] = []
+    fallbacks = 0
+    for e in sorted(removed):
+        bridge = _bridge(e, label, members, removed, rng)
+        if bridge is None:
+            added.append(e)
+            fallbacks += 1
+        else:
+            added.append(bridge)
+    return added, fallbacks
+
+
 def _draw_removal(rng: SplitMix64, tree_edges: list[Edge], k: int) -> list[Edge]:
     if k == 0:
         return []
@@ -186,17 +211,9 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
                 if rng.chance(spec.extra_edge_rate):
                     edges.add(pair)
         if removed and (bridged is None or t in bridged):
-            label = _components(spec.n, adjacency, removed)
-            members: dict[int, list[int]] = {}
-            for v, c in enumerate(label):
-                members.setdefault(c, []).append(v)
-            for e in sorted(removed):
-                bridge = _bridge(e, label, members, removed, rng)
-                if bridge is None:
-                    edges.add(e)  # cannot reconnect otherwise; keep the tree edge
-                    fallbacks += 1
-                else:
-                    edges.add(bridge)
+            added, kept = _reconnect(spec.n, adjacency, removed, rng)
+            edges.update(added)
+            fallbacks += kept
         snapshots.append(sorted(edges))
     _ensure_tree_in_underlying(snapshots, tree)
     return GenResult(TemporalGraph.build(spec.n, snapshots), tree, fallbacks)
@@ -237,19 +254,9 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
             removed.add(tour.tour_edge(state.states[i]))
             if len(removed) == k:
                 break
-        edges = set(tree.edges - removed)
-        label = _components(n, adjacency, removed)
-        members: dict[int, list[int]] = {}
-        for v, c in enumerate(label):
-            members.setdefault(c, []).append(v)
-        for e in sorted(removed):
-            bridge = _bridge(e, label, members, removed, rng)
-            if bridge is None:
-                edges.add(e)
-                fallbacks += 1
-            else:
-                edges.add(bridge)
-        snapshot = sorted(edges)
+        added, kept = _reconnect(n, adjacency, removed, rng)
+        fallbacks += kept
+        snapshot = sorted(set(tree.edges - removed).union(added))
         snapshots.append(snapshot)
         state = eliminate_redundant(movement_step(state, frozenset(snapshot), tour))
     _ensure_tree_in_underlying(snapshots, tree)

@@ -10,10 +10,10 @@ be replayed move for move by a single explorer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import Edge, TemporalGraph, deficiency_count
-from .tour import CircularInterval, DfsTour
+from .tour import DfsTour, arc_mask
 
 
 class InvariantViolation(AssertionError):
@@ -42,15 +42,11 @@ class RoundaboutState:
     def arc_length(self, idx: int) -> int:
         return min(self.moves[idx] + 1, self.n_positions)
 
-    def interval(self, idx: int) -> CircularInterval:
-        """Visited arc of agents[idx]: from its start forward over its moves."""
+    def arc_masks(self) -> list[int]:
+        """Visited arc of each active agent (from its start forward over its
+        moves), as a bitmask over tour positions."""
         n = self.n_positions
-        start = self.agents[idx]
-        end = (start - 1 + self.arc_length(idx) - 1) % n + 1
-        return CircularInterval.closed(start, end, n)
-
-    def state_of(self, agent: int) -> int:
-        return self.states[self.agents.index(agent)]
+        return [arc_mask(a, m + 1, n) for a, m in zip(self.agents, self.moves)]
 
 
 def movement_step(state: RoundaboutState, snapshot: frozenset[Edge], tour: DfsTour) -> RoundaboutState:
@@ -65,40 +61,6 @@ def movement_step(state: RoundaboutState, snapshot: frozenset[Edge], tour: DfsTo
     return RoundaboutState(n, state.step + 1, state.agents, tuple(states), tuple(moves))
 
 
-def _coverage(state: RoundaboutState) -> list[int]:
-    """How many active arcs cover each tour position (0-indexed array)."""
-    n = state.n_positions
-    diff = [0] * (n + 1)
-    wraps = 0
-    for i, agent in enumerate(state.agents):
-        length = state.arc_length(i)
-        p = agent - 1
-        end = p + length
-        if length >= n:
-            wraps += 1
-        elif end <= n:
-            diff[p] += 1
-            diff[end] -= 1
-        else:
-            diff[p] += 1
-            diff[n] -= 1
-            diff[0] += 1
-            diff[end - n] -= 1
-    cov = [wraps] * n
-    running = 0
-    for j in range(n):
-        running += diff[j]
-        cov[j] += running
-    return cov
-
-
-def _arc_points(p: int, length: int, n: int) -> Iterable[int]:
-    end = p + length
-    if end <= n:
-        return range(p, end)
-    return list(range(p, n)) + list(range(0, end - n))
-
-
 def eliminate_redundant(state: RoundaboutState) -> RoundaboutState:
     """Remove agents whose arc is covered by the union of the other active arcs.
 
@@ -109,22 +71,20 @@ def eliminate_redundant(state: RoundaboutState) -> RoundaboutState:
     """
     if len(state.agents) <= 1:
         return state
-    n = state.n_positions
-    cov = _coverage(state)
+    masks = state.arc_masks()
+    later = [0] * (len(masks) + 1)  # later[i]: union of the arcs of agents i, i+1, ...
+    for i in range(len(masks) - 1, -1, -1):
+        later[i] = later[i + 1] | masks[i]
+    kept = 0
     keep: list[int] = []
-    for i, agent in enumerate(state.agents):
-        length = state.arc_length(i)
-        p = agent - 1
-        redundant = all(cov[j] >= 2 for j in _arc_points(p, length, n))
-        if redundant:
-            for j in _arc_points(p, length, n):
-                cov[j] -= 1
-        else:
+    for i, mask in enumerate(masks):
+        if mask & ~(kept | later[i + 1]):
             keep.append(i)
+            kept |= mask
     if len(keep) == len(state.agents):
         return state
     return RoundaboutState(
-        n,
+        state.n_positions,
         state.step,
         tuple(state.agents[i] for i in keep),
         tuple(state.states[i] for i in keep),
@@ -153,9 +113,6 @@ class RoundaboutTrace:
     def initial_states(self) -> tuple[int, ...]:
         """Initial tour positions of the agents still active at the end."""
         return self.final.agents
-
-    def final_interval(self, agent: int) -> CircularInterval:
-        return self.final.interval(self.final.agents.index(agent))
 
     def moves_of(self, agent: int) -> tuple[tuple[int, bool], ...]:
         """(time, moved) pairs for an agent active through the whole run."""
@@ -209,10 +166,15 @@ def check_state_invariants(state: RoundaboutState, k: Optional[int] = None) -> N
     m = len(state.agents)
     if m == 0:
         raise InvariantViolation("no active agents")
-    cov = _coverage(state)
-    if min(cov) < 1:
-        raise InvariantViolation(f"position {cov.index(0) + 1} not covered")
-    if max(cov) > 2:
+    once = twice = thrice = 0  # positions in at least one, two, three arcs
+    for mask in state.arc_masks():
+        thrice |= twice & mask
+        twice |= once & mask
+        once |= mask
+    gap = ((1 << n) - 1) & ~once
+    if gap:
+        raise InvariantViolation(f"position {(gap & -gap).bit_length()} not covered")
+    if thrice:
         raise InvariantViolation("a position is covered by three active agents")
     if len(set(state.states)) != m:
         raise InvariantViolation("two active agents share a state")

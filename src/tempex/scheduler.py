@@ -24,7 +24,7 @@ from .core import (
 )
 from .rng import SplitMix64
 from .roundabout import RoundaboutTrace, run_roundabout
-from .tour import CircularInterval, DfsTour, build_dfs_tour
+from .tour import DfsTour, build_dfs_tour
 from .treefind import find_good_tree
 
 Action = Optional[tuple[int, int]]  # None = wait, (u, v) = traverse from u to v
@@ -146,60 +146,9 @@ def partition_epochs(
     return EpochPlan(tuple(epochs), rho, budget, k, delta)
 
 
-@dataclass(frozen=True)
-class RefinedIntervals:
-    """Common refinement of the start-position families of all epochs."""
-
-    n_positions: int
-    points: tuple[int, ...]
-    intervals: tuple[CircularInterval, ...]
-
-    @property
-    def d(self) -> int:
-        return len(self.intervals)
-
-
-def common_refinement(start_sets: Sequence[Sequence[int]], n_positions: int) -> RefinedIntervals:
-    """Partition tour positions at every recorded start position.
-
-    With a single distinct point the lone half-open interval wraps all the
-    way around, i.e. it is the full cycle.
-    """
-    merged: set[int] = set()
-    for s in start_sets:
-        if not s:
-            raise ValueError("every start set must be nonempty")
-        merged.update(s)
-    points = tuple(sorted(merged))
-    if any(not (1 <= p <= n_positions) for p in points):
-        raise ValueError("start positions outside the tour")
-    n = n_positions
-    intervals: list[CircularInterval] = []
-    for i, p in enumerate(points):
-        nxt = points[(i + 1) % len(points)]
-        end = (nxt - 2) % n + 1  # position just before nxt, cyclically
-        intervals.append(CircularInterval.closed(p, end, n))
-    if sum(iv.size for iv in intervals) != n:
-        raise AssertionError("refinement does not partition the tour")
-    return RefinedIntervals(n, points, tuple(intervals))
-
-
-def _arc_mask(start: int, length: int, n: int) -> int:
-    if length >= n:
-        return (1 << n) - 1
-    p = start - 1
-    end = p + length
-    if end <= n:
-        return ((1 << length) - 1) << p
-    return (((1 << (end - n)) - 1)) | ((((1 << (n - p)) - 1)) << p)
-
-
-def _final_arc_masks(trace: RoundaboutTrace) -> dict[int, int]:
-    n = trace.n_positions
-    return {
-        agent: _arc_mask(agent, trace.final.arc_length(i), n)
-        for i, agent in enumerate(trace.final.agents)
-    }
+def _final_arc_masks(trace: RoundaboutTrace) -> list[tuple[int, int]]:
+    """(agent, visited-arc mask) of each survivor, in ascending agent order."""
+    return list(zip(trace.final.agents, trace.final.arc_masks()))
 
 
 def is_covering_tuple(
@@ -209,13 +158,12 @@ def is_covering_tuple(
     if len(choice) != len(traces):
         raise ValueError("one choice per epoch required")
     union = 0
-    full = (1 << n_positions) - 1
     for s, trace in zip(choice, traces):
-        if s not in trace.final.agents:
+        masks = dict(_final_arc_masks(trace))
+        if s not in masks:
             raise ValueError(f"{s} is not a surviving start position of its epoch")
-        idx = trace.final.agents.index(s)
-        union |= _arc_mask(s, trace.final.arc_length(idx), n_positions)
-    return union == full
+        union |= masks[s]
+    return union == (1 << n_positions) - 1
 
 
 @dataclass(frozen=True)
@@ -238,7 +186,7 @@ Strategy = Union[LasVegas, Enumerate]
 
 def find_covering_tuple(
     traces: Sequence[RoundaboutTrace],
-    refined: RefinedIntervals,
+    n_positions: int,
     strategy: Strategy,
 ) -> tuple[tuple[int, ...], int]:
     """Pick one surviving agent per epoch covering the whole tour.
@@ -247,12 +195,8 @@ def find_covering_tuple(
     1-based lexicographic rank of the returned tuple. Sampling fails loudly
     after max_attempts rather than looping forever.
     """
-    n = refined.n_positions
-    full = (1 << n) - 1
-    per_epoch: list[list[tuple[int, int]]] = []
-    for trace in traces:
-        masks = _final_arc_masks(trace)
-        per_epoch.append(sorted(masks.items()))
+    full = (1 << n_positions) - 1
+    per_epoch = [_final_arc_masks(t) for t in traces]
 
     if isinstance(strategy, LasVegas):
         rng = SplitMix64(strategy.seed)
@@ -314,7 +258,7 @@ def exhaustive_covering_fraction(
 ) -> Fraction:
     """Exact fraction of covering tuples, by dynamic programming over unions."""
     full = (1 << n_positions) - 1
-    per_epoch = [sorted(_final_arc_masks(t).items()) for t in traces]
+    per_epoch = [_final_arc_masks(t) for t in traces]
     total = 1
     for options in per_epoch:
         total *= len(options)
@@ -566,6 +510,8 @@ def explore_detailed(
         raise ValueError(f"start {start} out of range")
     if delta < 1:
         raise ValueError("delta must be at least 1")
+    if tree is not None and tree.n != graph.n:
+        raise ValueError(f"tree has {tree.n} vertices, graph has {graph.n}")
     if k == 0:
         import warnings
 
@@ -592,8 +538,7 @@ def explore_detailed(
     tour = build_dfs_tour(tree, 0)
     plan = partition_epochs(graph, tree, effective_k, delta, rho, budget)
     traces = run_epoch_traces(graph, tour, plan)
-    refined = common_refinement([t.initial_states for t in traces], tour.n_positions)
-    choice, attempts = find_covering_tuple(traces, refined, strategy)
+    choice, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
     schedule = assemble_schedule(graph, tour, plan, traces, choice, start)
     stats = ExploreStats(
         rho,

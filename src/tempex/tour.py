@@ -1,92 +1,31 @@
-"""DFS tours of spanning trees and circular-interval arithmetic on tour positions.
+"""DFS tours of spanning trees and circular arcs of tour positions as bitmasks.
 
 Tour positions are 1-indexed: the tour visits v_1 .. v_N cyclically with
 v_{N+1} = v_1 = root and N = 2(n-1). Tour edge e_i joins v_i and v_{i+1}.
+An arc (a set of cyclically consecutive positions) is an int whose bit i-1
+is set iff position i belongs to it, so union, intersection and "covers" are
+single integer operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import Edge, SpanningTree, canonical_edge
 
 
-@dataclass(frozen=True)
-class CircularInterval:
-    """Set of tour indices reached moving forward from start to end, inclusive.
+def arc_mask(start: int, length: int, n: int) -> int:
+    """Bitmask of the `length` positions from `start` forward (1-indexed, cyclic).
 
-    The zero-length case needs an explicit flag: a closed interval always has
-    at least one member (start == end means the singleton, start == end+1
-    cyclically means the full cycle), so emptiness cannot be encoded in the
-    endpoints.
+    A length of n or more is the whole cycle.
     """
-
-    n_positions: int
-    start: int
-    end: int
-    empty: bool = False
-
-    def __post_init__(self) -> None:
-        if self.n_positions < 1:
-            raise ValueError("n_positions must be positive")
-        if not self.empty and not (
-            1 <= self.start <= self.n_positions and 1 <= self.end <= self.n_positions
-        ):
-            raise ValueError(f"interval endpoints outside [1, {self.n_positions}]")
-
-    @classmethod
-    def closed(cls, start: int, end: int, n_positions: int) -> "CircularInterval":
-        return cls(n_positions, start, end)
-
-    @classmethod
-    def half_open(cls, start: int, end: int, n_positions: int) -> "CircularInterval":
-        """Indices from start up to but excluding end; empty when start == end."""
-        if start == end:
-            return cls.make_empty(n_positions)
-        prev = n_positions if end == 1 else end - 1
-        return cls(n_positions, start, prev)
-
-    @classmethod
-    def make_empty(cls, n_positions: int) -> "CircularInterval":
-        return cls(n_positions, 0, 0, empty=True)
-
-    @classmethod
-    def full(cls, n_positions: int) -> "CircularInterval":
-        return cls(n_positions, 1, n_positions)
-
-    @property
-    def size(self) -> int:
-        if self.empty:
-            return 0
-        return (self.end - self.start) % self.n_positions + 1
-
-    @property
-    def is_full(self) -> bool:
-        return self.size == self.n_positions
-
-    def contains(self, index: int) -> bool:
-        if self.empty:
-            return False
-        n = self.n_positions
-        return (index - self.start) % n <= (self.end - self.start) % n
-
-    def indices(self) -> Iterator[int]:
-        if self.empty:
-            return
-        n = self.n_positions
-        for off in range(self.size):
-            yield (self.start - 1 + off) % n + 1
-
-    def complement(self) -> "CircularInterval":
-        if self.empty:
-            return CircularInterval.full(self.n_positions)
-        if self.is_full:
-            return CircularInterval.make_empty(self.n_positions)
-        n = self.n_positions
-        start = self.end % n + 1
-        end = n if self.start == 1 else self.start - 1
-        return CircularInterval(n, start, end)
+    full = (1 << n) - 1
+    if length >= n:
+        return full
+    run = (1 << length) - 1
+    p = start - 1
+    return ((run << p) | (run >> (n - p))) & full
 
 
 @dataclass(frozen=True)
@@ -159,42 +98,3 @@ def build_dfs_tour(tree: SpanningTree, root: int = 0) -> DfsTour:
             if stack:
                 seq.append(stack[-1][0])
     return DfsTour(tree, root, tuple(seq[:-1]))
-
-
-def covered_by_union(
-    target: CircularInterval, others: Iterable[CircularInterval], n_positions: int
-) -> bool:
-    """True iff every index of target lies in the union of the other intervals.
-
-    Runs in O(m log m) for m intervals by cutting the circle at target.start
-    and sweeping merged segments.
-    """
-    if target.empty:
-        return True
-    n = n_positions
-    if target.n_positions != n:
-        raise ValueError("interval universes disagree")
-    segments: list[tuple[int, int]] = []
-    for o in others:
-        if o.empty:
-            continue
-        if o.n_positions != n:
-            raise ValueError("interval universes disagree")
-        rel = (o.start - target.start) % n
-        end = rel + o.size - 1
-        if end < n:
-            segments.append((rel, end))
-        else:
-            segments.append((rel, n - 1))
-            segments.append((0, end - n))
-    segments.sort()
-    need = target.size - 1  # cover relative positions [0, need]
-    covered_to = -1
-    for a, b in segments:
-        if a > covered_to + 1:
-            break
-        if b > covered_to:
-            covered_to = b
-        if covered_to >= need:
-            return True
-    return covered_to >= need

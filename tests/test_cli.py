@@ -163,6 +163,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
 
+    def test_bench_row_missing_key_is_usage_error(self, tmp_path):
+        manifest = tmp_path / "rows.json"
+        manifest.write_text(json.dumps([
+            {"n": 5, "k": 1, "delta": 4, "seed": 0},
+            {"n": 5, "delta": 4, "seed": 0},
+        ]))
+        proc = run_cli("bench", "--manifest", str(manifest), "--out", str(tmp_path / "b.csv"))
+        assert proc.returncode == 2
+        assert "bad input: manifest row 1: missing key 'k'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file(self, tmp_path):
         proc = run_cli("oracle", "--graph", str(tmp_path / "nope.tg"), "--start", "0")
         assert proc.returncode == 2

@@ -15,7 +15,7 @@ from tempex.roundabout import (
     replay_trace,
     run_roundabout,
 )
-from tempex.tour import build_dfs_tour, covered_by_union
+from tempex.tour import build_dfs_tour
 
 
 @pytest.fixture
@@ -31,6 +31,12 @@ def make_state(n_positions: int, agents_moves: dict[int, int], step: int = 1) ->
     return RoundaboutState(n_positions, step, agents, states, moves)
 
 
+def arc_positions(state: RoundaboutState, idx: int) -> set[int]:
+    """Tour positions agents[idx] has visited, as a plain set."""
+    n = state.n_positions
+    return {(state.agents[idx] - 1 + off) % n + 1 for off in range(state.arc_length(idx))}
+
+
 def restart_scan_eliminate(state: RoundaboutState) -> RoundaboutState:
     """Literal fixpoint: remove the first redundant agent (ascending), restart."""
     keep = list(range(len(state.agents)))
@@ -38,9 +44,8 @@ def restart_scan_eliminate(state: RoundaboutState) -> RoundaboutState:
     while changed:
         changed = False
         for pos, i in enumerate(keep):
-            target = state.interval(i)
-            others = [state.interval(j) for j in keep if j != i]
-            if covered_by_union(target, others, state.n_positions):
+            others = set().union(*(arc_positions(state, j) for j in keep if j != i))
+            if arc_positions(state, i) <= others:
                 keep.pop(pos)
                 changed = True
                 break
@@ -91,7 +96,7 @@ class TestElimination:
         agents = data.draw(
             st.lists(st.integers(1, n), min_size=1, max_size=n, unique=True)
         )
-        moves = {a: data.draw(st.integers(0, n - 1)) for a in agents}
+        moves = {a: data.draw(st.integers(0, n + 1)) for a in agents}
         state = make_state(n, moves)
         assert eliminate_redundant(state) == restart_scan_eliminate(state)
 
@@ -102,14 +107,13 @@ class TestRunRoundabout:
         assert trace.final.agents == (2, 4)
         assert trace.initial_states == (2, 4)
         assert trace.final.states == (4, 2)
-        assert set(trace.final_interval(2).indices()) == {2, 3, 4}
-        assert set(trace.final_interval(4).indices()) == {4, 1, 2}
+        assert trace.final.arc_masks() == [0b1110, 0b1011]
 
     def test_zero_budget_returns_initial(self, path3_full, path3_tour):
         trace = run_roundabout(path3_full, path3_tour, [], 0)
         assert trace.final == RoundaboutState.initial(4)
         assert trace.steps == ()
-        assert all(trace.final_interval(a).size == 1 for a in trace.final.agents)
+        assert trace.final.arc_masks() == [1 << (a - 1) for a in trace.final.agents]
 
     def test_six_k_bound_trivial_for_small_tour(self, path3_full, path3_tour):
         trace = run_roundabout(path3_full, path3_tour, [1, 2], 2, k=1, check_invariants=True)
@@ -170,7 +174,12 @@ class TestInvariantChecker:
 
     def test_detects_coverage_gap(self):
         bad = RoundaboutState(4, 1, (1,), (2,), (1,))
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match="position 3 not covered"):
+            check_state_invariants(bad)
+
+    def test_detects_triple_cover(self):
+        bad = make_state(4, {1: 2, 2: 1, 3: 0, 4: 0})  # position 3 lies in three arcs
+        with pytest.raises(InvariantViolation, match="three"):
             check_state_invariants(bad)
 
     def test_accepts_valid_state(self):

@@ -18,7 +18,6 @@ from tempex.scheduler import (
     Schedule,
     TupleSearchExhausted,
     assemble_schedule,
-    common_refinement,
     exhaustive_covering_fraction,
     explore,
     explore_detailed,
@@ -99,36 +98,6 @@ class TestPartition:
         assert [(e.start, e.end) for e in plan.epochs] == [(1, 2), (3, 4), (5, 6)]
 
 
-class TestRefinement:
-    def test_two_families(self):
-        refined = common_refinement([(2, 4), (1, 4)], 4)
-        assert refined.points == (1, 2, 4)
-        assert [set(iv.indices()) for iv in refined.intervals] == [{1}, {2, 3}, {4}]
-
-    def test_single_point_wraps_to_full_cycle(self):
-        refined = common_refinement([(3,)], 4)
-        assert refined.d == 1
-        assert refined.intervals[0].is_full
-
-    def test_identical_families(self):
-        refined = common_refinement([(1, 3), (1, 3)], 6)
-        assert refined.d == 2
-        assert [set(iv.indices()) for iv in refined.intervals] == [{1, 2}, {3, 4, 5, 6}]
-
-    def test_partition_property(self):
-        refined = common_refinement([(2, 5, 7), (1, 7)], 8)
-        seen = set()
-        for iv in refined.intervals:
-            members = set(iv.indices())
-            assert not (members & seen)
-            seen |= members
-        assert seen == set(range(1, 9))
-
-    def test_empty_family_rejected(self):
-        with pytest.raises(ValueError):
-            common_refinement([()], 4)
-
-
 class TestCoveringTuples:
     def test_covering_and_missing(self, two_epoch_run):
         _, traces = two_epoch_run
@@ -144,36 +113,31 @@ class TestCoveringTuples:
 
     def test_enumerate_returns_lexicographic_first(self, two_epoch_run):
         _, traces = two_epoch_run
-        refined = common_refinement([t.initial_states for t in traces], 4)
-        choice, rank = find_covering_tuple(traces, refined, Enumerate())
+        choice, rank = find_covering_tuple(traces, 4, Enumerate())
         assert choice == (2, 4)
         assert rank == 2  # (2, 2) precedes and does not cover
 
     def test_las_vegas_finds_quickly(self, two_epoch_run):
         _, traces = two_epoch_run
-        refined = common_refinement([t.initial_states for t in traces], 4)
-        choice, attempts = find_covering_tuple(traces, refined, LasVegas(seed=1))
+        choice, attempts = find_covering_tuple(traces, 4, LasVegas(seed=1))
         assert is_covering_tuple(choice, traces, 4)
         assert attempts <= 100
 
     def test_las_vegas_deterministic(self, two_epoch_run):
         _, traces = two_epoch_run
-        refined = common_refinement([t.initial_states for t in traces], 4)
-        first = find_covering_tuple(traces, refined, LasVegas(seed=9))
-        second = find_covering_tuple(traces, refined, LasVegas(seed=9))
+        first = find_covering_tuple(traces, 4, LasVegas(seed=9))
+        second = find_covering_tuple(traces, 4, LasVegas(seed=9))
         assert first == second
 
     def test_las_vegas_exhaustion_is_loud(self, two_epoch_run):
         _, traces = two_epoch_run
-        refined = common_refinement([t.initial_states for t in traces], 4)
         with pytest.raises(TupleSearchExhausted):
-            find_covering_tuple(traces, refined, LasVegas(seed=1, max_attempts=0))
+            find_covering_tuple(traces, 4, LasVegas(seed=1, max_attempts=0))
 
     def test_enumerate_cap_refused(self, two_epoch_run):
         _, traces = two_epoch_run
-        refined = common_refinement([t.initial_states for t in traces], 4)
         with pytest.raises(EnumerationCapExceeded):
-            find_covering_tuple(traces, refined, Enumerate(cap=3))
+            find_covering_tuple(traces, 4, Enumerate(cap=3))
 
     def test_single_epoch_full_coverage_agent(self):
         # one epoch whose survivor visited the whole tour covers by itself
@@ -181,7 +145,7 @@ class TestCoveringTuples:
         tree = SpanningTree(2, frozenset({(0, 1)}))
         plan = partition_epochs(graph, tree, 1, 1, 1, 1)
         traces = run_epoch_traces(graph, build_dfs_tour(tree, 0), plan)
-        assert traces[0].final_interval(traces[0].initial_states[0]).is_full
+        assert traces[0].final.arc_masks()[0] == 0b11
         assert is_covering_tuple(traces[0].initial_states[:1], traces, 2)
 
     def test_first_sample_accepted_when_everything_covers(self):
@@ -189,8 +153,7 @@ class TestCoveringTuples:
         tree = SpanningTree(2, frozenset({(0, 1)}))
         plan = partition_epochs(graph, tree, 1, 1, 3, 1)
         traces = run_epoch_traces(graph, build_dfs_tour(tree, 0), plan)
-        refined = common_refinement([t.initial_states for t in traces], 2)
-        _, attempts = find_covering_tuple(traces, refined, LasVegas(seed=0))
+        _, attempts = find_covering_tuple(traces, 2, LasVegas(seed=0))
         assert attempts == 1
 
     def test_fraction_matches_product_brute_force(self, two_epoch_run):
@@ -349,6 +312,12 @@ class TestExplore:
         assert stats.rho == rho_for(1)
         assert verify_schedule(graph, 0, schedule).ok
 
+    def test_tree_of_other_size_rejected(self):
+        graph = TemporalGraph.build(4, [[(0, 1), (1, 2), (2, 3)]] * (rho_for(1) * 6))
+        tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+        with pytest.raises(ValueError, match="tree has 3 vertices, graph has 4"):
+            explore(graph, 1, 3, 0, tree=tree)
+
     def test_short_lifetime_fails_typed_without_tree(self, path3_full):
         with pytest.raises(InsufficientSnapshots):
             explore(path3_full, 1, 2, 0)
@@ -386,8 +355,7 @@ class TestExplore:
         run = explore_detailed(result.graph, 1, 8, 0, tree=result.tree,
                                strategy=LasVegas(seed=2))
         starts = [t.initial_states for t in run.traces]
-        refined = common_refinement(starts, 2 * (9 - 1))
-        assert refined.d <= 6 * 1 * rho_for(1)
+        assert len(set().union(*starts)) <= 6 * 1 * rho_for(1)
 
     def test_non_deficient_snapshots_are_skipped_end_to_end(self):
         # connected junk snapshots (stars) interleave with tree snapshots;

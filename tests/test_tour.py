@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from strategies import spanning_trees
 from tempex.core import SpanningTree, canonical_edge
-from tempex.tour import CircularInterval, build_dfs_tour, covered_by_union
+from tempex.tour import arc_mask, build_dfs_tour
 
 
 def arc_members(i: int, j: int, n: int) -> set[int]:
@@ -18,46 +18,47 @@ def arc_members(i: int, j: int, n: int) -> set[int]:
     return set(range(i, n + 1)) | set(range(1, j + 1))
 
 
+def positions(mask: int) -> set[int]:
+    """Tour positions (1-indexed) whose bits are set in mask."""
+    return {i + 1 for i in range(mask.bit_length()) if mask >> i & 1}
+
+
 class TestCircularInterval:
+    """Circular intervals of tour positions, as `arc_mask` bitmasks."""
+
     @given(st.integers(2, 16), st.data())
     def test_membership_matches_reference(self, n, data):
         i = data.draw(st.integers(1, n))
         j = data.draw(st.integers(1, n))
-        arc = CircularInterval.closed(i, j, n)
-        members = arc_members(i, j, n)
-        assert set(arc.indices()) == members
-        assert arc.size == len(members)
-        for x in range(1, n + 1):
-            assert arc.contains(x) == (x in members)
+        length = (j - i) % n + 1
+        assert positions(arc_mask(i, length, n)) == arc_members(i, j, n)
+        extra = data.draw(st.integers(0, n))
+        assert positions(arc_mask(i, n + extra, n)) == set(range(1, n + 1))
 
     def test_complement_partitions_cycle_exhaustively(self):
         for n in range(2, 33):
+            full = (1 << n) - 1
             for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    arc = CircularInterval.closed(i, j, n)
-                    comp = arc.complement()
-                    assert arc.size + comp.size == n
-                    assert all(not arc.contains(x) for x in comp.indices())
+                for length in range(n + 1):
+                    arc = arc_mask(i, length, n)
+                    rest = arc_mask((i - 1 + length) % n + 1, n - length, n)
+                    assert arc & rest == 0
+                    assert arc | rest == full
 
     def test_half_open_excludes_end(self):
-        arc = CircularInterval.half_open(2, 4, 5)
-        assert set(arc.indices()) == {2, 3}
+        assert positions(arc_mask(2, 2, 5)) == {2, 3}
+        assert positions(arc_mask(5, 2, 5)) == {5, 1}
 
     def test_half_open_same_endpoint_is_empty(self):
-        arc = CircularInterval.half_open(3, 3, 5)
-        assert arc.empty
-        assert arc.size == 0
-        assert not arc.contains(3)
+        assert arc_mask(3, 0, 5) == 0
 
     def test_full_and_empty_are_complements(self):
-        full = CircularInterval.full(6)
-        assert full.is_full
-        assert full.complement().empty
-        assert CircularInterval.make_empty(6).complement().is_full
+        for start in range(1, 7):
+            assert arc_mask(start, 6, 6) == (1 << 6) - 1
+            assert arc_mask(start, 0, 6) == 0
 
     def test_wraparound_closed_interval_is_full(self):
-        arc = CircularInterval.closed(4, 3, 6)
-        assert arc.is_full
+        assert arc_mask(4, 6, 6) == (1 << 6) - 1  # from 4 round to 3
 
 
 class TestBuildTour:
@@ -103,37 +104,3 @@ class TestBuildTour:
     @given(spanning_trees(max_n=10))
     def test_tour_is_deterministic(self, tree):
         assert build_dfs_tour(tree, 0) == build_dfs_tour(tree, 0)
-
-
-class TestCoveredByUnion:
-    def test_union_covers_whole_cycle(self):
-        target = CircularInterval.closed(1, 2, 4)
-        others = [CircularInterval.closed(2, 3, 4), CircularInterval.closed(3, 4, 4),
-                  CircularInterval.closed(4, 1, 4)]
-        assert covered_by_union(target, others, 4)
-
-    def test_uncovered_index(self):
-        target = CircularInterval.closed(2, 3, 4)
-        others = [CircularInterval.closed(3, 4, 4), CircularInterval.closed(4, 1, 4)]
-        assert not covered_by_union(target, others, 4)
-
-    def test_identity(self):
-        target = CircularInterval.closed(2, 2, 4)
-        assert covered_by_union(target, [CircularInterval.closed(2, 2, 4)], 4)
-
-    def test_empty_target_is_covered(self):
-        assert covered_by_union(CircularInterval.make_empty(4), [], 4)
-
-    @given(st.integers(2, 16), st.data())
-    def test_matches_per_index_brute_force(self, n, data):
-        def draw_arc():
-            return CircularInterval.closed(
-                data.draw(st.integers(1, n)), data.draw(st.integers(1, n)), n
-            )
-
-        target = draw_arc()
-        others = [draw_arc() for _ in range(data.draw(st.integers(0, 5)))]
-        expected = all(
-            any(o.contains(x) for o in others) for x in target.indices()
-        )
-        assert covered_by_union(target, others, n) == expected
