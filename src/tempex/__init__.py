@@ -17,7 +17,6 @@ from .core import (
     ForemostResult,
     ParseError,
     SpanningTree,
-    StaticGraph,
     TemporalGraph,
     TemporalWalk,
     canonical_edge,

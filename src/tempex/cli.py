@@ -225,17 +225,43 @@ def _cmd_check_delta(args: argparse.Namespace) -> int:
     return 1
 
 
+# Bench manifest row fields: name -> (accepted types, required).
+_MANIFEST_FIELDS = {
+    "n": (int, True),
+    "k": (int, True),
+    "delta": (int, True),
+    "seed": (int, True),
+    "start": (int, False),
+    "treeShape": (str, False),
+    "extraEdgeRate": ((int, float), False),
+}
+
+
+def _manifest_rows(text: str) -> list[dict]:
+    """Bench manifest rows, each checked for required keys and field types."""
+    rows = json.loads(text)
+    if not isinstance(rows, list):
+        raise ValueError(f"manifest must be a JSON list of objects, got {type(rows).__name__}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"manifest row {i}: expected an object, got {type(row).__name__}")
+        for key, (types, required) in _MANIFEST_FIELDS.items():
+            if key not in row:
+                if required:
+                    raise ValueError(f"manifest row {i}: missing key {key!r}")
+            elif isinstance(row[key], bool) or not isinstance(row[key], types):
+                raise ValueError(f"manifest row {i}: {key!r} has wrong type {type(row[key]).__name__}")
+    return rows
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    rows = json.loads(Path(args.manifest).read_text())
+    rows = _manifest_rows(Path(args.manifest).read_text())
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     header = "instance,n,k,delta,rho,t,scheduleSpan,scheduleLength,tau,attempts,wallMillis"
     lines = [header]
     for i, row in enumerate(rows):
-        try:
-            n, k, delta, seed = row["n"], row["k"], row["delta"], row["seed"]
-        except KeyError as exc:
-            raise ValueError(f"manifest row {i}: missing key {exc.args[0]!r}") from None
+        n, k, delta, seed = row["n"], row["k"], row["delta"], row["seed"]
         rho = rho_for(k)
         budget = step_budget(n, k)
         lifetime = rho * (delta + budget)
@@ -354,6 +380,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc.filename}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot read {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
     except ALGORITHMIC_FAILURES as exc:
         print(f"failed: {exc}", file=sys.stderr)

@@ -1,15 +1,17 @@
 """Temporal-graph data model, wire format, and basic temporal reachability.
 
 Time steps are 1-indexed (snapshot t lives at ``snapshots[t-1]``); vertices
-are 0-indexed. Edges are canonical ``(min, max)`` tuples. All values are
-immutable after construction and every operation is a pure function.
+are 0-indexed. Edges are canonical ``(min, max)`` tuples, and each snapshot
+is stored once, as a frozenset of them; TG1 output sorts each snapshot as it
+is written. All values are immutable after construction and every operation
+is a pure function.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .rng import SplitMix64
 
@@ -34,40 +36,6 @@ def _check_edges(n: int, edges: Iterable[Edge], what: str) -> None:
     for u, v in edges:
         if not (0 <= u < v < n):
             raise ValueError(f"{what}: bad edge ({u}, {v}) for n={n}")
-
-
-@dataclass(frozen=True)
-class StaticGraph:
-    """Simple undirected graph; used for the union of all snapshot edge sets."""
-
-    n: int
-    edges: frozenset[Edge]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        _check_edges(self.n, self.edges, "static graph")
-
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
-    def is_connected(self) -> bool:
-        if self.n == 1:
-            return True
-        adj = self.adjacency()
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        return len(seen) == self.n
 
 
 @dataclass(frozen=True)
@@ -107,14 +75,14 @@ class SpanningTree:
 class TemporalGraph:
     """Ordered sequence of snapshot edge sets over a fixed vertex set.
 
-    ``snapshots`` must already be canonical: each snapshot a strictly sorted
-    tuple of canonical edges. Use :meth:`build` to canonicalize arbitrary
-    input. Restrictions to a window are represented as (graph, window) pairs
-    by the callers; snapshots are never copied.
+    ``snapshots`` must already be canonical: each snapshot a frozenset of
+    canonical edges. Use :meth:`build` to canonicalize arbitrary input.
+    Restrictions to a window are represented as (graph, window) pairs by the
+    callers; snapshots are never copied.
     """
 
     n: int
-    snapshots: tuple[tuple[Edge, ...], ...]
+    snapshots: tuple[frozenset[Edge], ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -122,42 +90,28 @@ class TemporalGraph:
         if len(self.snapshots) < 1:
             raise ValueError("lifetime must be at least 1")
         for snap in self.snapshots:
+            if not isinstance(snap, frozenset):
+                raise ValueError(f"snapshot must be a frozenset, got {type(snap).__name__}")
             _check_edges(self.n, snap, "snapshot")
-            if any(snap[i] >= snap[i + 1] for i in range(len(snap) - 1)):
-                raise ValueError("snapshot edges must be strictly sorted")
-        object.__setattr__(self, "_edge_sets", tuple(frozenset(s) for s in self.snapshots))
-        object.__setattr__(self, "_underlying", None)
 
     @classmethod
     def build(cls, n: int, snapshots: Iterable[Iterable[Edge]]) -> "TemporalGraph":
-        canon = tuple(tuple(sorted({canonical_edge(u, v) for u, v in snap})) for snap in snapshots)
+        canon = tuple(frozenset(canonical_edge(u, v) for u, v in snap) for snap in snapshots)
         return cls(n, canon)
 
     @property
     def lifetime(self) -> int:
         return len(self.snapshots)
 
-    def snapshot(self, t: int) -> tuple[Edge, ...]:
+    def edge_set(self, t: int) -> frozenset[Edge]:
         """Edges of snapshot t (1-indexed)."""
         if not (1 <= t <= self.lifetime):
             raise ValueError(f"time step {t} outside [1, {self.lifetime}]")
         return self.snapshots[t - 1]
 
-    def edge_set(self, t: int) -> frozenset[Edge]:
-        if not (1 <= t <= self.lifetime):
-            raise ValueError(f"time step {t} outside [1, {self.lifetime}]")
-        return self._edge_sets[t - 1]  # type: ignore[attr-defined]
-
-    def underlying(self) -> StaticGraph:
-        """Static graph containing every edge that appears in some snapshot."""
-        cached = self._underlying  # type: ignore[attr-defined]
-        if cached is None:
-            union: set[Edge] = set()
-            for snap in self.snapshots:
-                union.update(snap)
-            cached = StaticGraph(self.n, frozenset(union))
-            object.__setattr__(self, "_underlying", cached)
-        return cached
+    def underlying(self) -> frozenset[Edge]:
+        """Every edge that appears in some snapshot."""
+        return frozenset().union(*self.snapshots)
 
 
 @dataclass(frozen=True)
@@ -215,7 +169,8 @@ def _parse_int(token: str, lineno: int, what: str) -> int:
         raise ParseError(f"{what}: expected integer, got {token!r}", lineno) from None
 
 
-def _parse_edge_line(parts: list[str], lineno: int, n: int, seen: set[Edge]) -> Edge:
+def _parse_edge_line(parts: list[str], lineno: int, n: int, seen: set[Edge]) -> None:
+    """Parse one 'u v' line into `seen`, rejecting bad and duplicate edges."""
     if len(parts) != 2:
         raise ParseError(f"expected 'u v', got {' '.join(parts)!r}", lineno)
     u = _parse_int(parts[0], lineno, "edge endpoint")
@@ -228,7 +183,6 @@ def _parse_edge_line(parts: list[str], lineno: int, n: int, seen: set[Edge]) -> 
     if e in seen:
         raise ParseError(f"duplicate edge {u} {v}", lineno)
     seen.add(e)
-    return e
 
 
 def parse_temporal_graph(text: str) -> TemporalGraph:
@@ -245,7 +199,7 @@ def parse_temporal_graph(text: str) -> TemporalGraph:
     if n < 1 or lifetime < 1:
         raise ParseError(f"malformed header: need n >= 1 and L >= 1, got n={n} L={lifetime}", lineno)
 
-    snapshots: list[tuple[Edge, ...]] = []
+    snapshots: list[frozenset[Edge]] = []
     last_line = lineno
     for _ in range(lifetime):
         try:
@@ -258,36 +212,35 @@ def parse_temporal_graph(text: str) -> TemporalGraph:
         if m < 0:
             raise ParseError(f"negative edge count {m}", lineno)
         seen: set[Edge] = set()
-        edges: list[Edge] = []
         last_line = lineno
         for _ in range(m):
             try:
                 lineno, parts = next(lines)
             except StopIteration:
                 raise ParseError("unexpected end of input: missing edge line", last_line + 1) from None
-            edges.append(_parse_edge_line(parts, lineno, n, seen))
+            _parse_edge_line(parts, lineno, n, seen)
             last_line = lineno
-        snapshots.append(tuple(sorted(edges)))
+        snapshots.append(frozenset(seen))
     for lineno, parts in lines:
         raise ParseError(f"unexpected trailing content {' '.join(parts)!r}", lineno)
     return TemporalGraph(n, tuple(snapshots))
 
 
 def serialize_temporal_graph(graph: TemporalGraph) -> str:
+    """TG1 text; each snapshot's edges are written in sorted order."""
     out = [f"{graph.n} {graph.lifetime}"]
     for snap in graph.snapshots:
         out.append(str(len(snap)))
-        out.extend(f"{u} {v}" for u, v in snap)
+        out.extend(f"{u} {v}" for u, v in sorted(snap))
     return "\n".join(out) + "\n"
 
 
 def parse_spanning_tree(text: str, n: int) -> SpanningTree:
     """Parse a tree file: n-1 lines 'u v' (comments allowed)."""
     seen: set[Edge] = set()
-    edges: list[Edge] = []
     for lineno, parts in _content_lines(text):
-        edges.append(_parse_edge_line(parts, lineno, n, seen))
-    return SpanningTree(n, frozenset(edges))
+        _parse_edge_line(parts, lineno, n, seen)
+    return SpanningTree(n, frozenset(seen))
 
 
 def serialize_spanning_tree(tree: SpanningTree) -> str:
@@ -305,10 +258,9 @@ class Deficiency:
     missing: tuple[Edge, ...]
 
 
-def deficiency_count(snapshot: Iterable[Edge], tree: SpanningTree) -> Deficiency:
+def deficiency_count(snapshot: AbstractSet[Edge], tree: SpanningTree) -> Deficiency:
     """Tree edges absent from the snapshot; the snapshot is k-deficient iff count <= k."""
-    present = snapshot if isinstance(snapshot, (set, frozenset)) else frozenset(snapshot)
-    missing = tuple(sorted(e for e in tree.edges if e not in present))
+    missing = tuple(sorted(e for e in tree.edges if e not in snapshot))
     return Deficiency(len(missing), missing)
 
 
@@ -356,9 +308,9 @@ def foremost_walk(graph: TemporalGraph, window: tuple[int, int], source: int) ->
     arrival: list[Optional[int]] = [None] * graph.n
     parent: list[Optional[tuple[int, int]]] = [None] * graph.n
     arrival[source] = t0 - 1
-    for t in range(t0, t1 + 1):
+    for t, snap in enumerate(graph.snapshots[t0 - 1 : t1], start=t0):
         updates: dict[int, int] = {}
-        for u, v in graph.snapshot(t):
+        for u, v in snap:
             au, av = arrival[u], arrival[v]
             if au is not None and au < t and av is None:
                 best = updates.get(v)
@@ -401,6 +353,8 @@ def verify_delta_connectivity(
         raise ValueError(f"delta {delta} outside [1, {graph.lifetime}]")
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"sampled mode needs samples >= 1, got {samples}")
     starts = list(range(1, graph.lifetime - delta + 2))
     if mode == "sampled" and len(starts) > samples:
         rng = SplitMix64(seed)

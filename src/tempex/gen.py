@@ -150,7 +150,7 @@ def _draw_removal(rng: SplitMix64, tree_edges: list[Edge], k: int) -> list[Edge]
 
 
 def _ensure_tree_in_underlying(
-    snapshots: list[list[Edge]], tree: SpanningTree
+    snapshots: list[frozenset[Edge]], tree: SpanningTree
 ) -> None:
     """Any tree edge missing from every snapshot goes into the last one.
 
@@ -158,11 +158,9 @@ def _ensure_tree_in_underlying(
     property is preserved while the tree stays a subgraph of the underlying
     graph.
     """
-    present: set[Edge] = set()
-    for snap in snapshots:
-        present.update(snap)
-    for e in sorted(tree.edges - present):
-        snapshots[-1].append(e)
+    missing = tree.edges.difference(*snapshots)
+    if missing:
+        snapshots[-1] = snapshots[-1] | missing
 
 
 def _bridged_positions(spec: GenSpec) -> Optional[set[int]]:
@@ -201,7 +199,7 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
     ]
     bridged = _bridged_positions(spec)
     fallbacks = 0
-    snapshots: list[list[Edge]] = []
+    snapshots: list[frozenset[Edge]] = []
     for t in range(1, spec.lifetime + 1):
         rng = stream(spec.seed, t)
         removed = set(_draw_removal(rng, tree_edges, spec.k))
@@ -214,9 +212,9 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
             added, kept = _reconnect(spec.n, adjacency, removed, rng)
             edges.update(added)
             fallbacks += kept
-        snapshots.append(sorted(edges))
+        snapshots.append(frozenset(edges))
     _ensure_tree_in_underlying(snapshots, tree)
-    return GenResult(TemporalGraph.build(spec.n, snapshots), tree, fallbacks)
+    return GenResult(TemporalGraph(spec.n, tuple(snapshots)), tree, fallbacks)
 
 
 def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
@@ -228,21 +226,21 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
     process later runs on the instance. Every removed edge gets a bridging
     chord, keeping each snapshot connected.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if not (0 <= k <= n - 1):
         raise ValueError(f"k must be in [0, {n - 1}]")
     if lifetime < 1:
         raise ValueError("lifetime must be at least 1")
     tree = _build_tree("path", n, stream(seed, 0))
     if n == 1 or k == 0:
-        snapshots = [sorted(tree.edges) for _ in range(lifetime)]
-        graph = TemporalGraph.build(n, snapshots)
-        return GenResult(graph, tree, 0)
+        return GenResult(TemporalGraph(n, (tree.edges,) * lifetime), tree, 0)
 
     tour = build_dfs_tour(tree, 0)
     adjacency = tree.adjacency()
     state = RoundaboutState.initial(tour.n_positions)
     fallbacks = 0
-    snapshots = []
+    snapshots: list[frozenset[Edge]] = []
     for t in range(1, lifetime + 1):
         rng = stream(seed, t)
         order = sorted(
@@ -256,8 +254,8 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
                 break
         added, kept = _reconnect(n, adjacency, removed, rng)
         fallbacks += kept
-        snapshot = sorted(set(tree.edges - removed).union(added))
+        snapshot = tree.edges.difference(removed).union(added)
         snapshots.append(snapshot)
-        state = eliminate_redundant(movement_step(state, frozenset(snapshot), tour))
+        state = eliminate_redundant(movement_step(state, snapshot, tour))
     _ensure_tree_in_underlying(snapshots, tree)
-    return GenResult(TemporalGraph.build(n, snapshots), tree, fallbacks)
+    return GenResult(TemporalGraph(n, tuple(snapshots)), tree, fallbacks)

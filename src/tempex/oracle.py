@@ -53,10 +53,13 @@ def optimal_exploration_time(
         return OracleResult(True, 0, 0)
 
     presence: dict[Edge, list[int]] = {}
-    for t in range(1, graph.lifetime + 1):
-        for e in graph.snapshot(t):
+    for t, snap in enumerate(graph.snapshots, start=1):
+        for e in snap:
             presence.setdefault(e, []).append(t)
-    adjacency = graph.underlying().adjacency()
+    adjacency: dict[int, list[int]] = {v: [] for v in range(n)}
+    for u, v in presence:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
 
     best: dict[tuple[int, int], int] = {(start, 1 << start): 0}
     frontier = dict(best)
@@ -104,7 +107,7 @@ def foremost_arrival_oracle(
         for v in range(graph.n):
             arcs[(v, t)].append((v, t + 1))
     for t in range(t0, t1 + 1):
-        for u, v in graph.snapshot(t):
+        for u, v in graph.edge_set(t):
             arcs[(u, t - 1)].append((v, t))
             arcs[(v, t - 1)].append((u, t))
 

@@ -8,6 +8,7 @@ with respect to the recovered tree.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Edge, SpanningTree, TemporalGraph, deficiency_count
@@ -45,9 +46,8 @@ def absence_weights(graph: TemporalGraph, prefix_length: int) -> EdgeWeights:
         raise ValueError(f"prefix {prefix_length} exceeds lifetime {graph.lifetime}")
     if prefix_length < 1:
         raise ValueError("prefix must be positive")
-    weights: dict[Edge, int] = {}
-    for e in graph.underlying().edges:
-        weights[e] = sum(1 for t in range(1, prefix_length + 1) if e not in graph.edge_set(t))
+    present = Counter(e for snap in graph.snapshots[:prefix_length] for e in snap)
+    weights = {e: prefix_length - present[e] for e in graph.underlying()}
     return EdgeWeights(weights, prefix_length)
 
 

@@ -174,9 +174,46 @@ class TestExitCodes:
         assert "bad input: manifest row 1: missing key 'k'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("rows, message", [
+        ({}, "bad input: manifest must be a JSON list of objects, got dict"),
+        ([[1, 2]], "bad input: manifest row 0: expected an object, got list"),
+        (
+            [{"n": 5, "k": 1, "delta": 4, "seed": 0}, {"n": "5", "k": 1, "delta": 4, "seed": 0}],
+            "bad input: manifest row 1: 'n' has wrong type str",
+        ),
+    ], ids=["not-a-list", "row-not-an-object", "field-wrong-type"])
+    def test_bench_malformed_manifest_is_usage_error(self, tmp_path, rows, message):
+        manifest = tmp_path / "rows.json"
+        manifest.write_text(json.dumps(rows))
+        out = tmp_path / "b.csv"
+        proc = run_cli("bench", "--manifest", str(manifest), "--out", str(out))
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         proc = run_cli("oracle", "--graph", str(tmp_path / "nope.tg"), "--start", "0")
         assert proc.returncode == 2
+
+    def test_directory_input_is_usage_error(self, tmp_path, e1_graph_file):
+        for inputs in (
+            ["--graph", str(tmp_path)],
+            ["--graph", str(e1_graph_file), "--tree", str(tmp_path)],
+        ):
+            proc = run_cli("explore", "--k", "1", *inputs)
+            assert proc.returncode == 2
+            assert f"cannot read {tmp_path}" in proc.stderr
+            assert "Traceback" not in proc.stderr
+
+    def test_check_delta_zero_samples_is_usage_error(self, e1_graph_file):
+        proc = run_cli(
+            "check-delta", "--graph", str(e1_graph_file), "--delta", "2",
+            "--mode", "sampled", "--samples", "0",
+        )
+        assert proc.returncode == 2
+        assert "samples >= 1" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestDeterminism:

@@ -27,13 +27,13 @@ class TestParse:
         g = parse_temporal_graph("2 1\n1\n0 1\n")
         assert g.n == 2
         assert g.lifetime == 1
-        assert g.snapshots == (((0, 1),),)
+        assert g.snapshots == (frozenset({(0, 1)}),)
 
     def test_two_snapshots(self):
         g = parse_temporal_graph("3 2\n2\n0 1\n1 2\n1\n0 1\n")
         assert g.n == 3
         assert g.lifetime == 2
-        assert g.snapshots == (((0, 1), (1, 2)), ((0, 1),))
+        assert g.snapshots == (frozenset({(0, 1), (1, 2)}), frozenset({(0, 1)}))
 
     def test_self_loop_rejected_with_line(self):
         with pytest.raises(ParseError) as exc:
@@ -43,7 +43,7 @@ class TestParse:
 
     def test_comments_and_blank_lines_ignored(self):
         g = parse_temporal_graph("# header\n2 1\n\n1\n# edge\n0 1\n")
-        assert g.snapshots == (((0, 1),),)
+        assert g.snapshots == (frozenset({(0, 1)}),)
 
     def test_malformed_header(self):
         with pytest.raises(ParseError):
@@ -69,7 +69,8 @@ class TestParse:
 
     def test_non_canonical_order_accepted(self):
         g = parse_temporal_graph("3 1\n2\n2 1\n1 0\n")
-        assert g.snapshots == (((0, 1), (1, 2)),)
+        assert g.snapshots == (frozenset({(0, 1), (1, 2)}),)
+        assert serialize_temporal_graph(g) == "3 1\n2\n0 1\n1 2\n"
 
     @given(temporal_graphs())
     def test_round_trip_is_identity(self, graph):
@@ -77,6 +78,11 @@ class TestParse:
         again = parse_temporal_graph(text)
         assert again == graph
         assert serialize_temporal_graph(again) == text
+
+    def test_constructor_rejects_tuple_snapshot(self):
+        with pytest.raises(ValueError, match="frozenset"):
+            TemporalGraph(3, (((0, 1), (1, 2)),))
+        TemporalGraph(3, (frozenset({(0, 1), (1, 2)}),))
 
     def test_tree_file_round_trip(self):
         tree = SpanningTree(4, frozenset({(0, 2), (1, 2), (2, 3)}))
@@ -207,6 +213,11 @@ class TestDeltaConnectivity:
     def test_delta_above_lifetime(self, path3_full):
         with pytest.raises(ValueError):
             verify_delta_connectivity(path3_full, 99)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_mode_needs_a_sample(self, path3_full, samples):
+        with pytest.raises(ValueError, match="samples >= 1"):
+            verify_delta_connectivity(path3_full, 2, mode="sampled", samples=samples)
 
     def test_sampled_mode_is_deterministic(self):
         spec = GenSpec(n=5, lifetime=40, k=1, seed=4, tree_shape="path")

@@ -62,7 +62,13 @@ class TestRandomDeficient:
     def test_witness_tree_spans_underlying_graph(self):
         spec = GenSpec(n=7, lifetime=25, k=2, seed=5, tree_shape="random")
         result = gen_random_deficient(spec)
-        assert result.tree.edges.issubset(result.graph.underlying().edges)
+        assert result.tree.edges.issubset(result.graph.underlying())
+
+    def test_tree_edges_missing_everywhere_go_into_last_snapshot(self):
+        # with this seed both snapshots drop both tree edges before the top-up
+        spec = GenSpec(n=3, lifetime=2, k=2, seed=19, connectivity="none")
+        result = gen_random_deficient(spec)
+        assert result.graph.snapshots == (frozenset(), result.tree.edges)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_per_snapshot_mode_connects_every_snapshot(self, seed):
@@ -75,7 +81,7 @@ class TestRandomDeficient:
     def test_two_vertex_fallback_keeps_edge_present(self):
         spec = GenSpec(n=2, lifetime=20, k=1, seed=0, connectivity="per-snapshot")
         result = gen_random_deficient(spec)
-        assert all(snap == ((0, 1),) for snap in result.graph.snapshots)
+        assert all(snap == frozenset({(0, 1)}) for snap in result.graph.snapshots)
         assert result.fallbacks > 0
 
     def test_delta_only_mode_is_delta_connected(self):
@@ -105,8 +111,11 @@ class TestBlockingFront:
 
     def test_k_zero_is_static_path(self):
         result = gen_blocking_front(5, 0, 10, 4)
-        assert all(snap == result.graph.snapshots[0] for snap in result.graph.snapshots)
-        assert set(result.graph.snapshots[0]) == result.tree.edges
+        assert all(snap == result.tree.edges for snap in result.graph.snapshots)
+
+    def test_rejects_empty_graph_before_k(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            gen_blocking_front(0, 0, 10, 0)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_deficiency_by_construction(self, k):

@@ -53,6 +53,15 @@ class TestAbsenceWeights:
         with pytest.raises(ValueError):
             absence_weights(triangle, 3)
 
+    @given(temporal_graphs(min_n=2, max_n=7, max_lifetime=8), st.data())
+    def test_matches_per_edge_probe(self, graph, data):
+        prefix = data.draw(st.integers(1, graph.lifetime))
+        probe = {
+            e: sum(e not in graph.edge_set(t) for t in range(1, prefix + 1))
+            for e in graph.underlying()
+        }
+        assert absence_weights(graph, prefix).weights == probe
+
 
 class TestFindGoodTree:
     def test_triangle_lexicographic_tie_break(self, triangle):
@@ -99,17 +108,18 @@ class TestFindGoodTree:
         prefix = graph.lifetime - graph.lifetime % 2
         if prefix == 0:
             return
-        under = graph.underlying()
-        if not under.is_connected():
-            return
         ew = absence_weights(graph, prefix)
-        tree = minimum_weight_spanning_tree(graph.n, ew.weights)
-        best = min(
+        totals = [
             sum(ew.weights[e] for e in combo)
-            for combo in itertools.combinations(sorted(under.edges), graph.n - 1)
+            for combo in itertools.combinations(sorted(graph.underlying()), graph.n - 1)
             if _is_spanning_tree(graph.n, combo)
-        )
-        assert sum(ew.weights[e] for e in tree.edges) == best
+        ]
+        if not totals:  # the underlying graph is disconnected
+            with pytest.raises(DisconnectedGraph):
+                minimum_weight_spanning_tree(graph.n, ew.weights)
+            return
+        tree = minimum_weight_spanning_tree(graph.n, ew.weights)
+        assert sum(ew.weights[e] for e in tree.edges) == min(totals)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_counting_identity(self, seed):
