@@ -37,7 +37,6 @@ from .roundabout import (
     check_state_invariants,
     eliminate_redundant,
     movement_step,
-    replay_trace,
     run_roundabout,
 )
 from .scheduler import (

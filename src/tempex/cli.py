@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -52,6 +53,19 @@ ALGORITHMIC_FAILURES = (
 )
 
 
+class _CannotWrite(Exception):
+    """An output file or its directory could not be created or written."""
+
+
+@contextmanager
+def _writing():
+    """Report an OSError raised inside the block as a failed write, not a read."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CannotWrite(f"cannot write {exc.filename}: {exc.strerror}") from exc
+
+
 def _write_manifest(out_base: Path, subcommand: str, inputs: dict, parameters: dict, outputs: dict, stats: dict) -> None:
     manifest = {
         "tool": "tempex",
@@ -63,7 +77,8 @@ def _write_manifest(out_base: Path, subcommand: str, inputs: dict, parameters: d
         "stats": stats,
     }
     path = Path(str(out_base) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with _writing():
+        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _load_graph(path: str):
@@ -100,9 +115,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     out = Path(args.out)
     graph_path = out.with_suffix(".tg") if out.suffix == "" else out
     tree_path = Path(str(graph_path) + ".tree")
-    graph_path.parent.mkdir(parents=True, exist_ok=True)
-    graph_path.write_text(serialize_temporal_graph(result.graph))
-    tree_path.write_text(serialize_spanning_tree(result.tree))
+    with _writing():
+        graph_path.parent.mkdir(parents=True, exist_ok=True)
+        graph_path.write_text(serialize_temporal_graph(result.graph))
+        tree_path.write_text(serialize_spanning_tree(result.tree))
     _write_manifest(
         graph_path,
         "gen",
@@ -144,11 +160,12 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     stats_json = json.dumps(run.stats.to_json_dict(), indent=2, sort_keys=True)
     if args.out:
         out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(serialize_schedule(run.schedule))
-        if args.stats:
-            Path(args.stats).write_text(stats_json + "\n")
-        else:
+        with _writing():
+            out.parent.mkdir(parents=True, exist_ok=True)
+            out.write_text(serialize_schedule(run.schedule))
+            if args.stats:
+                Path(args.stats).write_text(stats_json + "\n")
+        if not args.stats:
             print(stats_json)
         _write_manifest(
             out,
@@ -183,8 +200,9 @@ def _cmd_tree(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
     tree, stats = find_good_tree(graph, args.k, args.q)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(serialize_spanning_tree(tree))
+    with _writing():
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(serialize_spanning_tree(tree))
     summary = {
         "q": stats.q,
         "threshold": stats.threshold,
@@ -257,7 +275,8 @@ def _manifest_rows(text: str) -> list[dict]:
 def _cmd_bench(args: argparse.Namespace) -> int:
     rows = _manifest_rows(Path(args.manifest).read_text())
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
+    with _writing():
+        out.parent.mkdir(parents=True, exist_ok=True)
     header = "instance,n,k,delta,rho,t,scheduleSpan,scheduleLength,tau,attempts,wallMillis"
     lines = [header]
     for i, row in enumerate(rows):
@@ -283,7 +302,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"bench-{i},{n},{k},{delta},{stats.rho},{stats.budget},"
             f"{stats.span},{stats.length},{tau(n, k, delta):.3f},{stats.attempts},{wall_ms}"
         )
-    out.write_text("\n".join(lines) + "\n")
+    with _writing():
+        out.write_text("\n".join(lines) + "\n")
     _write_manifest(
         out,
         "bench",
@@ -377,6 +397,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except ParseError as exc:
         print(f"format error: {exc}", file=sys.stderr)
+        return 2
+    except _CannotWrite as exc:
+        print(exc, file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file: {exc.filename}", file=sys.stderr)

@@ -247,9 +247,10 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
             range(len(state.agents)),
             key=lambda i: (-state.arc_length(i), state.agents[i]),
         )
+        states = state.states
         removed: set[Edge] = set()
         for i in order:
-            removed.add(tour.tour_edge(state.states[i]))
+            removed.add(tour.tour_edge(states[i]))
             if len(removed) == k:
                 break
         added, kept = _reconnect(n, adjacency, removed, rng)

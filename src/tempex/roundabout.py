@@ -3,8 +3,10 @@
 Agent a_i starts at tour position i. In each step every active agent at
 position q advances to q+1 (cyclically) iff tour edge e_q is present in the
 step's snapshot; afterwards agents whose visited arc is covered by the other
-active agents' arcs are removed. The process is deterministic, so traces can
-be replayed move for move by a single explorer.
+active agents' arcs are removed. An agent's position is its start advanced by
+its move count, so a state is just the active agents and their moves. The
+process is deterministic, so a run is recorded as the sequence of states it
+passed through, from which a single explorer replays one agent's moves.
 """
 
 from __future__ import annotations
@@ -24,20 +26,25 @@ class InvariantViolation(AssertionError):
 class RoundaboutState:
     """Active agents after some number of (movement, elimination) steps.
 
-    ``agents``, ``states`` and ``moves`` are parallel, sorted by agent index.
-    Inactive agents are dropped entirely: nothing downstream needs them.
+    ``agents`` (start positions, ascending) and ``moves`` (steps advanced so
+    far) are parallel. Inactive agents are dropped entirely: nothing
+    downstream needs them.
     """
 
     n_positions: int
     step: int
     agents: tuple[int, ...]
-    states: tuple[int, ...]
     moves: tuple[int, ...]
 
     @classmethod
     def initial(cls, n_positions: int) -> "RoundaboutState":
-        ids = tuple(range(1, n_positions + 1))
-        return cls(n_positions, 0, ids, ids, (0,) * n_positions)
+        return cls(n_positions, 0, tuple(range(1, n_positions + 1)), (0,) * n_positions)
+
+    @property
+    def states(self) -> tuple[int, ...]:
+        """Current tour position of each active agent."""
+        n = self.n_positions
+        return tuple((a - 1 + m) % n + 1 for a, m in zip(self.agents, self.moves))
 
     def arc_length(self, idx: int) -> int:
         return min(self.moves[idx] + 1, self.n_positions)
@@ -52,13 +59,11 @@ class RoundaboutState:
 def movement_step(state: RoundaboutState, snapshot: frozenset[Edge], tour: DfsTour) -> RoundaboutState:
     """Advance every active agent whose next tour edge is present."""
     n = state.n_positions
-    states = list(state.states)
     moves = list(state.moves)
-    for i, q in enumerate(states):
-        if tour.tour_edge(q) in snapshot:
-            states[i] = q % n + 1
-            moves[i] += 1
-    return RoundaboutState(n, state.step + 1, state.agents, tuple(states), tuple(moves))
+    for i, (a, m) in enumerate(zip(state.agents, state.moves)):
+        if tour.tour_edge((a - 1 + m) % n + 1) in snapshot:
+            moves[i] = m + 1
+    return RoundaboutState(n, state.step + 1, state.agents, tuple(moves))
 
 
 def eliminate_redundant(state: RoundaboutState) -> RoundaboutState:
@@ -87,72 +92,36 @@ def eliminate_redundant(state: RoundaboutState) -> RoundaboutState:
         state.n_positions,
         state.step,
         tuple(state.agents[i] for i in keep),
-        tuple(state.states[i] for i in keep),
         tuple(state.moves[i] for i in keep),
     )
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """One (movement, elimination) iteration: who moved, who survived."""
-
-    time: int
-    agents: tuple[int, ...]
-    moved: tuple[bool, ...]
-    active_after: tuple[int, ...]
-    states_after: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class RoundaboutTrace:
-    n_positions: int
-    steps: tuple[StepRecord, ...]
-    final: RoundaboutState
+    """A run, as the states it passed through.
+
+    Step i used snapshot ``times[i - 1]``; ``history[0]`` is the initial state
+    and ``history[i]`` the state after step i's movement and elimination.
+    """
+
+    times: tuple[int, ...]
+    history: tuple[RoundaboutState, ...]
 
     @property
-    def initial_states(self) -> tuple[int, ...]:
-        """Initial tour positions of the agents still active at the end."""
-        return self.final.agents
+    def final(self) -> RoundaboutState:
+        return self.history[-1]
 
     def moves_of(self, agent: int) -> tuple[tuple[int, bool], ...]:
         """(time, moved) pairs for an agent active through the whole run."""
-        out = []
-        for rec in self.steps:
-            idx = rec.agents.index(agent)
-            out.append((rec.time, rec.moved[idx]))
-        return tuple(out)
+        counts = [state.moves[state.agents.index(agent)] for state in self.history]
+        return tuple((t, after > before) for t, before, after in zip(self.times, counts, counts[1:]))
 
     def format_lines(self) -> list[str]:
         lines = []
-        for i, rec in enumerate(self.steps, start=1):
-            states = ",".join(str(s) for s in rec.states_after)
-            lines.append(f"{i} {rec.time} |A|={len(rec.active_after)} states={states}")
+        for i, (t, state) in enumerate(zip(self.times, self.history[1:]), start=1):
+            states = ",".join(str(s) for s in state.states)
+            lines.append(f"{i} {t} |A|={len(state.agents)} states={states}")
         return lines
-
-
-def replay_trace(trace: RoundaboutTrace) -> RoundaboutState:
-    """Re-derive the final state from the movement log alone."""
-    n = trace.n_positions
-    states = {a: a for a in range(1, n + 1)}
-    moves = {a: 0 for a in range(1, n + 1)}
-    active = tuple(range(1, n + 1))
-    step = 0
-    for rec in trace.steps:
-        if rec.agents != active:
-            raise InvariantViolation("log does not match the active set")
-        for agent, moved in zip(rec.agents, rec.moved):
-            if moved:
-                states[agent] = states[agent] % n + 1
-                moves[agent] += 1
-        active = rec.active_after
-        step += 1
-    return RoundaboutState(
-        n,
-        step,
-        active,
-        tuple(states[a] for a in active),
-        tuple(moves[a] for a in active),
-    )
 
 
 def check_state_invariants(state: RoundaboutState, k: Optional[int] = None) -> None:
@@ -211,24 +180,19 @@ def run_roundabout(
         raise ValueError("budget must be non-negative")
     if len(snapshot_times) < budget:
         raise ValueError(f"need {budget} usable snapshots, got {len(snapshot_times)}")
+    times = tuple(snapshot_times[:budget])
     state = RoundaboutState.initial(tour.n_positions)
-    records: list[StepRecord] = []
-    for step in range(budget):
-        t = snapshot_times[step]
+    history = [state]
+    for t in times:
         snapshot = graph.edge_set(t)
         if check_invariants and k is not None:
             if deficiency_count(snapshot, tour.tree).count > k:
                 raise InvariantViolation(f"snapshot {t} is not {k}-deficient")
-        before = state
-        moved_state = movement_step(state, snapshot, tour)
-        moved = tuple(a != b for a, b in zip(moved_state.states, before.states))
-        state = eliminate_redundant(moved_state)
-        records.append(
-            StepRecord(t, before.agents, moved, state.agents, state.states)
-        )
+        state = eliminate_redundant(movement_step(state, snapshot, tour))
+        history.append(state)
         if check_invariants:
             check_state_invariants(state, k)
     if check_invariants and k is not None and budget == (tour.n_positions // (2 * k)):
         if len(state.agents) > 6 * k:
             raise InvariantViolation(f"{len(state.agents)} agents survive, bound is {6 * k}")
-    return RoundaboutTrace(tour.n_positions, tuple(records), state)
+    return RoundaboutTrace(times, tuple(history))

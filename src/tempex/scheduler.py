@@ -173,12 +173,20 @@ class LasVegas:
     seed: int = 0
     max_attempts: int = 10_000
 
+    def __post_init__(self) -> None:
+        if self.max_attempts < 1:
+            raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
+
 
 @dataclass(frozen=True)
 class Enumerate:
     """Lexicographic scan of the whole tuple space; refuses above the cap."""
 
     cap: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        if self.cap < 1:
+            raise ValueError(f"enumeration cap must be at least 1, got {self.cap}")
 
 
 Strategy = Union[LasVegas, Enumerate]
@@ -289,8 +297,6 @@ class Schedule:
     start: int
     first_step: int
     actions: tuple[Action, ...]
-    epoch_bounds: tuple[tuple[int, int], ...] = ()
-    chosen: tuple[int, ...] = ()
 
     @property
     def span(self) -> int:
@@ -300,10 +306,6 @@ class Schedule:
     def length(self) -> int:
         """Number of edge traversals (temporal-walk length)."""
         return sum(1 for a in self.actions if a is not None)
-
-    @property
-    def last_step(self) -> int:
-        return self.first_step + len(self.actions) - 1
 
 
 def serialize_schedule(schedule: Schedule) -> str:
@@ -370,7 +372,7 @@ def assemble_schedule(
     start: int,
 ) -> Schedule:
     """Explorer schedule: per epoch, reposition to the chosen agent's start
-    vertex via a foremost walk, then replay that agent's logged moves."""
+    vertex via a foremost walk, then replay that agent's moves from the trace."""
     if len(traces) != len(plan.epochs) or len(choice) != len(plan.epochs):
         raise ValueError("plan, traces and choice must align")
     span_end = plan.epochs[-1].end
@@ -398,8 +400,7 @@ def assemble_schedule(
                 v = tour.vertex(state)
                 actions[t - 1] = (u, v)
         cur = tour.vertex(state)
-    bounds = tuple((e.start, e.end) for e in plan.epochs)
-    return Schedule(start, 1, tuple(actions), bounds, tuple(choice))
+    return Schedule(start, 1, tuple(actions))
 
 
 @dataclass(frozen=True)
@@ -544,7 +545,7 @@ def explore_detailed(
         rho,
         budget,
         len(plan.epochs),
-        tuple(len(t.initial_states) for t in traces),
+        tuple(len(t.final.agents) for t in traces),
         attempts,
         schedule.span,
         schedule.length,

@@ -96,6 +96,8 @@ def find_good_tree(graph: TemporalGraph, k: int, q: int) -> tuple[SpanningTree, 
         raise ValueError(f"prefix 2q={2 * q} exceeds lifetime {graph.lifetime}")
     if q < 1:
         raise ValueError("q must be positive")
+    if k < 0:
+        raise ValueError("k must be non-negative")
     ew = absence_weights(graph, 2 * q)
     tree = minimum_weight_spanning_tree(graph.n, ew.weights)
     deficiencies = tuple(

@@ -102,7 +102,7 @@ def test_criterion_2_covering_fraction():
         traces = run_epoch_traces(graph, tour, plan)
         product = 1
         for trace in traces:
-            product *= len(trace.initial_states)
+            product *= len(trace.final.agents)
         assert product <= 10**5
         assert product == 2 ** len(blocked)
         fraction = exhaustive_covering_fraction(traces, 2)

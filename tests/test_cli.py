@@ -206,6 +206,53 @@ class TestExitCodes:
             assert f"cannot read {tmp_path}" in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("shape", ["gen", "tree", "explore-stats", "bench"])
+    def test_write_failure_says_cannot_write(self, tmp_path, shape):
+        afile = tmp_path / "afile"
+        afile.write_text("a regular file, not a directory\n")
+        if shape == "gen":
+            args = ["gen", "--n", "4", "--L", "3", "--k", "1", "--out", str(afile / "x")]
+            failed = afile
+        elif shape == "tree":
+            graph, _ = gen_instance(tmp_path, 6, 20, 1, 4)
+            args = ["tree", "--graph", str(graph), "--k", "1", "--q", "10",
+                    "--out", str(afile / "t.tree")]
+            failed = afile
+        elif shape == "explore-stats":
+            graph, tree = gen_instance(tmp_path, 6, 33 * 10, 1, 7)
+            failed = tmp_path / "nodir" / "s.json"
+            args = ["explore", "--graph", str(graph), "--k", "1", "--delta", "5",
+                    "--tree", str(tree), "--out", str(tmp_path / "o.txt"), "--stats", str(failed)]
+        else:
+            manifest = tmp_path / "rows.json"
+            manifest.write_text(json.dumps([{"n": 5, "k": 1, "delta": 4, "seed": 0}]))
+            args = ["bench", "--manifest", str(manifest), "--out", str(afile / "b.csv")]
+            failed = afile
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert f"cannot write {failed}: " in proc.stderr
+        assert "cannot read" not in proc.stderr
+        assert "missing file" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ["--max-attempts", "0"],
+        ["--max-attempts", "-5"],
+        ["--strategy", "enumerate", "--enum-cap", "0"],
+    ], ids=["max-attempts-0", "max-attempts-negative", "enum-cap-0"])
+    def test_search_parameter_below_one_is_usage_error(self, e1_graph_file, flags):
+        proc = run_cli("explore", "--graph", str(e1_graph_file), "--k", "1", "--delta", "2", *flags)
+        assert proc.returncode == 2
+        assert "must be at least 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_tree_negative_k_is_usage_error(self, e1_graph_file, tmp_path):
+        out = tmp_path / "t.tree"
+        proc = run_cli("tree", "--graph", str(e1_graph_file), "--k", "-3", "--q", "1", "--out", str(out))
+        assert proc.returncode == 2
+        assert "k must be non-negative" in proc.stderr
+        assert not out.exists()
+
     def test_check_delta_zero_samples_is_usage_error(self, e1_graph_file):
         proc = run_cli(
             "check-delta", "--graph", str(e1_graph_file), "--delta", "2",

@@ -12,7 +12,6 @@ from tempex.roundabout import (
     check_state_invariants,
     eliminate_redundant,
     movement_step,
-    replay_trace,
     run_roundabout,
 )
 from tempex.tour import build_dfs_tour
@@ -26,9 +25,8 @@ def path3_tour(path3_tree):
 def make_state(n_positions: int, agents_moves: dict[int, int], step: int = 1) -> RoundaboutState:
     """State with the given active agents and per-agent move counts."""
     agents = tuple(sorted(agents_moves))
-    states = tuple((a - 1 + agents_moves[a]) % n_positions + 1 for a in agents)
     moves = tuple(agents_moves[a] for a in agents)
-    return RoundaboutState(n_positions, step, agents, states, moves)
+    return RoundaboutState(n_positions, step, agents, moves)
 
 
 def arc_positions(state: RoundaboutState, idx: int) -> set[int]:
@@ -53,7 +51,6 @@ def restart_scan_eliminate(state: RoundaboutState) -> RoundaboutState:
         state.n_positions,
         state.step,
         tuple(state.agents[i] for i in keep),
-        tuple(state.states[i] for i in keep),
         tuple(state.moves[i] for i in keep),
     )
 
@@ -70,7 +67,7 @@ class TestMovement:
         assert state.states == (2, 2, 3, 1)
 
     def test_empty_active_set(self, path3_tour):
-        empty = RoundaboutState(4, 0, (), (), ())
+        empty = RoundaboutState(4, 0, (), ())
         after = movement_step(empty, frozenset({(0, 1)}), path3_tour)
         assert after.agents == ()
         assert after.step == 1
@@ -105,14 +102,14 @@ class TestRunRoundabout:
     def test_path3_two_steps(self, path3_full, path3_tour):
         trace = run_roundabout(path3_full, path3_tour, [1, 2], 2, k=1, check_invariants=True)
         assert trace.final.agents == (2, 4)
-        assert trace.initial_states == (2, 4)
         assert trace.final.states == (4, 2)
         assert trace.final.arc_masks() == [0b1110, 0b1011]
 
     def test_zero_budget_returns_initial(self, path3_full, path3_tour):
         trace = run_roundabout(path3_full, path3_tour, [], 0)
         assert trace.final == RoundaboutState.initial(4)
-        assert trace.steps == ()
+        assert trace.times == ()
+        assert trace.history == (trace.final,)
         assert trace.final.arc_masks() == [1 << (a - 1) for a in trace.final.agents]
 
     def test_six_k_bound_trivial_for_small_tour(self, path3_full, path3_tour):
@@ -150,10 +147,16 @@ class TestRunRoundabout:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_replay_reproduces_final_state(self, seed):
+        # re-derive every logged state from its predecessor and the snapshot
         result = gen_blocking_front(7, 2, 20, seed)
         tour = build_dfs_tour(result.tree, 0)
         trace = run_roundabout(result.graph, tour, range(1, 4), 3, k=2)
-        assert replay_trace(trace) == trace.final
+        assert trace.times == (1, 2, 3)
+        assert trace.history[0] == RoundaboutState.initial(tour.n_positions)
+        for i in range(1, len(trace.history)):
+            snapshot = result.graph.edge_set(trace.times[i - 1])
+            step = eliminate_redundant(movement_step(trace.history[i - 1], snapshot, tour))
+            assert trace.history[i] == step
 
     def test_moves_of_final_agent_spans_all_steps(self, path3_full, path3_tour):
         trace = run_roundabout(path3_full, path3_tour, [1, 2], 2)
@@ -161,19 +164,28 @@ class TestRunRoundabout:
             log = trace.moves_of(agent)
             assert [t for t, _ in log] == [1, 2]
 
+    def test_moves_of_reports_blocked_step(self, path3_tour):
+        # snapshot 1 lacks tree edge {1,2}: agent 3 (at position 3) is blocked
+        graph = TemporalGraph.build(3, [[(0, 1)], [(0, 1), (1, 2)]])
+        trace = run_roundabout(graph, path3_tour, [1, 2], 2)
+        assert trace.final.agents == (3, 4)
+        assert trace.moves_of(3) == ((1, False), (2, True))
+        assert trace.moves_of(4) == ((1, True), (2, True))
+
     def test_only_first_budget_snapshots_are_used(self, path3_full, path3_tour):
         trace = run_roundabout(path3_full, path3_tour, [3, 5, 6, 7, 8], 2)
-        assert [rec.time for rec in trace.steps] == [3, 5]
+        assert trace.times == (3, 5)
 
 
 class TestInvariantChecker:
     def test_detects_shared_state(self):
-        bad = RoundaboutState(4, 1, (1, 2), (2, 2), (1, 0))
-        with pytest.raises(InvariantViolation):
+        # agents 1 and 2 both sit at position 2; the tour is still covered
+        bad = RoundaboutState(4, 1, (1, 2, 3), (1, 0, 1))
+        with pytest.raises(InvariantViolation, match="share a state"):
             check_state_invariants(bad)
 
     def test_detects_coverage_gap(self):
-        bad = RoundaboutState(4, 1, (1,), (2,), (1,))
+        bad = RoundaboutState(4, 1, (1,), (1,))
         with pytest.raises(InvariantViolation, match="position 3 not covered"):
             check_state_invariants(bad)
 

@@ -131,8 +131,20 @@ class TestCoveringTuples:
 
     def test_las_vegas_exhaustion_is_loud(self, two_epoch_run):
         _, traces = two_epoch_run
+        _, attempts = find_covering_tuple(traces, 4, LasVegas(seed=3))
+        assert attempts == 3
         with pytest.raises(TupleSearchExhausted):
-            find_covering_tuple(traces, 4, LasVegas(seed=1, max_attempts=0))
+            find_covering_tuple(traces, 4, LasVegas(seed=3, max_attempts=attempts - 1))
+
+    @pytest.mark.parametrize("max_attempts", [0, -5])
+    def test_las_vegas_needs_an_attempt(self, max_attempts):
+        with pytest.raises(ValueError, match="max_attempts must be at least 1"):
+            LasVegas(max_attempts=max_attempts)
+
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_enumerate_needs_a_positive_cap(self, cap):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            Enumerate(cap=cap)
 
     def test_enumerate_cap_refused(self, two_epoch_run):
         _, traces = two_epoch_run
@@ -146,7 +158,7 @@ class TestCoveringTuples:
         plan = partition_epochs(graph, tree, 1, 1, 1, 1)
         traces = run_epoch_traces(graph, build_dfs_tour(tree, 0), plan)
         assert traces[0].final.arc_masks()[0] == 0b11
-        assert is_covering_tuple(traces[0].initial_states[:1], traces, 2)
+        assert is_covering_tuple(traces[0].final.agents[:1], traces, 2)
 
     def test_first_sample_accepted_when_everything_covers(self):
         graph = TemporalGraph.build(2, [[(0, 1)]] * 6)
@@ -159,7 +171,7 @@ class TestCoveringTuples:
     def test_fraction_matches_product_brute_force(self, two_epoch_run):
         _, traces = two_epoch_run
         fraction = exhaustive_covering_fraction(traces, 4)
-        starts = [t.initial_states for t in traces]
+        starts = [t.final.agents for t in traces]
         covering = sum(
             1 for tup in itertools.product(*starts) if is_covering_tuple(tup, traces, 4)
         )
@@ -354,7 +366,7 @@ class TestExplore:
         result = gen_random_deficient(spec)
         run = explore_detailed(result.graph, 1, 8, 0, tree=result.tree,
                                strategy=LasVegas(seed=2))
-        starts = [t.initial_states for t in run.traces]
+        starts = [t.final.agents for t in run.traces]
         assert len(set().union(*starts)) <= 6 * 1 * rho_for(1)
 
     def test_non_deficient_snapshots_are_skipped_end_to_end(self):

@@ -1,0 +1,28 @@
+"""Smoke tests: the example scripts run end to end against the library API."""
+
+from __future__ import annotations
+
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    # each script puts src/ on sys.path itself
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], capture_output=True, text=True
+    )
+
+
+def test_demo_pipeline_runs():
+    proc = run_script("demo_pipeline.py")
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_sweep_runs(tmp_path):
+    proc = run_script("bench_sweep.py", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sweep.csv").exists()
+    assert proc.stdout.startswith("instance,n,k,delta,")

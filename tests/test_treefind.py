@@ -92,6 +92,10 @@ class TestFindGoodTree:
         with pytest.raises(ValueError):
             find_good_tree(g, 1, 1)
 
+    def test_negative_k_rejected(self, triangle):
+        with pytest.raises(ValueError, match="k must be non-negative"):
+            find_good_tree(triangle, -1, 1)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_q_of_2q_guarantee_on_deficient_instances(self, seed):
         n = 5 + seed % 4
