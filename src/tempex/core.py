@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import and_
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .rng import SplitMix64
@@ -345,9 +347,17 @@ def verify_delta_connectivity(
 ) -> ConnectivityReport:
     """Check that every length-delta window is temporally connected.
 
-    Exhaustive mode scans all L-delta+1 windows (O((L-delta+1) * n * sum|E_t|),
-    desk-scale only); sampled mode checks a seeded subset of windows. Returns
-    the first violating (window start, ordered pair) if any.
+    Each window is one all-sources earliest-arrival sweep: ``reach[v]`` is the
+    bitmask of the sources that reached v strictly before the current step,
+    and each snapshot's next masks are built from the previous ones, so a
+    walk crosses at most one edge per step. The sweep stops as soon as every
+    vertex has been reached by every source, which is exact because reach
+    only grows. Cost: O((L-delta+1) * delta * (|E_t| + n)) word operations,
+    usually far less with the early stop. Exhaustive mode scans all
+    L-delta+1 windows; sampled mode checks a seeded subset of them. Returns
+    the first violating (window start, (source, target)) if any: the
+    smallest source that fails to reach some vertex, and the smallest vertex
+    it fails to reach.
     """
     if not (1 <= delta <= graph.lifetime):
         raise ValueError(f"delta {delta} outside [1, {graph.lifetime}]")
@@ -362,12 +372,22 @@ def verify_delta_connectivity(
         while len(chosen) < samples:
             chosen.add(starts[rng.below(len(starts))])
         starts = sorted(chosen)
+    everyone = (1 << graph.n) - 1
     checked = 0
     for w in starts:
         checked += 1
-        for source in range(graph.n):
-            result = foremost_walk(graph, (w, w + delta - 1), source)
-            for target in range(graph.n):
-                if result.arrival[target] is None:
-                    return ConnectivityReport(False, (w, (source, target)), checked, mode)
+        reach = [1 << v for v in range(graph.n)]
+        for snap in graph.snapshots[w - 1 : w - 1 + delta]:
+            nxt = reach[:]
+            for u, v in snap:
+                nxt[u] |= reach[v]
+                nxt[v] |= reach[u]
+            reach = nxt
+            if reduce(and_, reach) == everyone:
+                break
+        missing = everyone & ~reduce(and_, reach)
+        if missing:
+            source = (missing & -missing).bit_length() - 1
+            target = next(v for v, mask in enumerate(reach) if not mask >> source & 1)
+            return ConnectivityReport(False, (w, (source, target)), checked, mode)
     return ConnectivityReport(True, None, checked, mode)

@@ -31,12 +31,23 @@ Action = Optional[tuple[int, int]]  # None = wait, (u, v) = traverse from u to v
 
 
 class InsufficientSnapshots(Exception):
-    """The timeline ran out before the epoch plan was complete."""
+    """The timeline ran out before the epoch plan was complete.
 
-    def __init__(self, epoch: int, deficit: int) -> None:
-        super().__init__(f"epoch {epoch}: {deficit} deficient snapshots short")
+    Epoch 0 is the tree-recovery prefix, which needs `needed` snapshots of
+    any kind; epochs 1.. need `needed` k-deficient snapshots after their
+    repositioning window. `last_step` is the step where the timeline ends.
+    """
+
+    def __init__(self, epoch: int, found: int, needed: int, last_step: int) -> None:
+        what = "k-deficient snapshots" if epoch else "snapshots for tree recovery"
+        super().__init__(
+            f"epoch {epoch}: found {found} of {needed} {what} by step {last_step} (timeline ends)"
+        )
         self.epoch = epoch
-        self.deficit = deficit
+        self.found = found
+        self.needed = needed
+        self.last_step = last_step
+        self.deficit = needed - found
 
 
 class RepositionFailed(Exception):
@@ -131,7 +142,7 @@ def partition_epochs(
     for e in range(1, rho + 1):
         reposition_end = cursor + delta - 1
         if reposition_end > graph.lifetime:
-            raise InsufficientSnapshots(e, budget)
+            raise InsufficientSnapshots(e, 0, budget, graph.lifetime)
         times: list[int] = []
         t = reposition_end + 1
         while len(times) < budget and t <= graph.lifetime:
@@ -139,7 +150,7 @@ def partition_epochs(
                 times.append(t)
             t += 1
         if len(times) < budget:
-            raise InsufficientSnapshots(e, budget - len(times))
+            raise InsufficientSnapshots(e, len(times), budget, graph.lifetime)
         end = times[-1] if times else reposition_end
         epochs.append(Epoch(cursor, reposition_end, end, tuple(times)))
         cursor = end + 1
@@ -528,7 +539,7 @@ def explore_detailed(
     if tree is None:
         q = recovery_prefix(graph.n, k, delta)
         if 2 * q > graph.lifetime:
-            raise InsufficientSnapshots(0, 2 * q - graph.lifetime)
+            raise InsufficientSnapshots(0, graph.lifetime, 2 * q, graph.lifetime)
         tree, _ = find_good_tree(graph, k, q)
         effective_k = 2 * k
     else:

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from cliutil import run_cli
+from tempex.core import parse_temporal_graph
+from test_core import per_source_delta_check
 
 
 @pytest.fixture
@@ -76,7 +78,8 @@ class TestPipeline:
             "--start", "0",
         )
         assert proc.returncode == 1
-        assert "failed" in proc.stderr
+        assert "failed: epoch 0: found 4 of" in proc.stderr
+        assert "snapshots for tree recovery by step 4 (timeline ends)" in proc.stderr
 
     def test_trace_flag_dumps_to_stderr(self, tmp_path):
         graph, tree = gen_instance(tmp_path, 5, 33 * 8, 1, 2)
@@ -123,6 +126,38 @@ class TestSubcommands:
         proc = run_cli("check-delta", "--graph", str(path), "--delta", "1")
         assert proc.returncode == 1
         assert "no" in proc.stdout
+
+    def test_check_delta_exhaustive_at_benchmark_shape(self, tmp_path):
+        # n=16, delta=48, L = rho(1) * (delta + (n-1)) = 2079, as in the delta workload
+        out = tmp_path / "inst"
+        proc = run_cli(
+            "gen", "--n", "16", "--L", "2079", "--k", "1", "--seed", "401",
+            "--tree-shape", "random", "--connectivity", "delta-only", "--delta", "48",
+            "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(
+            "check-delta", "--graph", str(tmp_path / "inst.tg"), "--delta", "48",
+            "--mode", "exhaustive",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "delta-connected: yes (2032 windows, exhaustive)\n"
+
+    def test_check_delta_witness_matches_per_source_reference(self, tmp_path):
+        out = tmp_path / "inst"
+        proc = run_cli(
+            "gen", "--n", "6", "--L", "40", "--k", "2", "--seed", "1",
+            "--connectivity", "delta-only", "--delta", "8", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        graph_path = tmp_path / "inst.tg"
+        proc = run_cli("check-delta", "--graph", str(graph_path), "--delta", "5", "--mode", "exhaustive")
+        assert proc.returncode == 1
+        graph = parse_temporal_graph(graph_path.read_text())
+        report = per_source_delta_check(graph, 5, "exhaustive", 32, 0)
+        window, pair = report.witness
+        assert window > 1
+        assert proc.stdout == f"delta-connected: no (window {window}, pair {pair})\n"
 
     def test_tree_subcommand(self, tmp_path):
         graph, _ = gen_instance(tmp_path, 6, 20, 1, 4)

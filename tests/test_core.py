@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from strategies import spanning_trees, temporal_graphs
 from tempex.core import (
+    ConnectivityReport,
     ParseError,
     SpanningTree,
     TemporalGraph,
@@ -20,6 +21,27 @@ from tempex.core import (
 )
 from tempex.gen import GenSpec, gen_random_deficient
 from tempex.oracle import foremost_arrival_oracle
+from tempex.rng import SplitMix64
+
+
+def per_source_delta_check(graph, delta, mode, samples, seed):
+    """Reference delta check: one foremost sweep per source in every window."""
+    starts = list(range(1, graph.lifetime - delta + 2))
+    if mode == "sampled" and len(starts) > samples:
+        rng = SplitMix64(seed)
+        chosen = set()
+        while len(chosen) < samples:
+            chosen.add(starts[rng.below(len(starts))])
+        starts = sorted(chosen)
+    checked = 0
+    for w in starts:
+        checked += 1
+        for source in range(graph.n):
+            result = foremost_walk(graph, (w, w + delta - 1), source)
+            for target in range(graph.n):
+                if result.arrival[target] is None:
+                    return ConnectivityReport(False, (w, (source, target)), checked, mode)
+    return ConnectivityReport(True, None, checked, mode)
 
 
 class TestParse:
@@ -209,6 +231,27 @@ class TestDeltaConnectivity:
         report = verify_delta_connectivity(path3_full, path3_full.lifetime)
         assert report.ok
         assert report.windows_checked == 1
+
+    def test_window_connected_only_at_its_last_snapshot(self):
+        # 2 reaches 1 at step 2 and 0 only at step 3
+        g = TemporalGraph.build(3, [[(0, 1)], [(1, 2)], [(0, 1), (1, 2)]])
+        assert verify_delta_connectivity(g, 3) == ConnectivityReport(True, None, 1, "exhaustive")
+        assert verify_delta_connectivity(g, 2).witness == (1, (2, 0))
+
+    def test_one_edge_per_step(self):
+        # both path edges present at once: a walk still crosses only one
+        g = TemporalGraph.build(3, [[(0, 1), (1, 2)]])
+        report = verify_delta_connectivity(g, 1)
+        assert report == ConnectivityReport(False, (1, (0, 2)), 1, "exhaustive")
+
+    @given(temporal_graphs(), st.data())
+    def test_matches_per_source_reference(self, graph, data):
+        samples = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**32))
+        for delta in range(1, graph.lifetime + 1):
+            for mode in ("exhaustive", "sampled"):
+                got = verify_delta_connectivity(graph, delta, mode, samples, seed)
+                assert got == per_source_delta_check(graph, delta, mode, samples, seed)
 
     def test_delta_above_lifetime(self, path3_full):
         with pytest.raises(ValueError):

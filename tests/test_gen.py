@@ -101,16 +101,21 @@ class TestRandomDeficient:
 
 class TestBlockingFront:
     def test_blocks_most_steps(self):
-        result = gen_blocking_front(8, 1, 60, 0)
+        n, k = 8, 1
+        result = gen_blocking_front(n, k, 60, 0)
         tour = build_dfs_tour(result.tree, 0)
-        budget = (8 - 1) // 1
+        budget = (n - 1) // k
         trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget,
-                               k=1, check_invariants=True)
-        blocked_steps = sum(
-            1
-            for t, before in zip(trace.times, trace.history)
-            if any(tour.tour_edge(q) not in result.graph.edge_set(t) for q in before.states)
-        )
+                               k=k, check_invariants=True)
+        blocked_steps = 0
+        for t, before in zip(trace.times, trace.history):
+            # the lead agents, in the order gen_blocking_front ranks them
+            lead = sorted(
+                range(len(before.agents)),
+                key=lambda i: (-before.arc_length(i), before.agents[i]),
+            )[:k]
+            snapshot = result.graph.edge_set(t)
+            blocked_steps += all(tour.tour_edge(before.states[i]) not in snapshot for i in lead)
         assert blocked_steps / len(trace.times) >= 0.8
 
     def test_k_zero_is_static_path(self):

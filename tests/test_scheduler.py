@@ -77,6 +77,9 @@ class TestPartition:
         with pytest.raises(InsufficientSnapshots) as exc:
             partition_epochs(graph, path3_tree, 1, 2, 1, 2)
         assert exc.value.epoch == 1
+        assert (exc.value.found, exc.value.needed, exc.value.last_step) == (0, 2, 1)
+        assert exc.value.deficit == 2
+        assert str(exc.value) == "epoch 1: found 0 of 2 k-deficient snapshots by step 1 (timeline ends)"
 
     def test_runs_out_mid_plan(self, path3_tree):
         graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * 7)
@@ -84,6 +87,8 @@ class TestPartition:
             partition_epochs(graph, path3_tree, 1, 2, 2, 2)
         assert exc.value.epoch == 2
         assert exc.value.deficit == 1
+        assert (exc.value.found, exc.value.needed, exc.value.last_step) == (1, 2, 7)
+        assert str(exc.value) == "epoch 2: found 1 of 2 k-deficient snapshots by step 7 (timeline ends)"
 
     def test_skips_non_deficient_snapshots(self, path3_tree):
         full = [(0, 1), (1, 2)]
@@ -331,8 +336,14 @@ class TestExplore:
             explore(graph, 1, 3, 0, tree=tree)
 
     def test_short_lifetime_fails_typed_without_tree(self, path3_full):
-        with pytest.raises(InsufficientSnapshots):
+        with pytest.raises(InsufficientSnapshots) as exc:
             explore(path3_full, 1, 2, 0)
+        needed = 2 * recovery_prefix(3, 1, 2)
+        assert (exc.value.epoch, exc.value.found, exc.value.needed) == (0, 8, needed)
+        assert (exc.value.last_step, exc.value.deficit) == (8, needed - 8)
+        assert str(exc.value) == (
+            f"epoch 0: found 8 of {needed} snapshots for tree recovery by step 8 (timeline ends)"
+        )
 
     def test_short_lifetime_fails_typed_with_tree(self, path3_full, path3_tree):
         with pytest.raises(InsufficientSnapshots):
