@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .core import (
     ConnectivityReport,
-    Deficiency,
     Edge,
     ForemostResult,
     ParseError,

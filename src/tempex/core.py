@@ -1,18 +1,20 @@
 """Temporal-graph data model, wire format, and basic temporal reachability.
 
-Time steps are 1-indexed (snapshot t lives at ``snapshots[t-1]``); vertices
-are 0-indexed. Edges are canonical ``(min, max)`` tuples, and each snapshot
-is stored once, as a frozenset of them; TG1 output sorts each snapshot as it
-is written. All values are immutable after construction and every operation
-is a pure function.
+Time steps are 1-indexed; vertices are 0-indexed. Edges are canonical
+``(min, max)`` tuples. A temporal graph is stored as one base edge set plus,
+per step, the few edges that step removes from it or adds to it, so a
+near-static graph costs little more than its base; TG1 output sorts each
+snapshot as it is written. All values are immutable after construction and
+every operation is a pure function.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import and_
+from itertools import chain
+from operator import and_, lt
 from typing import AbstractSet, Iterable, Iterator, Optional
 
 from .rng import SplitMix64
@@ -75,45 +77,124 @@ class SpanningTree:
 
 @dataclass(frozen=True)
 class TemporalGraph:
-    """Ordered sequence of snapshot edge sets over a fixed vertex set.
+    """Sequence of snapshots over a fixed vertex set, stored as one base edge
+    set plus, per step, the base edges it lacks and the other edges it has.
 
-    ``snapshots`` must already be canonical: each snapshot a frozenset of
-    canonical edges. Use :meth:`build` to canonicalize arbitrary input.
-    Restrictions to a window are represented as (graph, window) pairs by the
-    callers; snapshots are never copied.
+    Snapshot t (1-indexed) is ``base - removed[t-1] | added[t-1]``. Each
+    ``removed[i]`` and ``added[i]`` is a strictly sorted tuple of canonical
+    edges, with ``removed[i]`` inside ``base`` and ``added[i]`` outside it.
+    The constructor re-bases the graph onto its majority graph, the edges
+    present in more than half the snapshots: that base minimises the total
+    diff and makes the representation unique, so two graphs are equal iff
+    their snapshot sequences are. Use :meth:`build` to construct from
+    arbitrary snapshot edge lists. Restrictions to a window are represented as
+    (graph, window) pairs by the callers; snapshots are never copied.
     """
 
     n: int
-    snapshots: tuple[frozenset[Edge], ...]
+    base: frozenset[Edge]
+    removed: tuple[tuple[Edge, ...], ...]
+    added: tuple[tuple[Edge, ...], ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if len(self.snapshots) < 1:
+        if len(self.removed) < 1:
             raise ValueError("lifetime must be at least 1")
-        for snap in self.snapshots:
-            if not isinstance(snap, frozenset):
-                raise ValueError(f"snapshot must be a frozenset, got {type(snap).__name__}")
-            _check_edges(self.n, snap, "snapshot")
+        if len(self.added) != len(self.removed):
+            raise ValueError("removed and added need one entry per time step")
+        if not isinstance(self.base, frozenset):
+            raise ValueError(f"base must be a frozenset, got {type(self.base).__name__}")
+        _check_edges(self.n, self.base, "base")
+        for diff in chain(self.removed, self.added):
+            if type(diff) is not tuple or (len(diff) > 1 and not all(map(lt, diff, diff[1:]))):
+                raise ValueError("removed and added edges must be strictly sorted tuples")
+        if not self.base.issuperset(chain.from_iterable(self.removed)):
+            raise ValueError("a removed edge is not in the base")
+        if not self.base.isdisjoint(chain.from_iterable(self.added)):
+            raise ValueError("an added edge is already in the base")
+        _check_edges(self.n, frozenset().union(*self.added), "snapshot")
+        self._rebase_onto_majority()
+
+    def _rebase_onto_majority(self) -> None:
+        """Move the base to the edges present in more than half the snapshots.
+
+        Costs O(|base| + total diff): a base edge's presence is the lifetime
+        minus its removals, any other edge's presence its additions.
+        """
+        lifetime = self.lifetime
+        removals = Counter(chain.from_iterable(self.removed))
+        additions = Counter(chain.from_iterable(self.added))
+        demoted = frozenset(e for e, c in removals.items() if 2 * (lifetime - c) <= lifetime)
+        promoted = frozenset(e for e, c in additions.items() if 2 * c > lifetime)
+        if not demoted and not promoted:
+            return
+        removed: list[tuple[Edge, ...]] = []
+        added: list[tuple[Edge, ...]] = []
+        for r, a in zip(self.removed, self.added):
+            removed.append(tuple(sorted([e for e in r if e not in demoted] + list(promoted.difference(a)))))
+            added.append(tuple(sorted(list(demoted.difference(r)) + [e for e in a if e not in promoted])))
+        object.__setattr__(self, "base", self.base.difference(demoted).union(promoted))
+        object.__setattr__(self, "removed", tuple(removed))
+        object.__setattr__(self, "added", tuple(added))
 
     @classmethod
     def build(cls, n: int, snapshots: Iterable[Iterable[Edge]]) -> "TemporalGraph":
-        canon = tuple(frozenset(canonical_edge(u, v) for u, v in snap) for snap in snapshots)
-        return cls(n, canon)
+        added = tuple(
+            tuple(sorted({canonical_edge(u, v) for u, v in snap})) for snap in snapshots
+        )
+        return cls(n, frozenset(), ((),) * len(added), added)
 
     @property
     def lifetime(self) -> int:
-        return len(self.snapshots)
+        return len(self.removed)
 
-    def edge_set(self, t: int) -> frozenset[Edge]:
-        """Edges of snapshot t (1-indexed)."""
+    def _check_step(self, t: int) -> None:
         if not (1 <= t <= self.lifetime):
             raise ValueError(f"time step {t} outside [1, {self.lifetime}]")
-        return self.snapshots[t - 1]
+
+    def _apply(self, removed: tuple[Edge, ...], added: tuple[Edge, ...]) -> frozenset[Edge]:
+        if not removed and not added:
+            return self.base
+        return self.base.difference(removed).union(added)
+
+    def edge_set(self, t: int) -> frozenset[Edge]:
+        """Edges of snapshot t (1-indexed); the base itself when t has no diff."""
+        self._check_step(t)
+        return self._apply(self.removed[t - 1], self.added[t - 1])
+
+    def has_edge(self, t: int, e: Edge) -> bool:
+        """Whether canonical edge e is present in snapshot t."""
+        self._check_step(t)
+        if e in self.base:
+            return e not in self.removed[t - 1]
+        return e in self.added[t - 1]
+
+    @property
+    def snapshots(self) -> Iterator[frozenset[Edge]]:
+        """Every snapshot's edge set in time order, built one step at a time."""
+        return map(self._apply, self.removed, self.added)
+
+    def deficiencies(self, tree_edges: AbstractSet[Edge]) -> tuple[int, ...]:
+        """Per time step, how many of `tree_edges` the snapshot lacks.
+
+        O(L + total diff): a step misses the tree edges it removes from the
+        base plus the tree edges outside the base that it does not add.
+        """
+        outside = frozenset(tree_edges).difference(self.base)
+        counts = []
+        for r, a in zip(self.removed, self.added):
+            d = len(outside)  # tree edges a step lacks unless it adds them
+            if r:
+                d += sum(1 for e in r if e in tree_edges)
+            if a and outside:
+                d -= sum(1 for e in a if e in outside)
+            counts.append(d)
+        return tuple(counts)
 
     def underlying(self) -> frozenset[Edge]:
         """Every edge that appears in some snapshot."""
-        return frozenset().union(*self.snapshots)
+        return self.base.union(*self.added)
 
 
 @dataclass(frozen=True)
@@ -150,7 +231,7 @@ class TemporalWalk:
     def validate_against(self, graph: TemporalGraph) -> None:
         """Every hop's edge must be present in the snapshot at its time."""
         for t, e in self.hops:
-            if e not in graph.edge_set(t):
+            if not graph.has_edge(t, e):
                 raise ValueError(f"edge {e} absent from snapshot {t}")
 
 
@@ -188,7 +269,74 @@ def _parse_edge_line(parts: list[str], lineno: int, n: int, seen: set[Edge]) -> 
 
 
 def parse_temporal_graph(text: str) -> TemporalGraph:
-    """Parse the TG1 format: header 'n L', then per snapshot a count and edges."""
+    """Parse the TG1 format: header 'n L', then per snapshot a count and edges.
+
+    Text in the form :func:`serialize_temporal_graph` writes (edges in any
+    order) takes a fast path that validates each distinct line once and diffs
+    each snapshot's line set against the first one. Anything else (comments,
+    blank lines, other whitespace, non-canonical numbers or edges, and every
+    error) goes through the line-by-line parser, which also produces every
+    ParseError.
+    """
+    graph = _parse_regular(text)
+    return graph if graph is not None else _parse_lines(text)
+
+
+def _regular_pair(line: str) -> Optional[tuple[int, int]]:
+    """(a, b) if the line is exactly 'a b' with decimal a, b written canonically."""
+    a, _, b = line.partition(" ")
+    try:
+        pair = (int(a), int(b))
+    except ValueError:
+        return None
+    return pair if line == f"{pair[0]} {pair[1]}" else None
+
+
+def _parse_regular(text: str) -> Optional[TemporalGraph]:
+    """Fast path of parse_temporal_graph; None on any irregularity."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = _regular_pair(lines[0]) if lines else None
+    if header is None:
+        return None
+    n, lifetime = header
+    if n < 1 or lifetime < 1:
+        return None
+    edge_of: dict[str, Edge] = {}
+    first: frozenset[str] = frozenset()
+    removed: list[tuple[Edge, ...]] = []
+    added: list[tuple[Edge, ...]] = []
+    pos = 1
+    for t in range(lifetime):
+        count = lines[pos] if pos < len(lines) else ""
+        if not (count.isascii() and count.isdigit()) or (count[0] == "0" and count != "0"):
+            return None
+        m = int(count)
+        block = frozenset(lines[pos + 1 : pos + 1 + m])
+        pos += 1 + m
+        if len(block) != m:  # truncated, or a repeated line
+            return None
+        if t == 0:
+            first = block
+        new = block - first
+        for line in new if t else block:  # every line not yet validated
+            if line not in edge_of:
+                pair = _regular_pair(line)
+                if pair is None or not (0 <= pair[0] < pair[1] < n):
+                    return None
+                edge_of[line] = pair
+        gone = first - block
+        removed.append(tuple(sorted(map(edge_of.__getitem__, gone))) if gone else ())
+        added.append(tuple(sorted(map(edge_of.__getitem__, new))) if new else ())
+    if pos != len(lines):
+        return None
+    return TemporalGraph(n, frozenset(map(edge_of.__getitem__, first)), tuple(removed), tuple(added))
+
+
+def _parse_lines(text: str) -> TemporalGraph:
+    """Line-by-line TG1 parser: tolerates comments and blank lines, and
+    reports each error with its physical line number."""
     lines = _content_lines(text)
     try:
         lineno, parts = next(lines)
@@ -201,7 +349,7 @@ def parse_temporal_graph(text: str) -> TemporalGraph:
     if n < 1 or lifetime < 1:
         raise ParseError(f"malformed header: need n >= 1 and L >= 1, got n={n} L={lifetime}", lineno)
 
-    snapshots: list[frozenset[Edge]] = []
+    snapshots: list[set[Edge]] = []
     last_line = lineno
     for _ in range(lifetime):
         try:
@@ -222,18 +370,19 @@ def parse_temporal_graph(text: str) -> TemporalGraph:
                 raise ParseError("unexpected end of input: missing edge line", last_line + 1) from None
             _parse_edge_line(parts, lineno, n, seen)
             last_line = lineno
-        snapshots.append(frozenset(seen))
+        snapshots.append(seen)
     for lineno, parts in lines:
         raise ParseError(f"unexpected trailing content {' '.join(parts)!r}", lineno)
-    return TemporalGraph(n, tuple(snapshots))
+    return TemporalGraph.build(n, snapshots)
 
 
 def serialize_temporal_graph(graph: TemporalGraph) -> str:
     """TG1 text; each snapshot's edges are written in sorted order."""
+    line_of = {e: f"{e[0]} {e[1]}" for e in graph.underlying()}
     out = [f"{graph.n} {graph.lifetime}"]
     for snap in graph.snapshots:
         out.append(str(len(snap)))
-        out.extend(f"{u} {v}" for u, v in sorted(snap))
+        out.extend(map(line_of.__getitem__, sorted(snap)))
     return "\n".join(out) + "\n"
 
 
@@ -252,18 +401,9 @@ def serialize_spanning_tree(tree: SpanningTree) -> str:
 
 # --- deficiency -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Deficiency:
-    """How many (and which) tree edges a snapshot is missing."""
-
-    count: int
-    missing: tuple[Edge, ...]
-
-
-def deficiency_count(snapshot: AbstractSet[Edge], tree: SpanningTree) -> Deficiency:
-    """Tree edges absent from the snapshot; the snapshot is k-deficient iff count <= k."""
-    missing = tuple(sorted(e for e in tree.edges if e not in snapshot))
-    return Deficiency(len(missing), missing)
+def deficiency_count(snapshot: AbstractSet[Edge], tree: SpanningTree) -> int:
+    """Tree edges absent from the snapshot; the snapshot is k-deficient iff this is <= k."""
+    return len(tree.edges.difference(snapshot))
 
 
 # --- foremost walks ---------------------------------------------------------
@@ -310,7 +450,8 @@ def foremost_walk(graph: TemporalGraph, window: tuple[int, int], source: int) ->
     arrival: list[Optional[int]] = [None] * graph.n
     parent: list[Optional[tuple[int, int]]] = [None] * graph.n
     arrival[source] = t0 - 1
-    for t, snap in enumerate(graph.snapshots[t0 - 1 : t1], start=t0):
+    for t in range(t0, t1 + 1):
+        snap = graph.edge_set(t)
         updates: dict[int, int] = {}
         for u, v in snap:
             au, av = arrival[u], arrival[v]
@@ -373,11 +514,17 @@ def verify_delta_connectivity(
             chosen.add(starts[rng.below(len(starts))])
         starts = sorted(chosen)
     everyone = (1 << graph.n) - 1
+    # each snapshot's edge set is built once per call; a window's first
+    # snapshot is dropped when the window is done, as later windows start after it
+    edge_sets: dict[int, frozenset[Edge]] = {}
     checked = 0
     for w in starts:
         checked += 1
         reach = [1 << v for v in range(graph.n)]
-        for snap in graph.snapshots[w - 1 : w - 1 + delta]:
+        for t in range(w, w + delta):
+            snap = edge_sets.get(t)
+            if snap is None:
+                snap = edge_sets[t] = graph.edge_set(t)
             nxt = reach[:]
             for u, v in snap:
                 nxt[u] |= reach[v]
@@ -385,6 +532,7 @@ def verify_delta_connectivity(
             reach = nxt
             if reduce(and_, reach) == everyone:
                 break
+        edge_sets.pop(w, None)
         missing = everyone & ~reduce(and_, reach)
         if missing:
             source = (missing & -missing).bit_length() - 1

@@ -149,18 +149,23 @@ def _draw_removal(rng: SplitMix64, tree_edges: list[Edge], k: int) -> list[Edge]
     return [tree_edges[i] for i in sorted(chosen)]
 
 
-def _ensure_tree_in_underlying(
-    snapshots: list[frozenset[Edge]], tree: SpanningTree
-) -> None:
-    """Any tree edge missing from every snapshot goes into the last one.
+def _delta_graph(
+    tree: SpanningTree, removed: list[set[Edge]], present: list[set[Edge]]
+) -> TemporalGraph:
+    """Graph whose snapshot t is the tree minus removed[t-1] plus present[t-1].
 
-    Adding a tree edge only lowers that snapshot's deficiency, so the witness
-    property is preserved while the tree stays a subgraph of the underlying
-    graph.
+    Any tree edge missing from every snapshot goes into the last one. Adding a
+    tree edge only lowers that snapshot's deficiency, so the witness property
+    is preserved while the tree stays a subgraph of the underlying graph.
     """
-    missing = tree.edges.difference(*snapshots)
-    if missing:
-        snapshots[-1] = snapshots[-1] | missing
+    dropped = [r - p for r, p in zip(removed, present)]
+    dropped[-1] -= set(dropped[0]).intersection(*dropped[1:])
+    return TemporalGraph(
+        tree.n,
+        tree.edges,
+        tuple(tuple(sorted(r)) if r else () for r in dropped),
+        tuple(tuple(sorted(p - tree.edges)) if p else () for p in present),
+    )
 
 
 def _bridged_positions(spec: GenSpec) -> Optional[set[int]]:
@@ -199,22 +204,23 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
     ]
     bridged = _bridged_positions(spec)
     fallbacks = 0
-    snapshots: list[frozenset[Edge]] = []
+    removals: list[set[Edge]] = []
+    additions: list[set[Edge]] = []
     for t in range(1, spec.lifetime + 1):
         rng = stream(spec.seed, t)
         removed = set(_draw_removal(rng, tree_edges, spec.k))
-        edges = set(tree.edges - removed)
+        present: set[Edge] = set()  # extra, bridging and kept edges
         if spec.extra_edge_rate > 0.0:
             for pair in non_tree:
                 if rng.chance(spec.extra_edge_rate):
-                    edges.add(pair)
+                    present.add(pair)
         if removed and (bridged is None or t in bridged):
             added, kept = _reconnect(spec.n, adjacency, removed, rng)
-            edges.update(added)
+            present.update(added)
             fallbacks += kept
-        snapshots.append(frozenset(edges))
-    _ensure_tree_in_underlying(snapshots, tree)
-    return GenResult(TemporalGraph(spec.n, tuple(snapshots)), tree, fallbacks)
+        removals.append(removed)
+        additions.append(present)
+    return GenResult(_delta_graph(tree, removals, additions), tree, fallbacks)
 
 
 def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
@@ -222,9 +228,14 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
 
     The generator simulates the roundabout process itself and, for each
     snapshot, removes the tree edges directly ahead of the k most advanced
-    active agents, so those agents are guaranteed to be blocked when the same
-    process later runs on the instance. Every removed edge gets a bridging
-    chord, keeping each snapshot connected.
+    active agents, so those agents are blocked when the same process later
+    runs on the instance. Each removed edge gets a bridging chord, keeping
+    each snapshot connected; when no chord can bridge the two components,
+    the removed edge is kept instead (counted in ``fallbacks``) and that lead
+    agent is not blocked at that step. So over the roundabout's step budget,
+    the steps with every lead blocked number at least the budget minus the
+    fallbacks: for example n=8, k=2, seed 0 blocks both leads in 2 of 3
+    steps, with 1 fallback.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -234,13 +245,14 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
         raise ValueError("lifetime must be at least 1")
     tree = _build_tree("path", n, stream(seed, 0))
     if n == 1 or k == 0:
-        return GenResult(TemporalGraph(n, (tree.edges,) * lifetime), tree, 0)
+        return GenResult(TemporalGraph(n, tree.edges, ((),) * lifetime, ((),) * lifetime), tree, 0)
 
     tour = build_dfs_tour(tree, 0)
     adjacency = tree.adjacency()
     state = RoundaboutState.initial(tour.n_positions)
     fallbacks = 0
-    snapshots: list[frozenset[Edge]] = []
+    removals: list[set[Edge]] = []
+    additions: list[set[Edge]] = []
     for t in range(1, lifetime + 1):
         rng = stream(seed, t)
         order = sorted(
@@ -255,8 +267,8 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
                 break
         added, kept = _reconnect(n, adjacency, removed, rng)
         fallbacks += kept
+        removals.append(removed)
+        additions.append(set(added))
         snapshot = tree.edges.difference(removed).union(added)
-        snapshots.append(snapshot)
         state = eliminate_redundant(movement_step(state, snapshot, tour))
-    _ensure_tree_in_underlying(snapshots, tree)
-    return GenResult(TemporalGraph(n, tuple(snapshots)), tree, fallbacks)
+    return GenResult(_delta_graph(tree, removals, additions), tree, fallbacks)

@@ -186,7 +186,7 @@ def run_roundabout(
     for t in times:
         snapshot = graph.edge_set(t)
         if check_invariants and k is not None:
-            if deficiency_count(snapshot, tour.tree).count > k:
+            if deficiency_count(snapshot, tour.tree) > k:
                 raise InvariantViolation(f"snapshot {t} is not {k}-deficient")
         state = eliminate_redundant(movement_step(state, snapshot, tour))
         history.append(state)

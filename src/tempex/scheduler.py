@@ -19,7 +19,6 @@ from .core import (
     SpanningTree,
     TemporalGraph,
     canonical_edge,
-    deficiency_count,
     foremost_walk,
 )
 from .rng import SplitMix64
@@ -137,6 +136,7 @@ def partition_epochs(
     """
     if delta < 1 or rho < 1 or budget < 0 or k < 0:
         raise ValueError("bad epoch parameters")
+    deficient = [d <= k for d in graph.deficiencies(tree.edges)]
     epochs: list[Epoch] = []
     cursor = 1
     for e in range(1, rho + 1):
@@ -146,7 +146,7 @@ def partition_epochs(
         times: list[int] = []
         t = reposition_end + 1
         while len(times) < budget and t <= graph.lifetime:
-            if deficiency_count(graph.edge_set(t), tree).count <= k:
+            if deficient[t - 1]:
                 times.append(t)
             t += 1
         if len(times) < budget:
@@ -447,7 +447,7 @@ def verify_schedule(graph: TemporalGraph, start: int, schedule: Schedule) -> Ver
             return VerifyReport(False, f"move from {u} but explorer is at {cur}", t)
         if not (0 <= v < graph.n) or u == v:
             return VerifyReport(False, f"bad move target {v}", t)
-        if canonical_edge(u, v) not in graph.edge_set(t):
+        if not graph.has_edge(t, canonical_edge(u, v)):
             return VerifyReport(False, f"edge ({u},{v}) absent from snapshot", t)
         cur = v
         visited.add(v)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
-from .core import Edge, SpanningTree, TemporalGraph, deficiency_count
+from .core import Edge, SpanningTree, TemporalGraph
 
 
 class DisconnectedGraph(Exception):
@@ -46,8 +47,11 @@ def absence_weights(graph: TemporalGraph, prefix_length: int) -> EdgeWeights:
         raise ValueError(f"prefix {prefix_length} exceeds lifetime {graph.lifetime}")
     if prefix_length < 1:
         raise ValueError("prefix must be positive")
-    present = Counter(e for snap in graph.snapshots[:prefix_length] for e in snap)
-    weights = {e: prefix_length - present[e] for e in graph.underlying()}
+    removals = Counter(chain.from_iterable(graph.removed[:prefix_length]))
+    additions = Counter(chain.from_iterable(graph.added[:prefix_length]))
+    weights = {e: removals[e] for e in graph.base}
+    for e in graph.underlying().difference(graph.base):
+        weights[e] = prefix_length - additions[e]
     return EdgeWeights(weights, prefix_length)
 
 
@@ -100,9 +104,7 @@ def find_good_tree(graph: TemporalGraph, k: int, q: int) -> tuple[SpanningTree, 
         raise ValueError("k must be non-negative")
     ew = absence_weights(graph, 2 * q)
     tree = minimum_weight_spanning_tree(graph.n, ew.weights)
-    deficiencies = tuple(
-        deficiency_count(graph.edge_set(t), tree).count for t in range(1, 2 * q + 1)
-    )
+    deficiencies = graph.deficiencies(tree.edges)[: 2 * q]
     total = sum(ew.weights[e] for e in tree.edges)
     # double counting: summing missing tree edges per snapshot equals summing
     # per-edge absence counts over the tree

@@ -33,3 +33,24 @@ def temporal_graphs(
         for _ in range(lifetime)
     ]
     return TemporalGraph.build(n, snapshots)
+
+
+@st.composite
+def near_static_snapshots(draw, max_n: int = 7, max_lifetime: int = 8):
+    """(n, tree, snapshots): each snapshot a base edge set with some pairs flipped.
+
+    Half the draws put the tree inside the base, so that small flips leave it
+    in the majority graph; the other half draw the base freely.
+    """
+    tree = draw(spanning_trees(max_n=max_n))
+    n = tree.n
+    lifetime = draw(st.integers(min_value=1, max_value=max_lifetime))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    base = frozenset(draw(st.lists(st.sampled_from(pairs), unique=True)))
+    if draw(st.booleans()):
+        base |= tree.edges
+    snapshots = [
+        base.symmetric_difference(draw(st.lists(st.sampled_from(pairs), unique=True)))
+        for _ in range(lifetime)
+    ]
+    return n, tree, snapshots

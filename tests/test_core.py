@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strategies import spanning_trees, temporal_graphs
+from strategies import near_static_snapshots, spanning_trees, temporal_graphs
 from tempex.core import (
     ConnectivityReport,
     ParseError,
@@ -18,10 +18,13 @@ from tempex.core import (
     serialize_spanning_tree,
     serialize_temporal_graph,
     verify_delta_connectivity,
+    _parse_lines,
+    _parse_regular,
 )
 from tempex.gen import GenSpec, gen_random_deficient
 from tempex.oracle import foremost_arrival_oracle
 from tempex.rng import SplitMix64
+from tempex.treefind import absence_weights
 
 
 def per_source_delta_check(graph, delta, mode, samples, seed):
@@ -44,18 +47,64 @@ def per_source_delta_check(graph, delta, mode, samples, seed):
     return ConnectivityReport(True, None, checked, mode)
 
 
+def perturb_tg1(text, n, data):
+    """One random irregularity applied to TG1 text: the kinds of input the
+    fast parser must hand to the line-by-line parser."""
+    lines = text.split("\n")[:-1]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    first = line.split(" ")[0]
+    kind = data.draw(st.sampled_from([
+        "comment", "blank", "spaces", "crlf", "swap", "duplicate", "out-of-range",
+        "self-loop", "non-integer", "leading-zero", "truncate", "trailing",
+    ]))
+    if kind == "comment":
+        lines.insert(i, "# note")
+    elif kind == "blank":
+        lines.insert(i, data.draw(st.sampled_from(["", "  "])))
+    elif kind == "spaces":
+        lines[i] = data.draw(st.sampled_from([" " + line, line + " ", line.replace(" ", "  "), line.replace(" ", "\t")]))
+    elif kind == "crlf":
+        return "\r\n".join(lines) + "\r\n"
+    elif kind == "swap":
+        lines[i] = " ".join(reversed(line.split(" ")))
+    elif kind == "duplicate":
+        lines.insert(i, line)
+    elif kind == "out-of-range":
+        lines[i] = f"{first} {n + data.draw(st.integers(0, 2))}"
+    elif kind == "self-loop":
+        lines[i] = f"{first} {first}"
+    elif kind == "non-integer":
+        lines[i] = line.replace(first, data.draw(st.sampled_from(["x", "1.5", "-", "\u0661"])), 1)
+    elif kind == "leading-zero":
+        lines[i] = "0" + line
+    elif kind == "truncate":
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    else:
+        lines.append(data.draw(st.sampled_from(["0 1", "1", "# end", "", "x"])))
+    return "\n".join(lines) + "\n"
+
+
+def parse_outcome(parse, text):
+    """The graph a parser returns, or the message and line of its ParseError."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return (str(exc), exc.line)
+
+
 class TestParse:
     def test_smallest_graph(self):
         g = parse_temporal_graph("2 1\n1\n0 1\n")
         assert g.n == 2
         assert g.lifetime == 1
-        assert g.snapshots == (frozenset({(0, 1)}),)
+        assert tuple(g.snapshots) == (frozenset({(0, 1)}),)
 
     def test_two_snapshots(self):
         g = parse_temporal_graph("3 2\n2\n0 1\n1 2\n1\n0 1\n")
         assert g.n == 3
         assert g.lifetime == 2
-        assert g.snapshots == (frozenset({(0, 1), (1, 2)}), frozenset({(0, 1)}))
+        assert tuple(g.snapshots) == (frozenset({(0, 1), (1, 2)}), frozenset({(0, 1)}))
 
     def test_self_loop_rejected_with_line(self):
         with pytest.raises(ParseError) as exc:
@@ -65,7 +114,7 @@ class TestParse:
 
     def test_comments_and_blank_lines_ignored(self):
         g = parse_temporal_graph("# header\n2 1\n\n1\n# edge\n0 1\n")
-        assert g.snapshots == (frozenset({(0, 1)}),)
+        assert tuple(g.snapshots) == (frozenset({(0, 1)}),)
 
     def test_malformed_header(self):
         with pytest.raises(ParseError):
@@ -91,7 +140,7 @@ class TestParse:
 
     def test_non_canonical_order_accepted(self):
         g = parse_temporal_graph("3 1\n2\n2 1\n1 0\n")
-        assert g.snapshots == (frozenset({(0, 1), (1, 2)}),)
+        assert tuple(g.snapshots) == (frozenset({(0, 1), (1, 2)}),)
         assert serialize_temporal_graph(g) == "3 1\n2\n0 1\n1 2\n"
 
     @given(temporal_graphs())
@@ -101,10 +150,40 @@ class TestParse:
         assert again == graph
         assert serialize_temporal_graph(again) == text
 
+    @given(temporal_graphs(), st.data())
+    def test_fast_parser_matches_line_parser(self, graph, data):
+        assert _parse_regular(serialize_temporal_graph(graph)) == graph
+        text = perturb_tg1(serialize_temporal_graph(graph), graph.n, data)
+        assert parse_outcome(parse_temporal_graph, text) == parse_outcome(_parse_lines, text)
+
+    def test_fast_parser_falls_back_on_each_irregularity(self):
+        regular = "3 2\n2\n0 1\n1 2\n1\n0 1\n"
+        expected = parse_temporal_graph(regular)
+        for variant in (
+            "# c\n" + regular,
+            regular.replace("\n1\n", "\n\n1\n"),
+            regular.replace("\n", "\r\n"),
+            regular.replace("0 1\n1 2", "1 0\n2  1"),
+            regular.replace("3 2", "03 2"),
+        ):
+            assert parse_temporal_graph(variant) == expected
+        for variant, line in (
+            ("3 2\n2\n0 1\n0 1\n1\n0 1\n", 4),
+            ("3 2\n2\n0 1\n1 0\n1\n0 1\n", 4),
+            ("3 2\n2\n0 1\n1 3\n1\n0 1\n", 4),
+            ("3 2\n2\n0 1\n1 2\n1\n", 6),
+            (regular + "0 2\n", 7),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_temporal_graph(variant)
+            assert exc.value.line == line
+
     def test_constructor_rejects_tuple_snapshot(self):
         with pytest.raises(ValueError, match="frozenset"):
-            TemporalGraph(3, (((0, 1), (1, 2)),))
-        TemporalGraph(3, (frozenset({(0, 1), (1, 2)}),))
+            TemporalGraph(3, ((0, 1), (1, 2)), ((),), ((),))
+        with pytest.raises(ValueError, match="sorted tuples"):
+            TemporalGraph(3, frozenset({(0, 1)}), ((),), (frozenset({(1, 2)}),))
+        TemporalGraph(3, frozenset({(0, 1), (1, 2)}), ((),), ((),))
 
     def test_tree_file_round_trip(self):
         tree = SpanningTree(4, frozenset({(0, 2), (1, 2), (2, 3)}))
@@ -118,16 +197,13 @@ class TestParse:
 
 class TestDeficiency:
     def test_full_tree_present(self, path3_tree):
-        d = deficiency_count({(0, 1), (1, 2)}, path3_tree)
-        assert (d.count, d.missing) == (0, ())
+        assert deficiency_count({(0, 1), (1, 2)}, path3_tree) == 0
 
     def test_one_missing(self, path3_tree):
-        d = deficiency_count({(0, 1)}, path3_tree)
-        assert (d.count, d.missing) == (1, ((1, 2),))
+        assert deficiency_count({(0, 1)}, path3_tree) == 1
 
     def test_non_tree_edges_do_not_compensate(self, path3_tree):
-        d = deficiency_count({(0, 2)}, path3_tree)
-        assert (d.count, d.missing) == (2, ((0, 1), (1, 2)))
+        assert deficiency_count({(0, 2)}, path3_tree) == 2
 
     @given(temporal_graphs(min_n=2, max_n=6), st.data())
     def test_range_and_zero_iff_subset(self, graph, data):
@@ -138,8 +214,74 @@ class TestDeficiency:
         tree = SpanningTree(graph.n, frozenset(edges))
         for t in range(1, graph.lifetime + 1):
             d = deficiency_count(graph.edge_set(t), tree)
-            assert 0 <= d.count <= graph.n - 1
-            assert (d.count == 0) == tree.edges.issubset(graph.edge_set(t))
+            assert 0 <= d <= graph.n - 1
+            assert (d == 0) == tree.edges.issubset(graph.edge_set(t))
+
+
+class TestDeltaForm:
+    @given(near_static_snapshots(), st.data())
+    def test_accessors_match_frozenset_reference(self, drawn, data):
+        n, tree, ref = drawn
+        g = TemporalGraph.build(n, ref)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        assert g.lifetime == len(ref)
+        assert tuple(g.snapshots) == tuple(ref)
+        for t, snap in enumerate(ref, start=1):
+            assert type(g.edge_set(t)) is frozenset
+            assert g.edge_set(t) == snap
+            assert [g.has_edge(t, e) for e in pairs] == [e in snap for e in pairs]
+        assert g.underlying() == frozenset().union(*ref)
+        assert g.deficiencies(tree.edges) == tuple(len(tree.edges - snap) for snap in ref)
+        assert g.deficiencies(tree.edges) == tuple(deficiency_count(snap, tree) for snap in ref)
+        prefix = data.draw(st.integers(1, len(ref)))
+        assert absence_weights(g, prefix).weights == {
+            e: sum(e not in snap for snap in ref[:prefix]) for e in g.underlying()
+        }
+
+    @given(near_static_snapshots())
+    def test_base_is_the_majority_graph(self, drawn):
+        n, _, ref = drawn
+        g = TemporalGraph.build(n, ref)
+        presence = {e: sum(e in snap for snap in ref) for e in frozenset().union(*ref)}
+        assert g.base == frozenset(e for e, c in presence.items() if 2 * c > len(ref))
+        for r, a in zip(g.removed, g.added):
+            assert list(r) == sorted(set(r)) and set(r) <= g.base
+            assert list(a) == sorted(set(a)) and g.base.isdisjoint(a)
+
+    @given(near_static_snapshots(), st.data())
+    def test_any_base_gives_the_same_graph(self, drawn, data):
+        n, _, ref = drawn
+        base = ref[data.draw(st.integers(0, len(ref) - 1))]
+        g = TemporalGraph(
+            n,
+            base,
+            tuple(tuple(sorted(base - snap)) for snap in ref),
+            tuple(tuple(sorted(snap - base)) for snap in ref),
+        )
+        assert g == TemporalGraph.build(n, ref)
+        assert hash(g) == hash(TemporalGraph.build(n, ref))
+
+    def test_constructor_checks_the_diffs(self):
+        base = frozenset({(0, 1), (1, 2)})
+        with pytest.raises(ValueError, match="not in the base"):
+            TemporalGraph(3, base, (((0, 2),),), ((),))
+        with pytest.raises(ValueError, match="already in the base"):
+            TemporalGraph(3, base, ((),), (((0, 1),),))
+        with pytest.raises(ValueError, match="sorted"):
+            TemporalGraph(3, base, (((1, 2), (0, 1)),), ((),))
+        with pytest.raises(ValueError, match="one entry per time step"):
+            TemporalGraph(3, base, ((), ()), ((),))
+        with pytest.raises(ValueError, match="bad edge"):
+            TemporalGraph(3, base, ((),), (((0, 3),),))
+
+    def test_unchanged_step_shares_the_base(self):
+        g = TemporalGraph.build(3, [[(0, 1), (1, 2)], [(0, 1)], [(0, 1), (1, 2)]])
+        assert g.base == frozenset({(0, 1), (1, 2)})
+        assert g.removed == ((), ((1, 2),), ())
+        assert g.edge_set(1) is g.base and g.edge_set(3) is g.base
+        assert g.has_edge(1, (1, 2)) and not g.has_edge(2, (1, 2))
+        with pytest.raises(ValueError):
+            g.has_edge(4, (0, 1))
 
 
 class TestForemost:

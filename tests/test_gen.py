@@ -2,9 +2,15 @@ from __future__ import annotations
 
 import pytest
 
-from tempex.core import deficiency_count, serialize_temporal_graph, verify_delta_connectivity
+from tempex.core import (
+    TemporalGraph,
+    deficiency_count,
+    serialize_temporal_graph,
+    verify_delta_connectivity,
+)
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.roundabout import run_roundabout
+from tempex.scheduler import rho_for, step_budget
 from tempex.tour import build_dfs_tour
 
 
@@ -57,7 +63,7 @@ class TestRandomDeficient:
                        connectivity="per-snapshot", extra_edge_rate=0.15)
         result = gen_random_deficient(spec)
         for t in range(1, result.graph.lifetime + 1):
-            assert deficiency_count(result.graph.edge_set(t), result.tree).count <= 2
+            assert deficiency_count(result.graph.edge_set(t), result.tree) <= 2
 
     def test_witness_tree_spans_underlying_graph(self):
         spec = GenSpec(n=7, lifetime=25, k=2, seed=5, tree_shape="random")
@@ -68,7 +74,7 @@ class TestRandomDeficient:
         # with this seed both snapshots drop both tree edges before the top-up
         spec = GenSpec(n=3, lifetime=2, k=2, seed=19, connectivity="none")
         result = gen_random_deficient(spec)
-        assert result.graph.snapshots == (frozenset(), result.tree.edges)
+        assert tuple(result.graph.snapshots) == (frozenset(), result.tree.edges)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_per_snapshot_mode_connects_every_snapshot(self, seed):
@@ -99,6 +105,19 @@ class TestRandomDeficient:
         assert disconnected > 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: gen_random_deficient(GenSpec(n=9, lifetime=30, k=3, seed=2, tree_shape="random",
+                                         extra_edge_rate=0.1)),
+    lambda: gen_random_deficient(GenSpec(n=6, lifetime=40, k=2, seed=5, connectivity="delta-only",
+                                         delta=8)),
+    lambda: gen_random_deficient(GenSpec(n=3, lifetime=2, k=2, seed=19, connectivity="none")),
+    lambda: gen_blocking_front(10, 2, 30, 3),
+], ids=["random", "delta-only", "top-up", "blocking-front"])
+def test_delta_form_equals_build_of_the_same_snapshots(make):
+    graph = make().graph
+    assert TemporalGraph.build(graph.n, graph.snapshots) == graph
+
+
 class TestBlockingFront:
     def test_blocks_most_steps(self):
         n, k = 8, 1
@@ -118,6 +137,29 @@ class TestBlockingFront:
             blocked_steps += all(tour.tour_edge(before.states[i]) not in snapshot for i in lead)
         assert blocked_steps / len(trace.times) >= 0.8
 
+    @pytest.mark.parametrize("n, k, lifetime, seed", [
+        (8, 2, 60, 0),
+        (12, 3, 60, 0),
+        (25, 2, rho_for(2) * (24 + step_budget(25, 2)), 17),
+    ])
+    def test_fallbacks_bound_the_unblocked_steps(self, n, k, lifetime, seed):
+        # a lead agent goes unblocked only at a step where a removed tree
+        # edge had no bridging chord and was kept
+        result = gen_blocking_front(n, k, lifetime, seed)
+        tour = build_dfs_tour(result.tree, 0)
+        budget = step_budget(n, k)
+        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget)
+        blocked_steps = 0
+        for t, before in zip(trace.times, trace.history):
+            lead = sorted(
+                range(len(before.agents)),
+                key=lambda i: (-before.arc_length(i), before.agents[i]),
+            )[:k]
+            blocked = all(not result.graph.has_edge(t, tour.tour_edge(before.states[i])) for i in lead)
+            assert blocked or deficiency_count(result.graph.edge_set(t), result.tree) < k
+            blocked_steps += blocked
+        assert blocked_steps >= budget - result.fallbacks
+
     def test_k_zero_is_static_path(self):
         result = gen_blocking_front(5, 0, 10, 4)
         assert all(snap == result.tree.edges for snap in result.graph.snapshots)
@@ -130,7 +172,7 @@ class TestBlockingFront:
     def test_deficiency_by_construction(self, k):
         result = gen_blocking_front(9, k, 40, 1)
         for t in range(1, 41):
-            assert deficiency_count(result.graph.edge_set(t), result.tree).count <= k
+            assert deficiency_count(result.graph.edge_set(t), result.tree) <= k
 
     def test_every_snapshot_connected(self):
         result = gen_blocking_front(7, 2, 30, 2)

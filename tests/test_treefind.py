@@ -134,7 +134,7 @@ class TestFindGoodTree:
         weights = absence_weights(result.graph, 12).weights
         assert sum(stats.deficiencies) == sum(weights[e] for e in tree.edges)
         assert stats.deficiencies == tuple(
-            deficiency_count(result.graph.edge_set(t), tree).count for t in range(1, 13)
+            deficiency_count(result.graph.edge_set(t), tree) for t in range(1, 13)
         )
 
 
