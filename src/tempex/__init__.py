@@ -15,9 +15,9 @@ from .core import (
     Edge,
     ForemostResult,
     ParseError,
+    Route,
     SpanningTree,
     TemporalGraph,
-    TemporalWalk,
     canonical_edge,
     deficiency_count,
     foremost_walk,

@@ -132,6 +132,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    if args.stats and not args.out:
+        raise ValueError("--stats needs --out")
     graph = _load_graph(args.graph)
     tree = None
     if args.tree is not None:
@@ -351,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-delta", action="store_true")
     p.add_argument("--trace", action="store_true", help="dump roundabout traces to stderr")
     p.add_argument("--out", default=None, help="schedule file; stdout when omitted")
-    p.add_argument("--stats", default=None, help="stats JSON file; stdout when omitted")
+    p.add_argument(
+        "--stats", default=None,
+        help="stats JSON file, needs --out; when omitted, stats go to stdout (stderr without --out)",
+    )
     p.set_defaults(func=_cmd_explore)
 
     p = sub.add_parser("verify", help="validate a schedule against a graph")

@@ -20,6 +20,7 @@ from typing import AbstractSet, Iterable, Iterator, Optional
 from .rng import SplitMix64
 
 Edge = tuple[int, int]
+Route = tuple[tuple[int, tuple[int, int]], ...]  # time-ordered (t, (u, v)) moves from u to v
 
 
 class ParseError(ValueError):
@@ -195,44 +196,6 @@ class TemporalGraph:
     def underlying(self) -> frozenset[Edge]:
         """Every edge that appears in some snapshot."""
         return self.base.union(*self.added)
-
-
-@dataclass(frozen=True)
-class TemporalWalk:
-    """Walk whose hops happen at strictly increasing time steps."""
-
-    start: int
-    hops: tuple[tuple[int, Edge], ...]
-
-    def __post_init__(self) -> None:
-        cur = self.start
-        prev_t = 0
-        for t, (u, v) in self.hops:
-            if t <= prev_t:
-                raise ValueError("hop times must be strictly increasing")
-            if cur == u:
-                cur = v
-            elif cur == v:
-                cur = u
-            else:
-                raise ValueError(f"hop ({u},{v}) does not leave current vertex {cur}")
-            prev_t = t
-
-    @property
-    def length(self) -> int:
-        return len(self.hops)
-
-    def vertices(self) -> tuple[int, ...]:
-        seq = [self.start]
-        for _, (u, v) in self.hops:
-            seq.append(v if seq[-1] == u else u)
-        return tuple(seq)
-
-    def validate_against(self, graph: TemporalGraph) -> None:
-        """Every hop's edge must be present in the snapshot at its time."""
-        for t, e in self.hops:
-            if not graph.has_edge(t, e):
-                raise ValueError(f"edge {e} absent from snapshot {t}")
 
 
 # --- wire format (TG1) ------------------------------------------------------
@@ -413,25 +376,23 @@ class ForemostResult:
     """Earliest arrival per vertex within a window, with witness predecessors.
 
     The source's arrival is window_start - 1 ("already there before the
-    window moves"); unreachable vertices carry None.
+    window moves"); unreachable vertices carry None. A reached vertex v other
+    than the source was entered from ``parent[v]`` at step ``arrival[v]``.
     """
 
-    source: int
-    window: tuple[int, int]
     arrival: tuple[Optional[int], ...]
-    parent: tuple[Optional[tuple[int, int]], ...] = field(repr=False)
+    parent: tuple[Optional[int], ...] = field(repr=False)
 
-    def walk_to(self, v: int) -> Optional[TemporalWalk]:
+    def walk_to(self, v: int) -> Optional[Route]:
+        """Moves of a foremost walk from the source to v; None when v is
+        unreachable, () when v is the source."""
         if self.arrival[v] is None:
             return None
-        hops: list[tuple[int, Edge]] = []
-        cur = v
-        while self.parent[cur] is not None:
-            u, t = self.parent[cur]  # type: ignore[misc]
-            hops.append((t, canonical_edge(u, cur)))
-            cur = u
-        hops.reverse()
-        return TemporalWalk(self.source, tuple(hops))
+        moves: list[tuple[int, tuple[int, int]]] = []
+        while (u := self.parent[v]) is not None:
+            moves.append((self.arrival[v], (u, v)))  # type: ignore[arg-type]
+            v = u
+        return tuple(reversed(moves))
 
 
 def foremost_walk(graph: TemporalGraph, window: tuple[int, int], source: int) -> ForemostResult:
@@ -440,7 +401,8 @@ def foremost_walk(graph: TemporalGraph, window: tuple[int, int], source: int) ->
     Snapshots are processed in increasing time; a vertex reached strictly
     before step t can cross any edge present in snapshot t. Ties between
     relaxing neighbours are broken toward the smaller vertex id so witness
-    walks are deterministic.
+    walks are deterministic. The sweep stops once every vertex is reached,
+    which is exact because only unreached vertices are ever updated.
     """
     t0, t1 = window
     if not (1 <= t0 <= t1 <= graph.lifetime):
@@ -448,9 +410,12 @@ def foremost_walk(graph: TemporalGraph, window: tuple[int, int], source: int) ->
     if not (0 <= source < graph.n):
         raise ValueError(f"source {source} out of range")
     arrival: list[Optional[int]] = [None] * graph.n
-    parent: list[Optional[tuple[int, int]]] = [None] * graph.n
+    parent: list[Optional[int]] = [None] * graph.n
     arrival[source] = t0 - 1
+    unreached = graph.n - 1
     for t in range(t0, t1 + 1):
+        if not unreached:
+            break
         snap = graph.edge_set(t)
         updates: dict[int, int] = {}
         for u, v in snap:
@@ -465,8 +430,9 @@ def foremost_walk(graph: TemporalGraph, window: tuple[int, int], source: int) ->
                     updates[u] = v
         for v, u in updates.items():
             arrival[v] = t
-            parent[v] = (u, t)
-    return ForemostResult(source, window, tuple(arrival), tuple(parent))
+            parent[v] = u
+        unreached -= len(updates)
+    return ForemostResult(tuple(arrival), tuple(parent))
 
 
 # --- windowed connectivity --------------------------------------------------

@@ -6,7 +6,8 @@ step's snapshot; afterwards agents whose visited arc is covered by the other
 active agents' arcs are removed. An agent's position is its start advanced by
 its move count, so a state is just the active agents and their moves. The
 process is deterministic, so a run is recorded as the sequence of states it
-passed through, from which a single explorer replays one agent's moves.
+passed through, from which a single explorer replays one agent's moves as
+timed ``(t, (u, v))`` moves along the tour.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Edge, TemporalGraph, deficiency_count
+from .core import Edge, Route, TemporalGraph, deficiency_count
 from .tour import DfsTour, arc_mask
 
 
@@ -111,10 +112,17 @@ class RoundaboutTrace:
     def final(self) -> RoundaboutState:
         return self.history[-1]
 
-    def moves_of(self, agent: int) -> tuple[tuple[int, bool], ...]:
-        """(time, moved) pairs for an agent active through the whole run."""
+    def moves_of(self, agent: int, tour: DfsTour) -> Route:
+        """Moves of an agent active through the whole run: at each step where
+        its move count m grew, it crossed tour edge e_p from v_p to v_{p+1},
+        where p is its start advanced by m."""
+        vs, n = tour.vertices, tour.n_positions
         counts = [state.moves[state.agents.index(agent)] for state in self.history]
-        return tuple((t, after > before) for t, before, after in zip(self.times, counts, counts[1:]))
+        return tuple(
+            (t, (vs[(agent - 1 + m) % n], vs[(agent + m) % n]))
+            for t, m, after in zip(self.times, counts, counts[1:])
+            if after > m
+        )
 
     def format_lines(self) -> list[str]:
         lines = []

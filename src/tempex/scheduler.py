@@ -382,35 +382,23 @@ def assemble_schedule(
     choice: Sequence[int],
     start: int,
 ) -> Schedule:
-    """Explorer schedule: per epoch, reposition to the chosen agent's start
-    vertex via a foremost walk, then replay that agent's moves from the trace."""
+    """Explorer schedule: per epoch, a foremost walk to the chosen agent's
+    start vertex inside the repositioning window, then that agent's moves
+    from the trace, both written as timed moves into the actions."""
     if len(traces) != len(plan.epochs) or len(choice) != len(plan.epochs):
         raise ValueError("plan, traces and choice must align")
-    span_end = plan.epochs[-1].end
-    actions: list[Action] = [None] * span_end
+    actions: list[Action] = [None] * plan.epochs[-1].end
     cur = start
     for number, (epoch, trace, s) in enumerate(zip(plan.epochs, traces, choice), start=1):
         target = tour.vertex(s)
-        if cur != target:
-            reach = foremost_walk(graph, (epoch.start, epoch.reposition_end), cur)
-            if reach.arrival[target] is None:
-                raise RepositionFailed(number, target)
-            walk = reach.walk_to(target)
-            assert walk is not None
-            pos = walk.start
-            for t, (u, v) in walk.hops:
-                nxt = v if pos == u else u
-                actions[t - 1] = (pos, nxt)
-                pos = nxt
-            cur = target
-        state = s
-        for t, moved in trace.moves_of(s):
-            if moved:
-                u = tour.vertex(state)
-                state = state % tour.n_positions + 1
-                v = tour.vertex(state)
-                actions[t - 1] = (u, v)
-        cur = tour.vertex(state)
+        window = (epoch.start, epoch.reposition_end)
+        walk = () if cur == target else foremost_walk(graph, window, cur).walk_to(target)
+        if walk is None:
+            raise RepositionFailed(number, target)
+        replay = trace.moves_of(s, tour)
+        for t, move in (*walk, *replay):
+            actions[t - 1] = move
+        cur = replay[-1][1][1] if replay else target
     return Schedule(start, 1, tuple(actions))
 
 

@@ -288,6 +288,17 @@ class TestExitCodes:
         assert "k must be non-negative" in proc.stderr
         assert not out.exists()
 
+    def test_stats_without_out_is_usage_error(self, tmp_path):
+        # rejected before any input is read: the graph file does not exist
+        stats = tmp_path / "s.json"
+        proc = run_cli(
+            "explore", "--graph", str(tmp_path / "nope.tg"), "--k", "1", "--stats", str(stats),
+        )
+        assert proc.returncode == 2
+        assert "bad input: --stats needs --out" in proc.stderr
+        assert proc.stdout == ""
+        assert not stats.exists()
+
     def test_check_delta_zero_samples_is_usage_error(self, e1_graph_file):
         proc = run_cli(
             "check-delta", "--graph", str(e1_graph_file), "--delta", "2",

@@ -35,6 +35,14 @@ def arc_positions(state: RoundaboutState, idx: int) -> set[int]:
     return {(state.agents[idx] - 1 + off) % n + 1 for off in range(state.arc_length(idx))}
 
 
+def assert_chains_along_tour(moves, agent: int, tour) -> None:
+    """Each move crosses the next tour edge, starting from the agent's start vertex."""
+    p = agent
+    for _, (u, v) in moves:
+        assert (u, v) == (tour.vertex(p), tour.vertex(p % tour.n_positions + 1))
+        p = p % tour.n_positions + 1
+
+
 def restart_scan_eliminate(state: RoundaboutState) -> RoundaboutState:
     """Literal fixpoint: remove the first redundant agent (ascending), restart."""
     keep = list(range(len(state.agents)))
@@ -159,18 +167,22 @@ class TestRunRoundabout:
             assert trace.history[i] == step
 
     def test_moves_of_final_agent_spans_all_steps(self, path3_full, path3_tour):
+        # every tour edge is present, so each agent crosses one per step
         trace = run_roundabout(path3_full, path3_tour, [1, 2], 2)
         for agent in trace.final.agents:
-            log = trace.moves_of(agent)
-            assert [t for t, _ in log] == [1, 2]
+            moves = trace.moves_of(agent, path3_tour)
+            assert [t for t, _ in moves] == [1, 2]
+            assert_chains_along_tour(moves, agent, path3_tour)
 
     def test_moves_of_reports_blocked_step(self, path3_tour):
         # snapshot 1 lacks tree edge {1,2}: agent 3 (at position 3) is blocked
         graph = TemporalGraph.build(3, [[(0, 1)], [(0, 1), (1, 2)]])
         trace = run_roundabout(graph, path3_tour, [1, 2], 2)
         assert trace.final.agents == (3, 4)
-        assert trace.moves_of(3) == ((1, False), (2, True))
-        assert trace.moves_of(4) == ((1, True), (2, True))
+        assert trace.moves_of(3, path3_tour) == ((2, (2, 1)),)
+        assert trace.moves_of(4, path3_tour) == ((1, (1, 0)), (2, (0, 1)))
+        for agent in (3, 4):
+            assert_chains_along_tour(trace.moves_of(agent, path3_tour), agent, path3_tour)
 
     def test_only_first_budget_snapshots_are_used(self, path3_full, path3_tour):
         trace = run_roundabout(path3_full, path3_tour, [3, 5, 6, 7, 8], 2)
