@@ -236,10 +236,10 @@ def parse_temporal_graph(text: str) -> TemporalGraph:
 
     Text in the form :func:`serialize_temporal_graph` writes (edges in any
     order) takes a fast path that validates each distinct line once and diffs
-    each snapshot's line set against the first one. Anything else (comments,
-    blank lines, other whitespace, non-canonical numbers or edges, and every
-    error) goes through the line-by-line parser, which also produces every
-    ParseError.
+    each distinct snapshot block against the first one once. Anything else
+    (comments, blank lines, other whitespace, non-canonical numbers or edges,
+    and every error) goes through the line-by-line parser, which also
+    produces every ParseError.
     """
     graph = _parse_regular(text)
     return graph if graph is not None else _parse_lines(text)
@@ -255,12 +255,38 @@ def _regular_pair(line: str) -> Optional[tuple[int, int]]:
     return pair if line == f"{pair[0]} {pair[1]}" else None
 
 
+def _block_end(text: str, start: int, m: int, guess: int) -> Optional[int]:
+    """Position just past the m-th newline at or after `start`, or None if the
+    text has fewer. `guess` is a likely answer: one count up to it and a few
+    index/rindex steps correct it, without splitting the text into lines."""
+    end = min(guess, len(text))
+    seen = text.count("\n", start, end)
+    if seen < m:
+        try:
+            for _ in range(m - seen):
+                end = text.index("\n", end) + 1
+        except ValueError:
+            return None
+        return end
+    if m == 0:
+        return start
+    for _ in range(seen - m + 1):  # back over extra lines and any partial one
+        end = text.rindex("\n", start, end)
+    return end + 1
+
+
 def _parse_regular(text: str) -> Optional[TemporalGraph]:
-    """Fast path of parse_temporal_graph; None on any irregularity."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    header = _regular_pair(lines[0]) if lines else None
+    """Fast path of parse_temporal_graph; None on any irregularity.
+
+    Walks the text one snapshot block (the lines after a count) at a time and
+    never splits the whole text. Each distinct block is split, validated and
+    diffed against the first block once; a repeated block costs one hash and
+    one dict lookup.
+    """
+    if not text.endswith("\n"):
+        text += "\n"  # so that every line, the last one too, ends in a newline
+    pos = text.index("\n") + 1
+    header = _regular_pair(text[: pos - 1])
     if header is None:
         return None
     n, lifetime = header
@@ -268,31 +294,52 @@ def _parse_regular(text: str) -> Optional[TemporalGraph]:
         return None
     edge_of: dict[str, Edge] = {}
     first: frozenset[str] = frozenset()
+    diff_of: dict[str, tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
     removed: list[tuple[Edge, ...]] = []
     added: list[tuple[Edge, ...]] = []
-    pos = 1
+    size = 0  # length of the previous block: the guess for this one
     for t in range(lifetime):
-        count = lines[pos] if pos < len(lines) else ""
+        eol = text.find("\n", pos)
+        count = text[pos:eol] if eol >= 0 else ""
         if not (count.isascii() and count.isdigit()) or (count[0] == "0" and count != "0"):
             return None
         m = int(count)
-        block = frozenset(lines[pos + 1 : pos + 1 + m])
-        pos += 1 + m
-        if len(block) != m:  # truncated, or a repeated line
+        start = eol + 1
+        end = _block_end(text, start, m, start + size)
+        if end is None:
             return None
-        if t == 0:
-            first = block
-        new = block - first
-        for line in new if t else block:  # every line not yet validated
-            if line not in edge_of:
-                pair = _regular_pair(line)
-                if pair is None or not (0 <= pair[0] < pair[1] < n):
+        block = text[start:end]
+        size, pos = end - start, end
+        diff = diff_of.get(block)
+        if diff is None:
+            lines = block.split("\n")
+            lines.pop()
+            if first.issuperset(lines):
+                gone = first.difference(lines)
+                if len(first) - len(gone) != m:  # a repeated line
                     return None
-                edge_of[line] = pair
-        gone = first - block
-        removed.append(tuple(sorted(map(edge_of.__getitem__, gone))) if gone else ())
-        added.append(tuple(sorted(map(edge_of.__getitem__, new))) if new else ())
-    if pos != len(lines):
+                new = ()
+            else:
+                lineset = frozenset(lines)
+                if len(lineset) != m:  # a repeated line
+                    return None
+                new = lineset.difference(first)
+                for line in new:  # every line not yet validated
+                    if line not in edge_of:
+                        pair = _regular_pair(line)
+                        if pair is None or not (0 <= pair[0] < pair[1] < n):
+                            return None
+                        edge_of[line] = pair
+                if t == 0:
+                    first, new = lineset, ()
+                gone = first.difference(lineset)
+            diff = diff_of[block] = (
+                tuple(sorted(map(edge_of.__getitem__, gone))),
+                tuple(sorted(map(edge_of.__getitem__, new))),
+            )
+        removed.append(diff[0])
+        added.append(diff[1])
+    if pos != len(text):
         return None
     return TemporalGraph(n, frozenset(map(edge_of.__getitem__, first)), tuple(removed), tuple(added))
 
@@ -340,13 +387,20 @@ def _parse_lines(text: str) -> TemporalGraph:
 
 
 def serialize_temporal_graph(graph: TemporalGraph) -> str:
-    """TG1 text; each snapshot's edges are written in sorted order."""
-    line_of = {e: f"{e[0]} {e[1]}" for e in graph.underlying()}
-    out = [f"{graph.n} {graph.lifetime}"]
-    for snap in graph.snapshots:
-        out.append(str(len(snap)))
-        out.extend(map(line_of.__getitem__, sorted(snap)))
-    return "\n".join(out) + "\n"
+    """TG1 text; each snapshot's edges are written in sorted order.
+
+    Each distinct snapshot block is built and sorted once; repeats reuse it.
+    """
+    line_of = {e: f"{e[0]} {e[1]}\n" for e in graph.underlying()}
+    block_of: dict[tuple[tuple[Edge, ...], tuple[Edge, ...]], str] = {}
+    out = [f"{graph.n} {graph.lifetime}\n"]
+    for diff in zip(graph.removed, graph.added):
+        block = block_of.get(diff)
+        if block is None:
+            snap = graph._apply(*diff)
+            block = block_of[diff] = f"{len(snap)}\n" + "".join(map(line_of.__getitem__, sorted(snap)))
+        out.append(block)
+    return "".join(out)
 
 
 def parse_spanning_tree(text: str, n: int) -> SpanningTree:

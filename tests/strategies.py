@@ -54,3 +54,16 @@ def near_static_snapshots(draw, max_n: int = 7, max_lifetime: int = 8):
         for _ in range(lifetime)
     ]
     return n, tree, snapshots
+
+
+@st.composite
+def repeating_snapshots(draw, max_n: int = 6, max_lifetime: int = 10):
+    """(n, snapshots): edge lists drawn from a pool of at most three, so that
+    snapshots repeat; each list keeps its drawn order, and the last snapshot
+    repeats an earlier one."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    pool = draw(st.lists(st.lists(st.sampled_from(pairs), unique=True), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_lifetime - 1))
+    picks.append(draw(st.sampled_from(picks)))
+    return n, [pool[i] for i in picks]

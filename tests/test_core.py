@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strategies import near_static_snapshots, spanning_trees, temporal_graphs
+from strategies import near_static_snapshots, repeating_snapshots, spanning_trees, temporal_graphs
 from tempex.core import (
     ConnectivityReport,
     ParseError,
@@ -47,16 +49,16 @@ def per_source_delta_check(graph, delta, mode, samples, seed):
     return ConnectivityReport(True, None, checked, mode)
 
 
-def perturb_tg1(text, n, data):
-    """One random irregularity applied to TG1 text: the kinds of input the
-    fast parser must hand to the line-by-line parser."""
+def perturb_tg1(text, n, data, start=0):
+    """One random irregularity applied to TG1 text, at line `start` or later:
+    the kinds of input the fast parser must hand to the line-by-line parser."""
     lines = text.split("\n")[:-1]
-    i = data.draw(st.integers(0, len(lines) - 1))
+    i = data.draw(st.integers(start, len(lines) - 1))
     line = lines[i]
     first = line.split(" ")[0]
     kind = data.draw(st.sampled_from([
-        "comment", "blank", "spaces", "crlf", "swap", "duplicate", "out-of-range",
-        "self-loop", "non-integer", "leading-zero", "truncate", "trailing",
+        "comment", "blank", "spaces", "crlf", "swap", "duplicate", "duplicate-counted",
+        "out-of-range", "self-loop", "non-integer", "leading-zero", "truncate", "trailing",
     ]))
     if kind == "comment":
         lines.insert(i, "# note")
@@ -70,6 +72,16 @@ def perturb_tg1(text, n, data):
         lines[i] = " ".join(reversed(line.split(" ")))
     elif kind == "duplicate":
         lines.insert(i, line)
+    elif kind == "duplicate-counted":  # copy an edge line and raise its block's count to match
+        count_at = [1]
+        while count_at[-1] < len(lines):
+            count_at.append(count_at[-1] + 1 + int(lines[count_at[-1]]))
+        edge_at = [j for c in count_at[:-1] for j in range(c + 1, c + 1 + int(lines[c])) if j >= start]
+        if edge_at:
+            j = data.draw(st.sampled_from(edge_at))
+            count = max(c for c in count_at if c < j)
+            lines.insert(j, lines[j])
+            lines[count] = str(int(lines[count]) + 1)
     elif kind == "out-of-range":
         lines[i] = f"{first} {n + data.draw(st.integers(0, 2))}"
     elif kind == "self-loop":
@@ -79,7 +91,7 @@ def perturb_tg1(text, n, data):
     elif kind == "leading-zero":
         lines[i] = "0" + line
     elif kind == "truncate":
-        return text[: data.draw(st.integers(0, len(text) - 1))]
+        return text[: data.draw(st.integers(sum(len(x) + 1 for x in lines[:start]), len(text) - 1))]
     else:
         lines.append(data.draw(st.sampled_from(["0 1", "1", "# end", "", "x"])))
     return "\n".join(lines) + "\n"
@@ -173,10 +185,50 @@ class TestParse:
             ("3 2\n2\n0 1\n1 3\n1\n0 1\n", 4),
             ("3 2\n2\n0 1\n1 2\n1\n", 6),
             (regular + "0 2\n", 7),
+            ("3 2\n2\n0 1\n1 2\n2\n0 1\n0 1\n", 7),
         ):
             with pytest.raises(ParseError) as exc:
                 parse_temporal_graph(variant)
             assert exc.value.line == line
+
+    @given(repeating_snapshots(), st.data())
+    def test_fast_parser_on_repeated_blocks(self, drawn, data):
+        n, snapshots = drawn
+        graph = TemporalGraph.build(n, snapshots)
+        written = f"{n} {len(snapshots)}\n" + "".join(
+            f"{len(snap)}\n" + "".join(f"{u} {v}\n" for u, v in snap) for snap in snapshots
+        )
+        assert _parse_regular(written) == graph
+        text = serialize_temporal_graph(graph)
+        assert _parse_regular(text) == graph
+        last_block = text.count("\n") - 1 - len(snapshots[-1])  # its count line
+        text = perturb_tg1(text, n, data, start=last_block)
+        assert parse_outcome(parse_temporal_graph, text) == parse_outcome(_parse_lines, text)
+
+    def test_fast_parser_without_final_newline(self):
+        for text in ("3 2\n2\n0 1\n1 2\n1\n0 1", "3 2\n2\n0 1\n1 2\n0", "2 1\n0"):
+            assert _parse_regular(text) == _parse_lines(text)
+
+    def test_fast_parser_empty_blocks_and_first_block_repeated(self):
+        for text in (
+            "3 3\n0\n0\n0\n",
+            "3 4\n0\n1\n0 1\n0\n1\n0 1\n",
+            "3 5\n2\n1 2\n0 1\n0\n2\n1 2\n0 1\n1\n1 2\n2\n1 2\n0 1\n",
+        ):
+            assert _parse_regular(text) == _parse_lines(text)
+
+    def test_fast_parser_peak_memory_stays_near_the_text(self):
+        """The fast path walks the text without splitting it into lines."""
+        graph = gen_random_deficient(GenSpec(n=40, lifetime=3000, k=1, seed=5, tree_shape="random")).graph
+        text = serialize_temporal_graph(graph)
+        tracemalloc.start()
+        try:
+            parsed = parse_temporal_graph(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed == graph
+        assert peak < 3 * len(text)
 
     def test_constructor_rejects_tuple_snapshot(self):
         with pytest.raises(ValueError, match="frozenset"):
