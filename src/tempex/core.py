@@ -297,7 +297,7 @@ def _parse_regular(text: str) -> Optional[TemporalGraph]:
     diff_of: dict[str, tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
     removed: list[tuple[Edge, ...]] = []
     added: list[tuple[Edge, ...]] = []
-    size = 0  # length of the previous block: the guess for this one
+    size, prev_m = 0, 0  # the previous block's length and line count
     for t in range(lifetime):
         eol = text.find("\n", pos)
         count = text[pos:eol] if eol >= 0 else ""
@@ -305,34 +305,30 @@ def _parse_regular(text: str) -> Optional[TemporalGraph]:
             return None
         m = int(count)
         start = eol + 1
-        end = _block_end(text, start, m, start + size)
+        # Guess m lines at the previous block's mean line length: exact when
+        # a block repeats, close when only the count changes.
+        end = _block_end(text, start, m, start + size * m // max(prev_m, 1))
         if end is None:
             return None
         block = text[start:end]
-        size, pos = end - start, end
+        size, prev_m, pos = end - start, m, end
         diff = diff_of.get(block)
         if diff is None:
             lines = block.split("\n")
             lines.pop()
-            if first.issuperset(lines):
-                gone = first.difference(lines)
-                if len(first) - len(gone) != m:  # a repeated line
-                    return None
-                new = ()
-            else:
-                lineset = frozenset(lines)
-                if len(lineset) != m:  # a repeated line
-                    return None
-                new = lineset.difference(first)
-                for line in new:  # every line not yet validated
-                    if line not in edge_of:
-                        pair = _regular_pair(line)
-                        if pair is None or not (0 <= pair[0] < pair[1] < n):
-                            return None
-                        edge_of[line] = pair
-                if t == 0:
-                    first, new = lineset, ()
-                gone = first.difference(lineset)
+            lineset = frozenset(lines)
+            if len(lineset) != m:  # a repeated line
+                return None
+            new = lineset.difference(first)
+            for line in new:  # every line not yet validated
+                if line not in edge_of:
+                    pair = _regular_pair(line)
+                    if pair is None or not (0 <= pair[0] < pair[1] < n):
+                        return None
+                    edge_of[line] = pair
+            if t == 0:
+                first, new = lineset, ()
+            gone = first.difference(lineset)
             diff = diff_of[block] = (
                 tuple(sorted(map(edge_of.__getitem__, gone))),
                 tuple(sorted(map(edge_of.__getitem__, new))),
@@ -387,20 +383,13 @@ def _parse_lines(text: str) -> TemporalGraph:
 
 
 def serialize_temporal_graph(graph: TemporalGraph) -> str:
-    """TG1 text; each snapshot's edges are written in sorted order.
-
-    Each distinct snapshot block is built and sorted once; repeats reuse it.
-    """
-    line_of = {e: f"{e[0]} {e[1]}\n" for e in graph.underlying()}
-    block_of: dict[tuple[tuple[Edge, ...], tuple[Edge, ...]], str] = {}
-    out = [f"{graph.n} {graph.lifetime}\n"]
-    for diff in zip(graph.removed, graph.added):
-        block = block_of.get(diff)
-        if block is None:
-            snap = graph._apply(*diff)
-            block = block_of[diff] = f"{len(snap)}\n" + "".join(map(line_of.__getitem__, sorted(snap)))
-        out.append(block)
-    return "".join(out)
+    """TG1 text; each snapshot's edges are written in sorted order."""
+    line_of = {e: f"{e[0]} {e[1]}" for e in graph.underlying()}
+    out = [f"{graph.n} {graph.lifetime}"]
+    for snap in graph.snapshots:
+        out.append(str(len(snap)))
+        out.extend(map(line_of.__getitem__, sorted(snap)))
+    return "\n".join(out) + "\n"
 
 
 def parse_spanning_tree(text: str, n: int) -> SpanningTree:

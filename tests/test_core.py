@@ -217,6 +217,16 @@ class TestParse:
         ):
             assert _parse_regular(text) == _parse_lines(text)
 
+    def test_fast_parser_blocks_longer_or_shorter_than_guessed(self):
+        """A block's end is guessed from the previous block's mean line length;
+        lines shorter or longer than that must not move the end."""
+        for text in (
+            "12 3\n1\n10 11\n1\n0 1\n1\n0 2\n",  # shorter lines: the guess overshoots
+            "12 3\n1\n0 1\n1\n10 11\n1\n0 2\n",  # longer lines: the guess falls short
+            "12 3\n3\n0 1\n0 2\n10 11\n1\n10 11\n2\n0 1\n1 2\n",  # the count falls, then rises
+        ):
+            assert _parse_regular(text) == _parse_lines(text)
+
     def test_fast_parser_peak_memory_stays_near_the_text(self):
         """The fast path walks the text without splitting it into lines."""
         graph = gen_random_deficient(GenSpec(n=40, lifetime=3000, k=1, seed=5, tree_shape="random")).graph
