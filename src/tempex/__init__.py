@@ -39,7 +39,6 @@ from .roundabout import (
     run_roundabout,
 )
 from .scheduler import (
-    Enumerate,
     EpochPlan,
     ExploreStats,
     InsufficientSnapshots,

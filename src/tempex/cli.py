@@ -25,11 +25,9 @@ from .core import (
     serialize_temporal_graph,
     verify_delta_connectivity,
 )
-from .gen import GenSpec, gen_blocking_front, gen_random_deficient
+from .gen import CONNECTIVITY_MODES, TREE_SHAPES, GenSpec, gen_blocking_front, gen_random_deficient
 from .oracle import DEFAULT_LIFETIME_CAP, DEFAULT_VERTEX_CAP, optimal_exploration_time
 from .scheduler import (
-    Enumerate,
-    EnumerationCapExceeded,
     InsufficientSnapshots,
     LasVegas,
     RepositionFailed,
@@ -48,7 +46,6 @@ ALGORITHMIC_FAILURES = (
     InsufficientSnapshots,
     RepositionFailed,
     TupleSearchExhausted,
-    EnumerationCapExceeded,
     DisconnectedGraph,
 )
 
@@ -150,10 +147,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if not report.ok:
             print(f"delta check failed: witness {report.witness}", file=sys.stderr)
             return 1
-    if args.strategy == "enumerate":
-        strategy = Enumerate(cap=args.enum_cap)
-    else:
-        strategy = LasVegas(seed=args.seed, max_attempts=args.max_attempts)
+    strategy = LasVegas(seed=args.seed, max_attempts=args.max_attempts)
     run = explore_detailed(graph, args.k, delta, args.start, tree, strategy)
     if args.trace:
         for i, trace in enumerate(run.traces, start=1):
@@ -173,13 +167,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
             out,
             "explore",
             {"graph": args.graph, "tree": args.tree},
-            {
-                "k": args.k,
-                "delta": delta,
-                "start": args.start,
-                "seed": args.seed,
-                "strategy": args.strategy,
-            },
+            {"k": args.k, "delta": delta, "start": args.start, "seed": args.seed},
             {"schedule": str(out), "stats": args.stats},
             run.stats.to_json_dict(),
         )
@@ -331,10 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", choices=("random", "blocking-front"), default="random")
-    p.add_argument("--tree-shape", choices=("path", "star", "random"), default="path")
-    p.add_argument(
-        "--connectivity", choices=("per-snapshot", "delta-only", "none"), default="per-snapshot"
-    )
+    p.add_argument("--tree-shape", choices=TREE_SHAPES, default="path")
+    p.add_argument("--connectivity", choices=CONNECTIVITY_MODES, default="per-snapshot")
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--extra-edge-rate", type=float, default=0.0)
     p.add_argument("--out", required=True, help="output prefix or .tg path")
@@ -347,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--tree", default=None, help="witness tree file; omit to recover one")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--strategy", choices=("las-vegas", "enumerate"), default="las-vegas")
     p.add_argument("--max-attempts", type=int, default=10_000)
-    p.add_argument("--enum-cap", type=int, default=1_000_000)
     p.add_argument("--check-delta", action="store_true")
     p.add_argument("--trace", action="store_true", help="dump roundabout traces to stderr")
     p.add_argument("--out", default=None, help="schedule file; stdout when omitted")

@@ -193,6 +193,23 @@ class TemporalGraph:
             counts.append(d)
         return tuple(counts)
 
+    def absences(self, prefix_length: int) -> dict[Edge, int]:
+        """Per underlying edge, how many of the first `prefix_length` snapshots lack it.
+
+        O(|underlying| + prefix diff): a base edge is absent where a step
+        removes it, any other edge wherever a step does not add it.
+        """
+        if prefix_length > self.lifetime:
+            raise ValueError(f"prefix {prefix_length} exceeds lifetime {self.lifetime}")
+        if prefix_length < 1:
+            raise ValueError("prefix must be positive")
+        removals = Counter(chain.from_iterable(self.removed[:prefix_length]))
+        additions = Counter(chain.from_iterable(self.added[:prefix_length]))
+        counts = {e: removals[e] for e in self.base}
+        for e in self.underlying().difference(self.base):
+            counts[e] = prefix_length - additions[e]
+        return counts
+
     def underlying(self) -> frozenset[Edge]:
         """Every edge that appears in some snapshot."""
         return self.base.union(*self.added)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .core import (
     ParseError,
@@ -62,16 +62,6 @@ class TupleSearchExhausted(Exception):
     def __init__(self, attempts: int) -> None:
         super().__init__(f"no covering tuple found after {attempts} sampling attempts")
         self.attempts = attempts
-
-
-class EnumerationCapExceeded(Exception):
-    def __init__(self, size: int, cap: int) -> None:
-        super().__init__(
-            f"tuple space has {size} elements, above the enumeration cap {cap}; "
-            "use the sampling strategy instead"
-        )
-        self.size = size
-        self.cap = cap
 
 
 def rho_for(k: int) -> int:
@@ -189,87 +179,29 @@ class LasVegas:
             raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
 
 
-@dataclass(frozen=True)
-class Enumerate:
-    """Lexicographic scan of the whole tuple space; refuses above the cap."""
-
-    cap: int = 1_000_000
-
-    def __post_init__(self) -> None:
-        if self.cap < 1:
-            raise ValueError(f"enumeration cap must be at least 1, got {self.cap}")
-
-
-Strategy = Union[LasVegas, Enumerate]
-
-
 def find_covering_tuple(
     traces: Sequence[RoundaboutTrace],
     n_positions: int,
-    strategy: Strategy,
+    strategy: LasVegas,
 ) -> tuple[tuple[int, ...], int]:
     """Pick one surviving agent per epoch covering the whole tour.
 
-    Returns (tuple, attempts); for the enumerating strategy, attempts is the
-    1-based lexicographic rank of the returned tuple. Sampling fails loudly
-    after max_attempts rather than looping forever.
+    Returns (tuple, attempts). Sampling fails loudly after max_attempts
+    rather than looping forever.
     """
     full = (1 << n_positions) - 1
     per_epoch = [_final_arc_masks(t) for t in traces]
-
-    if isinstance(strategy, LasVegas):
-        rng = SplitMix64(strategy.seed)
-        for attempt in range(1, strategy.max_attempts + 1):
-            union = 0
-            sel: list[int] = []
-            for options in per_epoch:
-                agent, mask = options[rng.below(len(options))]
-                sel.append(agent)
-                union |= mask
-            if union == full:
-                return tuple(sel), attempt
-        raise TupleSearchExhausted(strategy.max_attempts)
-
-    size = 1
-    for options in per_epoch:
-        size *= len(options)
-        if size > strategy.cap:
-            raise EnumerationCapExceeded(size, strategy.cap)
-    suffix_sizes = [1] * (len(per_epoch) + 1)
-    for j in range(len(per_epoch) - 1, -1, -1):
-        suffix_sizes[j] = suffix_sizes[j + 1] * len(per_epoch[j])
-    suffix_all = [0] * (len(per_epoch) + 1)
-    for j in range(len(per_epoch) - 1, -1, -1):
-        level = 0
-        for _, mask in per_epoch[j]:
-            level |= mask
-        suffix_all[j] = suffix_all[j + 1] | level
-
-    sel: list[int] = []
-    skipped = 0
-
-    def descend(j: int, union: int) -> Optional[tuple[int, ...]]:
-        nonlocal skipped
-        if union == full:
-            return tuple(sel) + tuple(options[0][0] for options in per_epoch[j:])
-        if j == len(per_epoch):
-            skipped += 1
-            return None
-        if union | suffix_all[j] != full:
-            skipped += suffix_sizes[j]
-            return None
-        for agent, mask in per_epoch[j]:
+    rng = SplitMix64(strategy.seed)
+    for attempt in range(1, strategy.max_attempts + 1):
+        union = 0
+        sel: list[int] = []
+        for options in per_epoch:
+            agent, mask = options[rng.below(len(options))]
             sel.append(agent)
-            found = descend(j + 1, union | mask)
-            if found is not None:
-                return found
-            sel.pop()
-        return None
-
-    found = descend(0, 0)
-    if found is None:
-        raise TupleSearchExhausted(size)
-    return found, skipped + 1
+            union |= mask
+        if union == full:
+            return tuple(sel), attempt
+    raise TupleSearchExhausted(strategy.max_attempts)
 
 
 def exhaustive_covering_fraction(
@@ -497,7 +429,7 @@ def explore_detailed(
     delta: int,
     start: int,
     tree: Optional[SpanningTree] = None,
-    strategy: Optional[Strategy] = None,
+    strategy: Optional[LasVegas] = None,
 ) -> PipelineRun:
     """Compute an exploration schedule from `start`, keeping intermediates.
 
@@ -558,7 +490,7 @@ def explore(
     delta: int,
     start: int,
     tree: Optional[SpanningTree] = None,
-    strategy: Optional[Strategy] = None,
+    strategy: Optional[LasVegas] = None,
 ) -> tuple[Schedule, ExploreStats]:
     """Compute an exploration schedule from `start`; see explore_detailed."""
     run = explore_detailed(graph, k, delta, start, tree, strategy)

@@ -42,22 +42,17 @@ class DfsTour:
             raise ValueError("tour length must be 2(n-1)")
         if self.vertices[0] != self.root:
             raise ValueError("tour must start at the root")
+        edges: list[Edge] = []
         counts: dict[Edge, int] = {}
-        for i in range(len(self.vertices)):
-            e = canonical_edge(self.vertices[i], self.vertices[(i + 1) % len(self.vertices)])
+        for u, v in zip(self.vertices, self.vertices[1:] + self.vertices[:1]):
+            e = canonical_edge(u, v)
             if e not in self.tree.edges:
                 raise ValueError(f"tour step {e} is not a tree edge")
+            edges.append(e)
             counts[e] = counts.get(e, 0) + 1
         if any(c != 2 for c in counts.values()) or len(counts) != n - 1:
             raise ValueError("each tree edge must appear exactly twice in the tour")
-        object.__setattr__(
-            self,
-            "_edges",
-            tuple(
-                canonical_edge(self.vertices[i], self.vertices[(i + 1) % len(self.vertices)])
-                for i in range(len(self.vertices))
-            ),
-        )
+        object.__setattr__(self, "_edges", tuple(edges))
 
     @property
     def n_positions(self) -> int:

@@ -8,9 +8,7 @@ with respect to the recovered tree.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 from .core import Edge, SpanningTree, TemporalGraph
 
@@ -43,16 +41,7 @@ class TreeStats:
 
 def absence_weights(graph: TemporalGraph, prefix_length: int) -> EdgeWeights:
     """w(e) = number of snapshots among the first `prefix_length` missing e."""
-    if prefix_length > graph.lifetime:
-        raise ValueError(f"prefix {prefix_length} exceeds lifetime {graph.lifetime}")
-    if prefix_length < 1:
-        raise ValueError("prefix must be positive")
-    removals = Counter(chain.from_iterable(graph.removed[:prefix_length]))
-    additions = Counter(chain.from_iterable(graph.added[:prefix_length]))
-    weights = {e: removals[e] for e in graph.base}
-    for e in graph.underlying().difference(graph.base):
-        weights[e] = prefix_length - additions[e]
-    return EdgeWeights(weights, prefix_length)
+    return EdgeWeights(graph.absences(prefix_length), prefix_length)
 
 
 class _UnionFind:

@@ -1,10 +1,11 @@
 """What the benchmark under ``perfbench/`` needs from tempex.
 
 ``perfbench/tracing.py`` rebinds tempex functions by name, and
-``perfbench/run.py`` counts a graph's edges by iterating its snapshots and
-measures tree deficiency with set differences. A break here would otherwise
-show only as a traced benchmark run exiting 3 or crashing while it inspects
-a solve.
+``perfbench/run.py`` counts a graph's edges by iterating its snapshots,
+measures tree deficiency with set differences, calls ``explore_detailed``
+positionally and reads the paper's quantities off the run it returns. A
+break here would otherwise show only as a traced benchmark run exiting 3 or
+crashing while it inspects a solve.
 """
 
 from __future__ import annotations
@@ -13,8 +14,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import tempex.cli
 from tempex.core import serialize_temporal_graph
 from tempex.gen import GenSpec, gen_random_deficient
+from tempex.scheduler import LasVegas, explore_detailed, rho_for, step_budget
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -49,3 +52,23 @@ def test_snapshot_iteration_and_tree_difference():
     assert sum(map(len, graph.snapshots)) == edge_count
     for t in range(1, graph.lifetime + 1):
         assert len(tree.edges - graph.edge_set(t)) <= 2
+
+
+def test_explore_run_fields():
+    n, k, delta = 7, 1, 6
+    spec = GenSpec(n=n, lifetime=rho_for(k) * (delta + step_budget(n, k)), k=k, seed=5)
+    result = gen_random_deficient(spec)
+    run = explore_detailed(result.graph, k, delta, 0, result.tree, LasVegas(seed=5))
+    assert run.plan.k == k
+    for epoch, trace in zip(run.plan.epochs, run.traces, strict=True):
+        assert epoch.start <= epoch.reposition_end <= epoch.end
+        assert all(epoch.reposition_end < t <= epoch.end for t in epoch.roundabout_times)
+        assert 1 <= len(trace.final.agents) <= 6 * k
+    assert (run.stats.rho, run.stats.budget) == (rho_for(k), step_budget(n, k))
+    assert run.stats.attempts >= 1
+    assert run.stats.to_json_dict()["attempts"] == run.stats.attempts
+    assert run.tree.edges == result.tree.edges
+    assert run.schedule.first_step == 1
+    assert len(run.schedule.actions) == run.schedule.span
+    failures = tempex.cli.ALGORITHMIC_FAILURES
+    assert isinstance(failures, tuple) and all(issubclass(e, Exception) for e in failures)

@@ -39,7 +39,8 @@ class TestPipeline:
         stats = json.loads(proc.stdout)
         assert stats["rho"] == 33
         assert stats["epochs"] == 33
-        assert (tmp_path / "sched.txt.manifest.json").exists()
+        manifest = json.loads((tmp_path / "sched.txt.manifest.json").read_text())
+        assert manifest["parameters"] == {"k": 1, "delta": 5, "start": 0, "seed": 1}
 
         proc = run_cli("verify", "--graph", str(graph), "--schedule", str(sched), "--start", "0")
         assert proc.returncode == 0, proc.stderr
@@ -273,13 +274,24 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags", [
         ["--max-attempts", "0"],
         ["--max-attempts", "-5"],
-        ["--strategy", "enumerate", "--enum-cap", "0"],
-    ], ids=["max-attempts-0", "max-attempts-negative", "enum-cap-0"])
+    ], ids=["max-attempts-0", "max-attempts-negative"])
     def test_search_parameter_below_one_is_usage_error(self, e1_graph_file, flags):
         proc = run_cli("explore", "--graph", str(e1_graph_file), "--k", "1", "--delta", "2", *flags)
         assert proc.returncode == 2
         assert "must be at least 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ["--strategy", "enumerate"],
+        ["--enum-cap", "5"],
+    ], ids=["strategy", "enum-cap"])
+    def test_removed_search_flags_are_usage_errors(self, e1_graph_file, flags):
+        proc = run_cli("explore", "--graph", str(e1_graph_file), "--k", "1", "--delta", "2", *flags)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("usage: tempex ")
+        assert f"unrecognized arguments: {' '.join(flags)}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_tree_negative_k_is_usage_error(self, e1_graph_file, tmp_path):
         out = tmp_path / "t.tree"

@@ -14,7 +14,6 @@ import pytest
 from tempex.core import serialize_temporal_graph
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.scheduler import (
-    Enumerate,
     LasVegas,
     explore_detailed,
     recovery_prefix,
@@ -51,7 +50,7 @@ CASES = {
     "recovery-random-k1": (lambda: gen_random_deficient(_recovery_spec(5, 1, 3, "random", 0.1)), 1, 4, 2, False, LasVegas(seed=7)),
     "recovery-star-k1": (lambda: gen_random_deficient(_recovery_spec(6, 1, 8, "star")), 1, 5, 0, False, LasVegas(seed=8)),
     "blocking-front-k2": (lambda: gen_blocking_front(25, 2, rho_for(2) * (24 + step_budget(25, 2)), 17), 2, 24, 0, True, LasVegas(seed=9)),
-    "enumerate-k1": (lambda: gen_random_deficient(_witness_spec(2, 1, 4, "path")), 1, 1, 1, True, Enumerate()),
+    "two-vertex-k1": (lambda: gen_random_deficient(_witness_spec(2, 1, 4, "path")), 1, 1, 1, True, LasVegas(seed=10)),
 }
 
 
@@ -88,7 +87,7 @@ GOLDEN = {
         '019805f9a3a70d1bf2f11daee660a30e4e6ba59f8b3150e9f1d0e082f5e41893',
         'd2b17f66271a4c772a3ebf00c80e1354617753bf0cca4e09404e53a0c384294d',
     ),
-    'enumerate-k1': (
+    'two-vertex-k1': (
         '2679b36446610bde86f6ac14c22512842d9e9f4be3d039c1867f881c6ebc4911',
         '2362168866138d172941bfdd4950713207b1b2afd6cf23edccac5bfd5108c542',
         'c95b85222f391e4ebd43424f2944ae4fba51c583cee6c4f8130f661835f8d5d0',

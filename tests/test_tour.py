@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from strategies import spanning_trees
 from tempex.core import SpanningTree, canonical_edge
-from tempex.tour import arc_mask, build_dfs_tour
+from tempex.tour import DfsTour, arc_mask, build_dfs_tour
 
 
 def arc_members(i: int, j: int, n: int) -> set[int]:
@@ -83,6 +84,18 @@ class TestBuildTour:
     def test_single_vertex_has_no_tour(self):
         with pytest.raises(ValueError):
             build_dfs_tour(SpanningTree(1, frozenset()), 0)
+
+    @pytest.mark.parametrize("vertices, message", [
+        ((0, 1), "tour length must be 2(n-1)"),
+        ((1, 2, 1, 0), "tour must start at the root"),
+        ((0, 1, 1, 2), "self-loop at vertex 1"),
+        ((0, 2, 2, 1), "tour step (0, 2) is not a tree edge"),  # before the later self-loop
+        ((0, 1, 0, 1), "each tree edge must appear exactly twice in the tour"),
+    ])
+    def test_malformed_tour_rejected(self, vertices, message):
+        tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DfsTour(tree, 0, vertices)
 
     def test_root_override(self):
         tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
