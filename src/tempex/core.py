@@ -120,14 +120,13 @@ class TemporalGraph:
     def _rebase_onto_majority(self) -> None:
         """Move the base to the edges present in more than half the snapshots.
 
-        Costs O(|base| + total diff): a base edge's presence is the lifetime
-        minus its removals, any other edge's presence its additions.
+        Costs O(|base| + total diff): an edge's presence is the lifetime
+        minus its :meth:`absences`.
         """
         lifetime = self.lifetime
-        removals = Counter(chain.from_iterable(self.removed))
-        additions = Counter(chain.from_iterable(self.added))
-        demoted = frozenset(e for e, c in removals.items() if 2 * (lifetime - c) <= lifetime)
-        promoted = frozenset(e for e, c in additions.items() if 2 * c > lifetime)
+        absent = self.absences(lifetime)
+        demoted = frozenset(e for e in self.base if 2 * absent[e] >= lifetime)
+        promoted = frozenset(e for e, c in absent.items() if 2 * c < lifetime and e not in self.base)
         if not demoted and not promoted:
             return
         removed: list[tuple[Edge, ...]] = []
@@ -176,22 +175,23 @@ class TemporalGraph:
         """Every snapshot's edge set in time order, built one step at a time."""
         return map(self._apply, self.removed, self.added)
 
-    def deficiencies(self, tree_edges: AbstractSet[Edge]) -> tuple[int, ...]:
-        """Per time step, how many of `tree_edges` the snapshot lacks.
+    def missing(self, tree_edges: AbstractSet[Edge], steps: Iterable[int]) -> Iterator[tuple[Edge, ...]]:
+        """Per step in `steps`, the edges of `tree_edges` its snapshot lacks, sorted.
 
-        O(L + total diff): a step misses the tree edges it removes from the
-        base plus the tree edges outside the base that it does not add.
+        O(|tree_edges| + the steps' diffs): a step lacks the tree edges it
+        removes from the base plus the tree edges outside the base that it
+        does not add. When every edge a step removes is a tree edge, its
+        `removed` tuple is returned as is.
         """
-        outside = frozenset(tree_edges).difference(self.base)
-        counts = []
-        for r, a in zip(self.removed, self.added):
-            d = len(outside)  # tree edges a step lacks unless it adds them
-            if r:
-                d += sum(1 for e in r if e in tree_edges)
-            if a and outside:
-                d -= sum(1 for e in a if e in outside)
-            counts.append(d)
-        return tuple(counts)
+        tree = frozenset(tree_edges)
+        outside = tree.difference(self.base)
+        for t in steps:
+            self._check_step(t)
+            r = self.removed[t - 1]
+            lacked = r if tree.issuperset(r) else tuple(e for e in r if e in tree)
+            if outside:
+                lacked = tuple(sorted(chain(lacked, outside.difference(self.added[t - 1]))))
+            yield lacked
 
     def absences(self, prefix_length: int) -> dict[Edge, int]:
         """Per underlying edge, how many of the first `prefix_length` snapshots lack it.
@@ -425,7 +425,10 @@ def serialize_spanning_tree(tree: SpanningTree) -> str:
 # --- deficiency -------------------------------------------------------------
 
 def deficiency_count(snapshot: AbstractSet[Edge], tree: SpanningTree) -> int:
-    """Tree edges absent from the snapshot; the snapshot is k-deficient iff this is <= k."""
+    """Tree edges absent from the snapshot; the snapshot is k-deficient iff this is <= k.
+
+    The set-difference reference for ``len`` of :meth:`TemporalGraph.missing`.
+    """
     return len(tree.edges.difference(snapshot))
 
 

@@ -201,7 +201,7 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
         for u in range(spec.n)
         for v in range(u + 1, spec.n)
         if (u, v) not in tree.edges
-    ]
+    ] if spec.extra_edge_rate > 0.0 else []
     bridged = _bridged_positions(spec)
     fallbacks = 0
     removals: list[set[Edge]] = []
@@ -210,10 +210,9 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
         rng = stream(spec.seed, t)
         removed = set(_draw_removal(rng, tree_edges, spec.k))
         present: set[Edge] = set()  # extra, bridging and kept edges
-        if spec.extra_edge_rate > 0.0:
-            for pair in non_tree:
-                if rng.chance(spec.extra_edge_rate):
-                    present.add(pair)
+        for pair in non_tree:
+            if rng.chance(spec.extra_edge_rate):
+                present.add(pair)
         if removed and (bridged is None or t in bridged):
             added, kept = _reconnect(spec.n, adjacency, removed, rng)
             present.update(added)
@@ -269,6 +268,5 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
         fallbacks += kept
         removals.append(removed)
         additions.append(set(added))
-        snapshot = tree.edges.difference(removed).union(added)
-        state = eliminate_redundant(movement_step(state, snapshot, tour))
+        state = eliminate_redundant(movement_step(state, removed.difference(added), tour))
     return GenResult(_delta_graph(tree, removals, additions), tree, fallbacks)

@@ -1,21 +1,21 @@
 """Roundabout exploration: N virtual agents advancing along a DFS tour.
 
 Agent a_i starts at tour position i. In each step every active agent at
-position q advances to q+1 (cyclically) iff tour edge e_q is present in the
-step's snapshot; afterwards agents whose visited arc is covered by the other
-active agents' arcs are removed. An agent's position is its start advanced by
-its move count, so a state is just the active agents and their moves. The
-process is deterministic, so a run is recorded as the sequence of states it
-passed through, from which a single explorer replays one agent's moves as
-timed ``(t, (u, v))`` moves along the tour.
+position q advances to q+1 (cyclically) unless tour edge e_q is one of the
+tree edges the step's snapshot lacks; afterwards agents whose visited arc is
+covered by the other active agents' arcs are removed. An agent's position is
+its start advanced by its move count, so a state is just the active agents
+and their moves. The process is deterministic, so a run is recorded as the
+sequence of states it passed through, from which a single explorer replays
+one agent's moves as timed ``(t, (u, v))`` moves along the tour.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
-from .core import Edge, Route, TemporalGraph, deficiency_count
+from .core import Edge, Route, TemporalGraph
 from .tour import DfsTour, arc_mask
 
 
@@ -57,12 +57,12 @@ class RoundaboutState:
         return [arc_mask(a, m + 1, n) for a, m in zip(self.agents, self.moves)]
 
 
-def movement_step(state: RoundaboutState, snapshot: frozenset[Edge], tour: DfsTour) -> RoundaboutState:
-    """Advance every active agent whose next tour edge is present."""
+def movement_step(state: RoundaboutState, blocked: Collection[Edge], tour: DfsTour) -> RoundaboutState:
+    """Advance every active agent whose next tour edge is not in `blocked`."""
     n = state.n_positions
     moves = list(state.moves)
     for i, (a, m) in enumerate(zip(state.agents, state.moves)):
-        if tour.tour_edge((a - 1 + m) % n + 1) in snapshot:
+        if tour.tour_edge((a - 1 + m) % n + 1) not in blocked:
             moves[i] = m + 1
     return RoundaboutState(n, state.step + 1, state.agents, tuple(moves))
 
@@ -175,14 +175,13 @@ def run_roundabout(
     tour: DfsTour,
     snapshot_times: Sequence[int],
     budget: int,
-    k: Optional[int] = None,
-    check_invariants: bool = False,
+    check_k: Optional[int] = None,
 ) -> RoundaboutTrace:
     """Run `budget` iterations over the first `budget` snapshot times.
 
     Callers are responsible for passing only snapshots that are k-deficient
-    with respect to the tour's tree; with ``check_invariants`` (and k) set,
-    that precondition and every per-step property are asserted.
+    with respect to the tour's tree; with ``check_k`` set to k, that
+    precondition and every per-step property are asserted.
     """
     if budget < 0:
         raise ValueError("budget must be non-negative")
@@ -191,16 +190,14 @@ def run_roundabout(
     times = tuple(snapshot_times[:budget])
     state = RoundaboutState.initial(tour.n_positions)
     history = [state]
-    for t in times:
-        snapshot = graph.edge_set(t)
-        if check_invariants and k is not None:
-            if deficiency_count(snapshot, tour.tree) > k:
-                raise InvariantViolation(f"snapshot {t} is not {k}-deficient")
-        state = eliminate_redundant(movement_step(state, snapshot, tour))
+    for t, blocked in zip(times, graph.missing(tour.tree.edges, times)):
+        if check_k is not None and len(blocked) > check_k:
+            raise InvariantViolation(f"snapshot {t} is not {check_k}-deficient")
+        state = eliminate_redundant(movement_step(state, blocked, tour))
         history.append(state)
-        if check_invariants:
-            check_state_invariants(state, k)
-    if check_invariants and k is not None and budget == (tour.n_positions // (2 * k)):
-        if len(state.agents) > 6 * k:
-            raise InvariantViolation(f"{len(state.agents)} agents survive, bound is {6 * k}")
+        if check_k is not None:
+            check_state_invariants(state, check_k)
+    if check_k is not None and budget == (tour.n_positions // (2 * check_k)):
+        if len(state.agents) > 6 * check_k:
+            raise InvariantViolation(f"{len(state.agents)} agents survive, bound is {6 * check_k}")
     return RoundaboutTrace(times, tuple(history))

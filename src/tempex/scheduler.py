@@ -126,7 +126,7 @@ def partition_epochs(
     """
     if delta < 1 or rho < 1 or budget < 0 or k < 0:
         raise ValueError("bad epoch parameters")
-    deficient = [d <= k for d in graph.deficiencies(tree.edges)]
+    deficient = [len(m) <= k for m in graph.missing(tree.edges, range(1, graph.lifetime + 1))]
     epochs: list[Epoch] = []
     cursor = 1
     for e in range(1, rho + 1):
@@ -406,7 +406,7 @@ def run_epoch_traces(
 ) -> list[RoundaboutTrace]:
     return [
         run_roundabout(
-            graph, tour, epoch.roundabout_times, plan.budget, plan.k, check_invariants
+            graph, tour, epoch.roundabout_times, plan.budget, plan.k if check_invariants else None
         )
         for epoch in plan.epochs
     ]

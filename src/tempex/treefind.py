@@ -93,7 +93,7 @@ def find_good_tree(graph: TemporalGraph, k: int, q: int) -> tuple[SpanningTree, 
         raise ValueError("k must be non-negative")
     ew = absence_weights(graph, 2 * q)
     tree = minimum_weight_spanning_tree(graph.n, ew.weights)
-    deficiencies = graph.deficiencies(tree.edges)[: 2 * q]
+    deficiencies = tuple(map(len, graph.missing(tree.edges, range(1, 2 * q + 1))))
     total = sum(ew.weights[e] for e in tree.edges)
     # double counting: summing missing tree edges per snapshot equals summing
     # per-edge absence counts over the tree

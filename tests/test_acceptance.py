@@ -61,11 +61,9 @@ def test_criterion_1_roundabout_step_properties():
         budget = step_budget(n, k)
         result = _mixed_instance(i, n, k, budget)
         tour = build_dfs_tour(result.tree, 0)
-        # check_invariants asserts coverage, distinctness, multiplicity, mass
+        # check_k asserts coverage, distinctness, multiplicity, mass
         # and the shrinkage bound after every simulated step
-        trace = run_roundabout(
-            result.graph, tour, range(1, budget + 1), budget, k=k, check_invariants=True
-        )
+        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
         assert len(trace.final.agents) <= 6 * k
         runs += 1
     assert runs == 200

@@ -1,9 +1,10 @@
 """What the benchmark under ``perfbench/`` needs from tempex.
 
-``perfbench/tracing.py`` rebinds tempex functions by name, and
-``perfbench/run.py`` counts a graph's edges by iterating its snapshots,
-measures tree deficiency with set differences, calls ``explore_detailed``
-positionally and reads the paper's quantities off the run it returns. A
+``perfbench/tracing.py`` rebinds tempex functions by name and counts agent
+steps from ``movement_step``'s first argument, and ``perfbench/run.py``
+counts a graph's edges by iterating its snapshots, measures tree deficiency
+with set differences, calls ``explore_detailed`` positionally and reads the
+paper's quantities off the run it returns. A
 break here would otherwise show only as a traced benchmark run exiting 3 or
 crashing while it inspects a solve.
 """
@@ -12,12 +13,15 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import tempex.cli
-from tempex.core import serialize_temporal_graph
+from tempex.core import deficiency_count, serialize_temporal_graph
 from tempex.gen import GenSpec, gen_random_deficient
+from tempex.roundabout import RoundaboutState, movement_step
 from tempex.scheduler import LasVegas, explore_detailed, rho_for, step_budget
+from tempex.tour import build_dfs_tour
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -52,6 +56,22 @@ def test_snapshot_iteration_and_tree_difference():
     assert sum(map(len, graph.snapshots)) == edge_count
     for t in range(1, graph.lifetime + 1):
         assert len(tree.edges - graph.edge_set(t)) <= 2
+
+
+def test_traced_counters_and_deficiency_count():
+    # the counters read movement_step's arguments, and core.deficiency_* time
+    # the set-difference reference that missing() must agree with
+    result = gen_random_deficient(GenSpec(n=9, lifetime=6, k=2, seed=3, tree_shape="random"))
+    graph, tree = result.graph, result.tree
+    tour = build_dfs_tour(tree, 0)
+    state = RoundaboutState.initial(tour.n_positions)
+    blocked = next(graph.missing(tree.edges, [1]))
+    args = (state, blocked, tour)
+    counts = Counter()
+    load_tracing().ON_RETURN["movement_step"](counts, args, movement_step(*args))
+    assert counts["agent_steps"] == len(state.agents)
+    for t, lacked in enumerate(graph.missing(tree.edges, range(1, graph.lifetime + 1)), start=1):
+        assert deficiency_count(graph.edge_set(t), tree) == len(lacked)
 
 
 def test_explore_run_fields():

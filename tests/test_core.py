@@ -293,8 +293,13 @@ class TestDeltaForm:
             assert g.edge_set(t) == snap
             assert [g.has_edge(t, e) for e in pairs] == [e in snap for e in pairs]
         assert g.underlying() == frozenset().union(*ref)
-        assert g.deficiencies(tree.edges) == tuple(len(tree.edges - snap) for snap in ref)
-        assert g.deficiencies(tree.edges) == tuple(deficiency_count(snap, tree) for snap in ref)
+        every = range(1, len(ref) + 1)
+        assert list(g.missing(tree.edges, every)) == [tuple(sorted(tree.edges - snap)) for snap in ref]
+        assert list(map(len, g.missing(tree.edges, every))) == [deficiency_count(snap, tree) for snap in ref]
+        steps = data.draw(st.lists(st.integers(1, len(ref)), max_size=2 * len(ref)))
+        assert list(g.missing(tree.edges, steps)) == [
+            tuple(sorted(tree.edges - ref[t - 1])) for t in steps
+        ]
         prefix = data.draw(st.integers(1, len(ref)))
         assert absence_weights(g, prefix).weights == {
             e: sum(e not in snap for snap in ref[:prefix]) for e in g.underlying()
@@ -335,6 +340,17 @@ class TestDeltaForm:
             TemporalGraph(3, base, ((), ()), ((),))
         with pytest.raises(ValueError, match="bad edge"):
             TemporalGraph(3, base, ((),), (((0, 3),),))
+
+    def test_missing_inside_and_outside_the_base(self):
+        g = TemporalGraph.build(3, [[(0, 1), (1, 2)], [(0, 1), (0, 2)], [(0, 1), (1, 2)], [(1, 2)]])
+        assert g.base == frozenset({(0, 1), (1, 2)})
+        inside = frozenset({(0, 1), (1, 2)})
+        assert list(g.missing(inside, [4, 2, 1, 2])) == [((0, 1),), ((1, 2),), (), ((1, 2),)]
+        assert next(g.missing(inside, [2])) is g.removed[1]
+        outside = frozenset({(0, 2), (1, 2)})  # (0, 2) is only in snapshot 2
+        assert list(g.missing(outside, [1, 2, 3, 4])) == [((0, 2),), ((1, 2),), ((0, 2),), ((0, 2),)]
+        with pytest.raises(ValueError):
+            list(g.missing(inside, [5]))
 
     def test_unchanged_step_shares_the_base(self):
         g = TemporalGraph.build(3, [[(0, 1), (1, 2)], [(0, 1)], [(0, 1), (1, 2)]])

@@ -124,8 +124,7 @@ class TestBlockingFront:
         result = gen_blocking_front(n, k, 60, 0)
         tour = build_dfs_tour(result.tree, 0)
         budget = (n - 1) // k
-        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget,
-                               k=k, check_invariants=True)
+        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
         blocked_steps = 0
         for t, before in zip(trace.times, trace.history):
             # the lead agents, in the order gen_blocking_front ranks them

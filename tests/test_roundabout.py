@@ -64,19 +64,19 @@ def restart_scan_eliminate(state: RoundaboutState) -> RoundaboutState:
 
 
 class TestMovement:
-    def test_all_edges_present(self, path3_full, path3_tour):
-        state = movement_step(RoundaboutState.initial(4), path3_full.edge_set(1), path3_tour)
+    def test_all_edges_present(self, path3_tour):
+        state = movement_step(RoundaboutState.initial(4), (), path3_tour)
         assert state.states == (2, 3, 4, 1)
         assert state.step == 1
 
     def test_missing_tree_edge_blocks(self, path3_tour):
-        snapshot = frozenset({(0, 1)})  # tour edges e_2, e_3 use {1,2}
-        state = movement_step(RoundaboutState.initial(4), snapshot, path3_tour)
+        blocked = ((1, 2),)  # tour edges e_2, e_3 use {1,2}
+        state = movement_step(RoundaboutState.initial(4), blocked, path3_tour)
         assert state.states == (2, 2, 3, 1)
 
     def test_empty_active_set(self, path3_tour):
         empty = RoundaboutState(4, 0, (), ())
-        after = movement_step(empty, frozenset({(0, 1)}), path3_tour)
+        after = movement_step(empty, ((1, 2),), path3_tour)
         assert after.agents == ()
         assert after.step == 1
 
@@ -108,7 +108,7 @@ class TestElimination:
 
 class TestRunRoundabout:
     def test_path3_two_steps(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [1, 2], 2, k=1, check_invariants=True)
+        trace = run_roundabout(path3_full, path3_tour, [1, 2], 2, check_k=1)
         assert trace.final.agents == (2, 4)
         assert trace.final.states == (4, 2)
         assert trace.final.arc_masks() == [0b1110, 0b1011]
@@ -121,7 +121,7 @@ class TestRunRoundabout:
         assert trace.final.arc_masks() == [1 << (a - 1) for a in trace.final.agents]
 
     def test_six_k_bound_trivial_for_small_tour(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [1, 2], 2, k=1, check_invariants=True)
+        trace = run_roundabout(path3_full, path3_tour, [1, 2], 2, check_k=1)
         assert len(trace.final.agents) <= 6
 
     def test_needs_enough_snapshots(self, path3_full, path3_tour):
@@ -131,7 +131,7 @@ class TestRunRoundabout:
     def test_rejects_non_deficient_snapshot_in_check_mode(self, path3_tour):
         graph = TemporalGraph.build(3, [[]])
         with pytest.raises(InvariantViolation):
-            run_roundabout(graph, path3_tour, [1], 1, k=1, check_invariants=True)
+            run_roundabout(graph, path3_tour, [1], 1, check_k=1)
 
     def test_trace_format(self, path3_full, path3_tour):
         trace = run_roundabout(path3_full, path3_tour, [1, 2], 2)
@@ -148,23 +148,38 @@ class TestRunRoundabout:
                        connectivity="per-snapshot", extra_edge_rate=0.1)
         result = gen_random_deficient(spec)
         tour = build_dfs_tour(result.tree, 0)
-        trace = run_roundabout(
-            result.graph, tour, range(1, budget + 1), budget, k=k, check_invariants=True
-        )
+        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
         assert len(trace.final.agents) <= 6 * k
 
     @pytest.mark.parametrize("seed", range(4))
     def test_replay_reproduces_final_state(self, seed):
-        # re-derive every logged state from its predecessor and the snapshot
+        # re-derive every logged state from its predecessor and the tree
+        # edges the snapshot lacks
         result = gen_blocking_front(7, 2, 20, seed)
         tour = build_dfs_tour(result.tree, 0)
-        trace = run_roundabout(result.graph, tour, range(1, 4), 3, k=2)
+        trace = run_roundabout(result.graph, tour, range(1, 4), 3)
         assert trace.times == (1, 2, 3)
         assert trace.history[0] == RoundaboutState.initial(tour.n_positions)
         for i in range(1, len(trace.history)):
-            snapshot = result.graph.edge_set(trace.times[i - 1])
-            step = eliminate_redundant(movement_step(trace.history[i - 1], snapshot, tour))
+            blocked = result.tree.edges - result.graph.edge_set(trace.times[i - 1])
+            step = eliminate_redundant(movement_step(trace.history[i - 1], blocked, tour))
             assert trace.history[i] == step
+
+    def test_builds_no_snapshot(self, monkeypatch):
+        # the roundabout and the blocking-front generator read only the tree
+        # edges each step lacks, never a whole snapshot
+        result = gen_random_deficient(GenSpec(n=12, lifetime=10, k=2, seed=4, tree_shape="random",
+                                              extra_edge_rate=0.2))
+        tour = build_dfs_tour(result.tree, 0)
+        expected = run_roundabout(result.graph, tour, range(1, 6), 5, check_k=2)
+        front = gen_blocking_front(7, 2, 20, 0)
+
+        def no_snapshot(self, t):
+            raise AssertionError(f"snapshot {t} built")
+
+        monkeypatch.setattr(TemporalGraph, "edge_set", no_snapshot)
+        assert run_roundabout(result.graph, tour, range(1, 6), 5, check_k=2) == expected
+        assert gen_blocking_front(7, 2, 20, 0) == front
 
     def test_moves_of_final_agent_spans_all_steps(self, path3_full, path3_tour):
         # every tour edge is present, so each agent crosses one per step
