@@ -3,17 +3,18 @@
 Time steps are 1-indexed; vertices are 0-indexed. Edges are canonical
 ``(min, max)`` tuples. A temporal graph is stored as one base edge set plus,
 per step, the few edges that step removes from it or adds to it, so a
-near-static graph costs little more than its base; TG1 output sorts each
-snapshot as it is written. All values are immutable after construction and
-every operation is a pure function.
+near-static graph costs little more than its base; TG1 output writes each
+snapshot in sorted order as slices of the sorted base's text. All values are
+immutable after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import accumulate, chain
 from operator import and_, lt
 from typing import AbstractSet, Iterable, Iterator, Optional
 
@@ -400,13 +401,42 @@ def _parse_lines(text: str) -> TemporalGraph:
 
 
 def serialize_temporal_graph(graph: TemporalGraph) -> str:
-    """TG1 text; each snapshot's edges are written in sorted order."""
-    line_of = {e: f"{e[0]} {e[1]}" for e in graph.underlying()}
-    out = [f"{graph.n} {graph.lifetime}"]
-    for snap in graph.snapshots:
-        out.append(str(len(snap)))
-        out.extend(map(line_of.__getitem__, sorted(snap)))
-    return "\n".join(out) + "\n"
+    """TG1 text; each snapshot's edges are written in sorted order.
+
+    The sorted base is rendered once as one text. A step without a diff
+    repeats that block; any other step is the slices of the base text between
+    its removed lines, with each added line spliced in where it sorts, so a
+    step costs O(diff) index work plus the copying.
+    """
+    base = sorted(graph.base)
+    lines = [f"{u} {v}\n" for u, v in base]
+    body = "".join(lines)
+    offset = list(accumulate(map(len, lines), initial=0))  # where each base line starts in body
+    index = {e: i for i, e in enumerate(base)}
+    size = len(base)
+    whole = f"{size}\n{body}"
+    out = [f"{graph.n} {graph.lifetime}\n"]
+    for removed, added in zip(graph.removed, graph.added):
+        if not removed and not added:
+            out.append(whole)
+            continue
+        out.append(f"{size - len(removed) + len(added)}\n")
+        start = 0  # the first base line not yet written or skipped
+        gone = map(index.__getitem__, removed)
+        i = next(gone, size)  # the next removed base line; size once none is left
+        for e in added:
+            j = bisect_left(base, e)  # an added line goes before a removed line at its position
+            while i < j:
+                out.append(body[offset[start]:offset[i]])
+                start, i = i + 1, next(gone, size)
+            out.append(body[offset[start]:offset[j]])
+            out.append(f"{e[0]} {e[1]}\n")
+            start = j
+        while i < size:
+            out.append(body[offset[start]:offset[i]])
+            start, i = i + 1, next(gone, size)
+        out.append(body[offset[start]:])
+    return "".join(out)
 
 
 def parse_spanning_tree(text: str, n: int) -> SpanningTree:

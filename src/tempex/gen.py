@@ -13,7 +13,8 @@ function of (spec, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from typing import Iterable, Iterator, Optional
 
 from .core import Edge, SpanningTree, TemporalGraph, canonical_edge
 from .rng import SplitMix64, stream
@@ -72,34 +73,78 @@ def _build_tree(shape: str, n: int, rng: SplitMix64) -> SpanningTree:
     return SpanningTree(n, frozenset(edges))
 
 
-def _components(n: int, adjacency: dict[int, tuple[int, ...]], removed: set[Edge]) -> list[int]:
-    label = [-1] * n
-    comp = 0
-    for v0 in range(n):
-        if label[v0] != -1:
-            continue
-        queue = [v0]
-        label[v0] = comp
-        while queue:
-            u = queue.pop()
+class _RootedTree:
+    """The tree rooted at 0, with every subtree a slice of its DFS preorder.
+
+    Vertex v's subtree is ``order[pre[v]:end[v]]``. Removing tree edges cuts
+    the tree into components: each is the subtree of its top vertex (the root
+    or the child end of a removed edge) minus the subtrees of the cuts nested
+    directly inside it, so k removed edges give every component from O(k)
+    preorder intervals.
+    """
+
+    def __init__(self, tree: SpanningTree) -> None:
+        adjacency = tree.adjacency()
+        parent = [-1] * tree.n
+        order: list[int] = []
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            order.append(u)
             for w in adjacency[u]:
-                if label[w] == -1 and canonical_edge(u, w) not in removed:
-                    label[w] = comp
-                    queue.append(w)
-        comp += 1
-    return label
+                if w != parent[u]:
+                    parent[w] = u
+                    stack.append(w)
+        pre = [0] * tree.n
+        for i, v in enumerate(order):
+            pre[v] = i
+        size = [1] * tree.n
+        for v in reversed(order[1:]):
+            size[parent[v]] += size[v]
+        self.parent = parent
+        self.order = order
+        self.pre = pre
+        self.end = [p + s for p, s in zip(pre, size)]
+
+    def sides(self, removed: Iterable[Edge]) -> Iterator[tuple[Edge, list[int], list[int]]]:
+        """Per removed tree edge (u, v), in sorted order: the vertices of the
+        components holding u and v once every removed edge is gone, each list
+        in ascending vertex order."""
+        parent, pre, end, order = self.parent, self.pre, self.end, self.order
+        cut_of = {e: e[0] if parent[e[0]] == e[1] else e[1] for e in removed}
+        outer: dict[int, int] = {}  # cut -> top of the component holding its parent
+        inner: dict[int, list[int]] = {0: []}  # top -> the cuts directly inside, in preorder
+        stack = [0]
+        for c in sorted(cut_of.values(), key=pre.__getitem__):
+            while end[stack[-1]] <= pre[c]:
+                stack.pop()
+            outer[c] = stack[-1]
+            inner[stack[-1]].append(c)
+            inner[c] = []
+            stack.append(c)
+        members: dict[int, list[int]] = {}
+
+        def component(top: int) -> list[int]:
+            got = members.get(top)
+            if got is None:
+                pieces = []
+                start = pre[top]
+                for c in inner[top]:
+                    pieces.append(order[start:pre[c]])
+                    start = end[c]
+                pieces.append(order[start:end[top]])
+                got = members[top] = sorted(chain.from_iterable(pieces))
+            return got
+
+        for e in sorted(cut_of):
+            c = cut_of[e]
+            below, above = component(c), component(outer[c])
+            yield (e, below, above) if e[0] == c else (e, above, below)
 
 
-def _bridge(
-    removed_edge: Edge,
-    label: list[int],
-    members: dict[int, list[int]],
-    removed: set[Edge],
-    rng: SplitMix64,
-) -> Optional[Edge]:
-    """One edge joining the two components split by removed_edge; None if impossible."""
-    left = members[label[removed_edge[0]]]
-    right = members[label[removed_edge[1]]]
+def _bridge(left: list[int], right: list[int], removed: set[Edge], rng: SplitMix64) -> Optional[Edge]:
+    """One edge joining a vertex of `left` to one of `right` that is not in
+    `removed`; None if impossible."""
     for _ in range(_BRIDGE_RETRIES):
         a = left[rng.below(len(left))]
         b = right[rng.below(len(right))]
@@ -114,23 +159,17 @@ def _bridge(
     return None
 
 
-def _reconnect(
-    n: int, adjacency: dict[int, tuple[int, ...]], removed: set[Edge], rng: SplitMix64
-) -> tuple[list[Edge], int]:
+def _reconnect(rooted: _RootedTree, removed: set[Edge], rng: SplitMix64) -> tuple[list[Edge], int]:
     """Edges that reconnect the tree minus `removed`, and the fallback count.
 
     Each removed edge gets one bridging edge between the two components it
     separates; when no bridge exists the removed edge itself is kept, which
     counts as a fallback.
     """
-    label = _components(n, adjacency, removed)
-    members: dict[int, list[int]] = {}
-    for v, c in enumerate(label):
-        members.setdefault(c, []).append(v)
     added: list[Edge] = []
     fallbacks = 0
-    for e in sorted(removed):
-        bridge = _bridge(e, label, members, removed, rng)
+    for e, left, right in rooted.sides(removed):
+        bridge = _bridge(left, right, removed, rng)
         if bridge is None:
             added.append(e)
             fallbacks += 1
@@ -195,7 +234,7 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
     """Random instance whose every snapshot is k-deficient w.r.t. the witness tree."""
     tree = _build_tree(spec.tree_shape, spec.n, stream(spec.seed, 0))
     tree_edges = sorted(tree.edges)
-    adjacency = tree.adjacency()
+    rooted = _RootedTree(tree)
     non_tree = [
         (u, v)
         for u in range(spec.n)
@@ -214,7 +253,7 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
             if rng.chance(spec.extra_edge_rate):
                 present.add(pair)
         if removed and (bridged is None or t in bridged):
-            added, kept = _reconnect(spec.n, adjacency, removed, rng)
+            added, kept = _reconnect(rooted, removed, rng)
             present.update(added)
             fallbacks += kept
         removals.append(removed)
@@ -247,7 +286,7 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
         return GenResult(TemporalGraph(n, tree.edges, ((),) * lifetime, ((),) * lifetime), tree, 0)
 
     tour = build_dfs_tour(tree, 0)
-    adjacency = tree.adjacency()
+    rooted = _RootedTree(tree)
     state = RoundaboutState.initial(tour.n_positions)
     fallbacks = 0
     removals: list[set[Edge]] = []
@@ -264,7 +303,7 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
             removed.add(tour.tour_edge(states[i]))
             if len(removed) == k:
                 break
-        added, kept = _reconnect(n, adjacency, removed, rng)
+        added, kept = _reconnect(rooted, removed, rng)
         fallbacks += kept
         removals.append(removed)
         additions.append(set(added))

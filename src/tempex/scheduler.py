@@ -401,15 +401,8 @@ class ExploreStats:
         }
 
 
-def run_epoch_traces(
-    graph: TemporalGraph, tour: DfsTour, plan: EpochPlan, check_invariants: bool = False
-) -> list[RoundaboutTrace]:
-    return [
-        run_roundabout(
-            graph, tour, epoch.roundabout_times, plan.budget, plan.k if check_invariants else None
-        )
-        for epoch in plan.epochs
-    ]
+def run_epoch_traces(graph: TemporalGraph, tour: DfsTour, plan: EpochPlan) -> list[RoundaboutTrace]:
+    return [run_roundabout(graph, tour, epoch.roundabout_times, plan.budget) for epoch in plan.epochs]
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,16 @@ def per_source_delta_check(graph, delta, mode, samples, seed):
     return ConnectivityReport(True, None, checked, mode)
 
 
+def sorted_lines_tg1(graph):
+    """Reference TG1 writer: sort each snapshot's lines."""
+    line_of = {e: f"{e[0]} {e[1]}" for e in graph.underlying()}
+    out = [f"{graph.n} {graph.lifetime}"]
+    for snap in graph.snapshots:
+        out.append(str(len(snap)))
+        out.extend(map(line_of.__getitem__, sorted(snap)))
+    return "\n".join(out) + "\n"
+
+
 def perturb_tg1(text, n, data, start=0):
     """One random irregularity applied to TG1 text, at line `start` or later:
     the kinds of input the fast parser must hand to the line-by-line parser."""
@@ -162,6 +172,37 @@ class TestParse:
         assert again == graph
         assert serialize_temporal_graph(again) == text
 
+    @given(st.one_of(
+        temporal_graphs(),
+        near_static_snapshots().map(lambda drawn: TemporalGraph.build(drawn[0], drawn[2])),
+    ))
+    def test_writer_matches_sorted_lines_reference(self, graph):
+        assert serialize_temporal_graph(graph) == sorted_lines_tg1(graph)
+
+    def test_writer_splices_added_lines_where_they_sort(self):
+        graph = TemporalGraph.build(4, [
+            [(0, 1), (0, 2), (1, 2)],  # adds an edge before the first base edge
+            [(0, 2), (1, 2), (2, 3)],  # adds one after the last
+            [(0, 2), (0, 3)],  # adds (0, 3) where it removes (1, 2)
+            [(0, 2), (1, 2)],  # no diff
+            [(0, 1), (1, 2)],  # adds (0, 1) where it removes (0, 2)
+        ])
+        assert graph.base == {(0, 2), (1, 2)}
+        text = serialize_temporal_graph(graph)
+        assert text == (
+            "4 5\n3\n0 1\n0 2\n1 2\n3\n0 2\n1 2\n2 3\n2\n0 2\n0 3\n"
+            "2\n0 2\n1 2\n2\n0 1\n1 2\n"
+        )
+        assert text == sorted_lines_tg1(graph)
+
+    @pytest.mark.parametrize("graph", [
+        TemporalGraph.build(1, [[], []]),
+        TemporalGraph.build(3, [[(1, 2), (0, 1)]]),
+        TemporalGraph.build(3, [[(0, 1)], [(1, 2)], []]),
+    ], ids=["n1", "lifetime1", "empty-base"])
+    def test_writer_small_cases(self, graph):
+        assert serialize_temporal_graph(graph) == sorted_lines_tg1(graph)
+
     @given(temporal_graphs(), st.data())
     def test_fast_parser_matches_line_parser(self, graph, data):
         assert _parse_regular(serialize_temporal_graph(graph)) == graph
@@ -239,6 +280,18 @@ class TestParse:
             tracemalloc.stop()
         assert parsed == graph
         assert peak < 3 * len(text)
+
+    def test_writer_peak_memory_stays_near_the_text(self):
+        """The writer joins slices of the base text and never lists every line."""
+        graph = gen_random_deficient(GenSpec(n=40, lifetime=3000, k=1, seed=5, tree_shape="random")).graph
+        tracemalloc.start()
+        try:
+            text = serialize_temporal_graph(graph)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text == sorted_lines_tg1(graph)
+        assert peak < 2.5 * len(text)
 
     def test_constructor_rejects_tuple_snapshot(self):
         with pytest.raises(ValueError, match="frozenset"):

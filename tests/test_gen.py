@@ -1,14 +1,21 @@
 from __future__ import annotations
 
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from strategies import spanning_trees
 from tempex.core import (
+    SpanningTree,
     TemporalGraph,
+    canonical_edge,
     deficiency_count,
     serialize_temporal_graph,
     verify_delta_connectivity,
 )
-from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
+from tempex.gen import GenSpec, _RootedTree, gen_blocking_front, gen_random_deficient
 from tempex.roundabout import run_roundabout
 from tempex.scheduler import rho_for, step_budget
 from tempex.tour import build_dfs_tour
@@ -28,6 +35,66 @@ def snapshot_is_connected(n: int, edges) -> bool:
                 seen.add(w)
                 queue.append(w)
     return len(seen) == n
+
+
+def bfs_components(n, adjacency, removed):
+    """Reference component labels of the tree minus `removed`: one BFS from
+    each unlabelled vertex, in vertex order."""
+    label = [-1] * n
+    comp = 0
+    for v0 in range(n):
+        if label[v0] != -1:
+            continue
+        queue = [v0]
+        label[v0] = comp
+        while queue:
+            u = queue.pop()
+            for w in adjacency[u]:
+                if label[w] == -1 and canonical_edge(u, w) not in removed:
+                    label[w] = comp
+                    queue.append(w)
+        comp += 1
+    return label
+
+
+def assert_sides_match_bfs(tree, removed):
+    label = bfs_components(tree.n, tree.adjacency(), removed)
+    members = {}
+    for v, c in enumerate(label):
+        members.setdefault(c, []).append(v)
+    sides = list(_RootedTree(tree).sides(removed))
+    assert [e for e, _, _ in sides] == sorted(removed)
+    for e, left, right in sides:
+        assert left == members[label[e[0]]]
+        assert right == members[label[e[1]]]
+
+
+@st.composite
+def relabelled_trees_and_cuts(draw):
+    """(tree, removed): a random tree with its vertices permuted, so that its
+    preorder from 0 is not in vertex order, and any subset of its edges."""
+    tree = draw(spanning_trees(min_n=1, max_n=12))
+    perm = draw(st.permutations(range(tree.n)))
+    edges = frozenset(canonical_edge(perm[u], perm[v]) for u, v in tree.edges)
+    removed = draw(st.sets(st.sampled_from(sorted(edges)))) if edges else set()
+    return SpanningTree(tree.n, edges), removed
+
+
+class TestComponents:
+    @pytest.mark.parametrize("edges", [
+        [(i, i + 1) for i in range(6)],  # path: every pair of cuts is nested
+        [(0, i) for i in range(1, 7)],  # star: no cut is nested
+        [(0, 3), (1, 3), (2, 5), (3, 6), (4, 6), (5, 6)],  # root 0 is a leaf
+    ], ids=["path", "star", "mixed"])
+    def test_every_cut_set_matches_bfs(self, edges):
+        tree = SpanningTree(7, frozenset(edges))
+        for k in range(len(edges) + 1):
+            for removed in combinations(edges, k):
+                assert_sides_match_bfs(tree, set(removed))
+
+    @given(relabelled_trees_and_cuts())
+    def test_random_trees_match_bfs(self, drawn):
+        assert_sides_match_bfs(*drawn)
 
 
 class TestGenSpec:

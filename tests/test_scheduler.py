@@ -7,6 +7,7 @@ import pytest
 
 from tempex.core import SpanningTree, TemporalGraph, parse_temporal_graph
 from tempex.gen import GenSpec, gen_random_deficient
+from tempex.roundabout import run_roundabout
 from tempex.scheduler import (
     Epoch,
     EpochPlan,
@@ -258,6 +259,22 @@ class TestExplore:
         assert stats.span == rho_for(k) * (delta + budget)
         assert stats.rho == 33
         assert all(c <= 6 * k for c in stats.active_counts)
+
+    def test_every_epoch_of_a_witness_plan_keeps_the_invariants(self):
+        # the pipeline runs its epochs unchecked; rerun each with every
+        # per-step property and the 6k survivor bound asserted
+        n, k = 20, 2
+        delta = n - 1
+        spec = GenSpec(n=n, lifetime=rho_for(k) * (delta + step_budget(n, k)), k=k, seed=3,
+                       tree_shape="random")
+        result = gen_random_deficient(spec)
+        run = explore_detailed(result.graph, k, delta, 0, tree=result.tree)
+        tour = build_dfs_tour(result.tree, 0)
+        assert len(run.plan.epochs) == rho_for(k)
+        for epoch, trace in zip(run.plan.epochs, run.traces, strict=True):
+            checked = run_roundabout(result.graph, tour, epoch.roundabout_times, run.plan.budget,
+                                     check_k=run.plan.k)
+            assert checked == trace
 
     def test_without_tree_uses_doubled_deficiency(self):
         n, k = 6, 1
