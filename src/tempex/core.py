@@ -11,7 +11,7 @@ immutable after construction and every operation is a pure function.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain
@@ -46,10 +46,20 @@ def _check_edges(n: int, edges: Iterable[Edge], what: str) -> None:
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Tree on all n vertices; exactly n-1 edges, connected and acyclic."""
+    """Tree on all n vertices; exactly n-1 edges, connected and acyclic.
+
+    The tree is rooted at 0 by one DFS that visits children in ascending
+    vertex id: ``parent[v]`` is v's parent (-1 for the root), ``preorder``
+    lists the vertices in visiting order, and v's subtree is
+    ``preorder[pre[v]:end[v]]``. None of these take part in equality.
+    """
 
     n: int
     edges: frozenset[Edge]
+    parent: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    preorder: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    pre: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    end: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -57,24 +67,35 @@ class SpanningTree:
         _check_edges(self.n, self.edges, "spanning tree")
         if len(self.edges) != self.n - 1:
             raise ValueError(f"spanning tree needs {self.n - 1} edges, got {len(self.edges)}")
-        adj: dict[int, list[int]] = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != self.n:
+        n = self.n
+        neighbours: list[list[int]] = [[] for _ in range(n)]
+        for u, v in sorted(self.edges):  # so each list comes out ascending
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        parent = [-1] * n
+        pre = [0] * n
+        seen = [False] * n
+        seen[0] = True
+        preorder: list[int] = []
+        stack = [0]
+        while stack:
+            u = stack.pop()
+            pre[u] = len(preorder)
+            preorder.append(u)
+            for w in reversed(neighbours[u]):  # the smallest child is popped first
+                if not seen[w]:  # marked when pushed, so a cycle cannot loop
+                    seen[w] = True
+                    parent[w] = u
+                    stack.append(w)
+        if len(preorder) != n:
             raise ValueError("spanning tree is not connected")
-        object.__setattr__(self, "_adj", {v: tuple(sorted(ns)) for v, ns in adj.items()})
-
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return self._adj  # type: ignore[attr-defined]
+        size = [1] * n
+        for v in reversed(preorder[1:]):
+            size[parent[v]] += size[v]
+        object.__setattr__(self, "parent", tuple(parent))
+        object.__setattr__(self, "preorder", tuple(preorder))
+        object.__setattr__(self, "pre", tuple(pre))
+        object.__setattr__(self, "end", tuple(p + s for p, s in zip(pre, size)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +143,8 @@ class TemporalGraph:
         """Move the base to the edges present in more than half the snapshots.
 
         Costs O(|base| + total diff): an edge's presence is the lifetime
-        minus its :meth:`absences`.
+        minus its :meth:`absences`. Each distinct (removed, added) pair is
+        rewritten once, and the steps that repeat it share the new tuples.
         """
         lifetime = self.lifetime
         absent = self.absences(lifetime)
@@ -130,14 +152,21 @@ class TemporalGraph:
         promoted = frozenset(e for e, c in absent.items() if 2 * c < lifetime and e not in self.base)
         if not demoted and not promoted:
             return
-        removed: list[tuple[Edge, ...]] = []
-        added: list[tuple[Edge, ...]] = []
-        for r, a in zip(self.removed, self.added):
-            removed.append(tuple(sorted([e for e in r if e not in demoted] + list(promoted.difference(a)))))
-            added.append(tuple(sorted(list(demoted.difference(r)) + [e for e in a if e not in promoted])))
+        rebased: dict[tuple[tuple[Edge, ...], tuple[Edge, ...]], tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
+        steps = []
+        for pair in zip(self.removed, self.added):
+            new = rebased.get(pair)
+            if new is None:
+                r, a = pair
+                new = rebased[pair] = (
+                    tuple(sorted([e for e in r if e not in demoted] + list(promoted.difference(a)))),
+                    tuple(sorted(list(demoted.difference(r)) + [e for e in a if e not in promoted])),
+                )
+            steps.append(new)
+        removed, added = zip(*steps)
         object.__setattr__(self, "base", self.base.difference(demoted).union(promoted))
-        object.__setattr__(self, "removed", tuple(removed))
-        object.__setattr__(self, "added", tuple(added))
+        object.__setattr__(self, "removed", removed)
+        object.__setattr__(self, "added", added)
 
     @classmethod
     def build(cls, n: int, snapshots: Iterable[Iterable[Edge]]) -> "TemporalGraph":

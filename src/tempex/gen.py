@@ -73,73 +73,45 @@ def _build_tree(shape: str, n: int, rng: SplitMix64) -> SpanningTree:
     return SpanningTree(n, frozenset(edges))
 
 
-class _RootedTree:
-    """The tree rooted at 0, with every subtree a slice of its DFS preorder.
+def _sides(tree: SpanningTree, removed: Iterable[Edge]) -> Iterator[tuple[Edge, list[int], list[int]]]:
+    """Per removed tree edge (u, v), in sorted order: the vertices of the
+    components holding u and v once every removed edge is gone, each list in
+    ascending vertex order.
 
-    Vertex v's subtree is ``order[pre[v]:end[v]]``. Removing tree edges cuts
-    the tree into components: each is the subtree of its top vertex (the root
-    or the child end of a removed edge) minus the subtrees of the cuts nested
-    directly inside it, so k removed edges give every component from O(k)
-    preorder intervals.
+    A component is the preorder slice of its top vertex (the root or the
+    child end of a removed edge) minus the slices of the cuts nested directly
+    inside it, so k removed edges give every component from O(k) intervals.
     """
+    parent, pre, end, order = tree.parent, tree.pre, tree.end, tree.preorder
+    cut_of = {e: e[0] if parent[e[0]] == e[1] else e[1] for e in removed}
+    outer: dict[int, int] = {}  # cut -> top of the component holding its parent
+    inner: dict[int, list[int]] = {0: []}  # top -> the cuts directly inside, in preorder
+    stack = [0]
+    for c in sorted(cut_of.values(), key=pre.__getitem__):
+        while end[stack[-1]] <= pre[c]:
+            stack.pop()
+        outer[c] = stack[-1]
+        inner[stack[-1]].append(c)
+        inner[c] = []
+        stack.append(c)
+    members: dict[int, list[int]] = {}
 
-    def __init__(self, tree: SpanningTree) -> None:
-        adjacency = tree.adjacency()
-        parent = [-1] * tree.n
-        order: list[int] = []
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            order.append(u)
-            for w in adjacency[u]:
-                if w != parent[u]:
-                    parent[w] = u
-                    stack.append(w)
-        pre = [0] * tree.n
-        for i, v in enumerate(order):
-            pre[v] = i
-        size = [1] * tree.n
-        for v in reversed(order[1:]):
-            size[parent[v]] += size[v]
-        self.parent = parent
-        self.order = order
-        self.pre = pre
-        self.end = [p + s for p, s in zip(pre, size)]
+    def component(top: int) -> list[int]:
+        got = members.get(top)
+        if got is None:
+            pieces = []
+            start = pre[top]
+            for c in inner[top]:
+                pieces.append(order[start:pre[c]])
+                start = end[c]
+            pieces.append(order[start:end[top]])
+            got = members[top] = sorted(chain.from_iterable(pieces))
+        return got
 
-    def sides(self, removed: Iterable[Edge]) -> Iterator[tuple[Edge, list[int], list[int]]]:
-        """Per removed tree edge (u, v), in sorted order: the vertices of the
-        components holding u and v once every removed edge is gone, each list
-        in ascending vertex order."""
-        parent, pre, end, order = self.parent, self.pre, self.end, self.order
-        cut_of = {e: e[0] if parent[e[0]] == e[1] else e[1] for e in removed}
-        outer: dict[int, int] = {}  # cut -> top of the component holding its parent
-        inner: dict[int, list[int]] = {0: []}  # top -> the cuts directly inside, in preorder
-        stack = [0]
-        for c in sorted(cut_of.values(), key=pre.__getitem__):
-            while end[stack[-1]] <= pre[c]:
-                stack.pop()
-            outer[c] = stack[-1]
-            inner[stack[-1]].append(c)
-            inner[c] = []
-            stack.append(c)
-        members: dict[int, list[int]] = {}
-
-        def component(top: int) -> list[int]:
-            got = members.get(top)
-            if got is None:
-                pieces = []
-                start = pre[top]
-                for c in inner[top]:
-                    pieces.append(order[start:pre[c]])
-                    start = end[c]
-                pieces.append(order[start:end[top]])
-                got = members[top] = sorted(chain.from_iterable(pieces))
-            return got
-
-        for e in sorted(cut_of):
-            c = cut_of[e]
-            below, above = component(c), component(outer[c])
-            yield (e, below, above) if e[0] == c else (e, above, below)
+    for e in sorted(cut_of):
+        c = cut_of[e]
+        below, above = component(c), component(outer[c])
+        yield (e, below, above) if e[0] == c else (e, above, below)
 
 
 def _bridge(left: list[int], right: list[int], removed: set[Edge], rng: SplitMix64) -> Optional[Edge]:
@@ -159,7 +131,7 @@ def _bridge(left: list[int], right: list[int], removed: set[Edge], rng: SplitMix
     return None
 
 
-def _reconnect(rooted: _RootedTree, removed: set[Edge], rng: SplitMix64) -> tuple[list[Edge], int]:
+def _reconnect(tree: SpanningTree, removed: set[Edge], rng: SplitMix64) -> tuple[list[Edge], int]:
     """Edges that reconnect the tree minus `removed`, and the fallback count.
 
     Each removed edge gets one bridging edge between the two components it
@@ -168,7 +140,7 @@ def _reconnect(rooted: _RootedTree, removed: set[Edge], rng: SplitMix64) -> tupl
     """
     added: list[Edge] = []
     fallbacks = 0
-    for e, left, right in rooted.sides(removed):
+    for e, left, right in _sides(tree, removed):
         bridge = _bridge(left, right, removed, rng)
         if bridge is None:
             added.append(e)
@@ -234,7 +206,6 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
     """Random instance whose every snapshot is k-deficient w.r.t. the witness tree."""
     tree = _build_tree(spec.tree_shape, spec.n, stream(spec.seed, 0))
     tree_edges = sorted(tree.edges)
-    rooted = _RootedTree(tree)
     non_tree = [
         (u, v)
         for u in range(spec.n)
@@ -253,7 +224,7 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
             if rng.chance(spec.extra_edge_rate):
                 present.add(pair)
         if removed and (bridged is None or t in bridged):
-            added, kept = _reconnect(rooted, removed, rng)
+            added, kept = _reconnect(tree, removed, rng)
             present.update(added)
             fallbacks += kept
         removals.append(removed)
@@ -285,8 +256,7 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
     if n == 1 or k == 0:
         return GenResult(TemporalGraph(n, tree.edges, ((),) * lifetime, ((),) * lifetime), tree, 0)
 
-    tour = build_dfs_tour(tree, 0)
-    rooted = _RootedTree(tree)
+    tour = build_dfs_tour(tree)
     state = RoundaboutState.initial(tour.n_positions)
     fallbacks = 0
     removals: list[set[Edge]] = []
@@ -303,7 +273,7 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
             removed.add(tour.tour_edge(states[i]))
             if len(removed) == k:
                 break
-        added, kept = _reconnect(rooted, removed, rng)
+        added, kept = _reconnect(tree, removed, rng)
         fallbacks += kept
         removals.append(removed)
         additions.append(set(added))

@@ -460,7 +460,7 @@ def explore_detailed(
 
     rho = rho_for(effective_k)
     budget = step_budget(graph.n, effective_k)
-    tour = build_dfs_tour(tree, 0)
+    tour = build_dfs_tour(tree)
     plan = partition_epochs(graph, tree, effective_k, delta, rho, budget)
     traces = run_epoch_traces(graph, tour, plan)
     choice, attempts = find_covering_tuple(traces, tour.n_positions, strategy)

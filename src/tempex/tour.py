@@ -10,7 +10,6 @@ single integer operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import Edge, SpanningTree, canonical_edge
 
@@ -67,29 +66,21 @@ class DfsTour:
         return self._edges[i - 1]  # type: ignore[attr-defined]
 
 
-def build_dfs_tour(tree: SpanningTree, root: int = 0) -> DfsTour:
-    """Deterministic DFS tour: children are visited in ascending vertex id."""
+def build_dfs_tour(tree: SpanningTree) -> DfsTour:
+    """The tree's DFS tour from root 0, children in ascending vertex id.
+
+    Read off the tree's preorder: go down to each vertex in turn, after
+    climbing parents from the previous one up to its parent; at the end,
+    climb back to the root.
+    """
     if tree.n < 2:
         raise ValueError("no tour exists for a single-vertex tree")
-    if not (0 <= root < tree.n):
-        raise ValueError(f"root {root} out of range")
-    adj = tree.adjacency()
-    seq = [root]
-    visited = {root}
-    stack: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
-    while stack:
-        _, neighbours = stack[-1]
-        advanced = False
-        for w in neighbours:
-            if w in visited:
-                continue
-            visited.add(w)
-            seq.append(w)
-            stack.append((w, iter(adj[w])))
-            advanced = True
-            break
-        if not advanced:
-            stack.pop()
-            if stack:
-                seq.append(stack[-1][0])
-    return DfsTour(tree, root, tuple(seq[:-1]))
+    parent = tree.parent
+    seq = [0]
+    for v in tree.preorder[1:]:
+        while seq[-1] != parent[v]:
+            seq.append(parent[seq[-1]])
+        seq.append(v)
+    while seq[-1] != 0:
+        seq.append(parent[seq[-1]])
+    return DfsTour(tree, 0, tuple(seq[:-1]))

@@ -60,7 +60,7 @@ def test_criterion_1_roundabout_step_properties():
         k = i % 4 + 1
         budget = step_budget(n, k)
         result = _mixed_instance(i, n, k, budget)
-        tour = build_dfs_tour(result.tree, 0)
+        tour = build_dfs_tour(result.tree)
         # check_k asserts coverage, distinctness, multiplicity, mass
         # and the shrinkage bound after every simulated step
         trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
@@ -95,7 +95,7 @@ def test_criterion_2_covering_fraction():
             else:
                 snapshots.append([(0, 1)])
         graph = TemporalGraph.build(2, snapshots)
-        tour = build_dfs_tour(tree, 0)
+        tour = build_dfs_tour(tree)
         plan = partition_epochs(graph, tree, 1, 1, rho, 1)
         traces = run_epoch_traces(graph, tour, plan)
         product = 1

@@ -63,7 +63,7 @@ def test_traced_counters_and_deficiency_count():
     # the set-difference reference that missing() must agree with
     result = gen_random_deficient(GenSpec(n=9, lifetime=6, k=2, seed=3, tree_shape="random"))
     graph, tree = result.graph, result.tree
-    tour = build_dfs_tour(tree, 0)
+    tour = build_dfs_tour(tree)
     state = RoundaboutState.initial(tour.n_positions)
     blocked = next(graph.missing(tree.edges, [1]))
     args = (state, blocked, tour)

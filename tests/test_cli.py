@@ -242,6 +242,16 @@ class TestExitCodes:
             assert f"cannot read {tmp_path}" in proc.stderr
             assert "Traceback" not in proc.stderr
 
+    def test_tree_with_a_cycle_is_usage_error(self, tmp_path):
+        graph = tmp_path / "g.tg"
+        graph.write_text("4 2\n" + "3\n0 1\n1 2\n2 3\n" * 2)
+        tree = tmp_path / "cycle.tree"
+        tree.write_text("0 1\n1 2\n0 2\n")
+        proc = run_cli("explore", "--graph", str(graph), "--k", "1", "--tree", str(tree))
+        assert proc.returncode == 2
+        assert "bad input: spanning tree is not connected" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("shape", ["gen", "tree", "explore-stats", "bench"])
     def test_write_failure_says_cannot_write(self, tmp_path, shape):
         afile = tmp_path / "afile"

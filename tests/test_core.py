@@ -310,6 +310,44 @@ class TestParse:
             parse_spanning_tree("0 1\n", 3)
 
 
+class TestSpanningTree:
+    @pytest.mark.parametrize("edges", [
+        {(0, 1), (1, 2), (0, 2)},  # a triangle through the root, 3 unreached
+        {(1, 2), (2, 3), (1, 3)},  # a triangle the root is not on
+    ])
+    def test_cycle_is_not_connected(self, edges):
+        with pytest.raises(ValueError, match="spanning tree is not connected"):
+            SpanningTree(4, frozenset(edges))
+
+    @given(spanning_trees(min_n=1, max_n=12), st.data())
+    def test_rooting_at_zero(self, tree, data):
+        perm = data.draw(st.permutations(range(tree.n)))
+        tree = SpanningTree(tree.n, frozenset(canonical_edge(perm[u], perm[v]) for u, v in tree.edges))
+        parent, order, pre, end = tree.parent, tree.preorder, tree.pre, tree.end
+        assert parent[0] == -1 and order[0] == 0 and sorted(order) == list(range(tree.n))
+        assert {canonical_edge(v, parent[v]) for v in range(1, tree.n)} == tree.edges
+        for v in range(tree.n):
+            assert order[pre[v]] == v
+            below = {w for w in range(tree.n) if v in ancestors(parent, w)}
+            assert set(order[pre[v]:end[v]]) == below and end[v] - pre[v] == len(below)
+            children = [w for w in order if parent[w] == v]
+            assert children == sorted(children)
+
+    def test_rooting_is_not_part_of_equality(self):
+        a = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+        b = SpanningTree(3, frozenset({(1, 2), (0, 1)}))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"SpanningTree(n=3, edges={a.edges!r})"
+
+
+def ancestors(parent, v):
+    """v and every vertex above it, up to the root."""
+    chain = [v]
+    while parent[chain[-1]] != -1:
+        chain.append(parent[chain[-1]])
+    return chain
+
+
 class TestDeficiency:
     def test_full_tree_present(self, path3_tree):
         assert deficiency_count({(0, 1), (1, 2)}, path3_tree) == 0
@@ -357,6 +395,22 @@ class TestDeltaForm:
         assert absence_weights(g, prefix).weights == {
             e: sum(e not in snap for snap in ref[:prefix]) for e in g.underlying()
         }
+
+    def test_rebase_shares_each_distinct_diff(self):
+        a = [(0, 1)]
+        b = [(0, 1), (0, 3), (1, 2), (2, 3)]
+        c = [(0, 1), (0, 2), (1, 2), (2, 3)]
+        ref = [a, b, c, b, c, b, c]  # the majority graph is 0-1-2-3, not the first block
+        text = "4 7\n" + "".join(f"{len(s)}\n" + "".join(f"{u} {v}\n" for u, v in s) for s in ref)
+        built = TemporalGraph.build(4, ref)
+        for g in (parse_temporal_graph(text), built):
+            assert g.base == frozenset({(0, 1), (1, 2), (2, 3)})
+            assert g.removed[0] == ((1, 2), (2, 3))
+            assert g.added[1] == ((0, 3),) and g.added[2] == ((0, 2),)
+            for t in (3, 5):
+                assert g.added[t] is g.added[1] and g.removed[t] is g.removed[1]
+                assert g.added[t + 1] is g.added[2] and g.removed[t + 1] is g.removed[2]
+            assert g == built
 
     @given(near_static_snapshots())
     def test_base_is_the_majority_graph(self, drawn):

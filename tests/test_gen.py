@@ -15,7 +15,7 @@ from tempex.core import (
     serialize_temporal_graph,
     verify_delta_connectivity,
 )
-from tempex.gen import GenSpec, _RootedTree, gen_blocking_front, gen_random_deficient
+from tempex.gen import GenSpec, _sides, gen_blocking_front, gen_random_deficient
 from tempex.roundabout import run_roundabout
 from tempex.scheduler import rho_for, step_budget
 from tempex.tour import build_dfs_tour
@@ -37,9 +37,15 @@ def snapshot_is_connected(n: int, edges) -> bool:
     return len(seen) == n
 
 
-def bfs_components(n, adjacency, removed):
+def bfs_components(tree, removed):
     """Reference component labels of the tree minus `removed`: one BFS from
-    each unlabelled vertex, in vertex order."""
+    each unlabelled vertex, in vertex order, over an adjacency built from the
+    edge set."""
+    n = tree.n
+    adjacency = {v: [] for v in range(n)}
+    for u, v in tree.edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
     label = [-1] * n
     comp = 0
     for v0 in range(n):
@@ -58,11 +64,11 @@ def bfs_components(n, adjacency, removed):
 
 
 def assert_sides_match_bfs(tree, removed):
-    label = bfs_components(tree.n, tree.adjacency(), removed)
+    label = bfs_components(tree, removed)
     members = {}
     for v, c in enumerate(label):
         members.setdefault(c, []).append(v)
-    sides = list(_RootedTree(tree).sides(removed))
+    sides = list(_sides(tree, removed))
     assert [e for e, _, _ in sides] == sorted(removed)
     for e, left, right in sides:
         assert left == members[label[e[0]]]
@@ -189,7 +195,7 @@ class TestBlockingFront:
     def test_blocks_most_steps(self):
         n, k = 8, 1
         result = gen_blocking_front(n, k, 60, 0)
-        tour = build_dfs_tour(result.tree, 0)
+        tour = build_dfs_tour(result.tree)
         budget = (n - 1) // k
         trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
         blocked_steps = 0
@@ -212,7 +218,7 @@ class TestBlockingFront:
         # a lead agent goes unblocked only at a step where a removed tree
         # edge had no bridging chord and was kept
         result = gen_blocking_front(n, k, lifetime, seed)
-        tour = build_dfs_tour(result.tree, 0)
+        tour = build_dfs_tour(result.tree)
         budget = step_budget(n, k)
         trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget)
         blocked_steps = 0

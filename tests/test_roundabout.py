@@ -19,7 +19,7 @@ from tempex.tour import build_dfs_tour
 
 @pytest.fixture
 def path3_tour(path3_tree):
-    return build_dfs_tour(path3_tree, 0)
+    return build_dfs_tour(path3_tree)
 
 
 def make_state(n_positions: int, agents_moves: dict[int, int], step: int = 1) -> RoundaboutState:
@@ -147,7 +147,7 @@ class TestRunRoundabout:
         spec = GenSpec(n=n, lifetime=budget, k=k, seed=seed, tree_shape="random",
                        connectivity="per-snapshot", extra_edge_rate=0.1)
         result = gen_random_deficient(spec)
-        tour = build_dfs_tour(result.tree, 0)
+        tour = build_dfs_tour(result.tree)
         trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
         assert len(trace.final.agents) <= 6 * k
 
@@ -156,7 +156,7 @@ class TestRunRoundabout:
         # re-derive every logged state from its predecessor and the tree
         # edges the snapshot lacks
         result = gen_blocking_front(7, 2, 20, seed)
-        tour = build_dfs_tour(result.tree, 0)
+        tour = build_dfs_tour(result.tree)
         trace = run_roundabout(result.graph, tour, range(1, 4), 3)
         assert trace.times == (1, 2, 3)
         assert trace.history[0] == RoundaboutState.initial(tour.n_positions)
@@ -170,7 +170,7 @@ class TestRunRoundabout:
         # edges each step lacks, never a whole snapshot
         result = gen_random_deficient(GenSpec(n=12, lifetime=10, k=2, seed=4, tree_shape="random",
                                               extra_edge_rate=0.2))
-        tour = build_dfs_tour(result.tree, 0)
+        tour = build_dfs_tour(result.tree)
         expected = run_roundabout(result.graph, tour, range(1, 6), 5, check_k=2)
         front = gen_blocking_front(7, 2, 20, 0)
 

@@ -36,7 +36,7 @@ from tempex.tour import build_dfs_tour
 
 @pytest.fixture
 def path3_tour(path3_tree):
-    return build_dfs_tour(path3_tree, 0)
+    return build_dfs_tour(path3_tree)
 
 
 @pytest.fixture
@@ -144,7 +144,7 @@ class TestCoveringTuples:
         graph = TemporalGraph.build(2, [[(0, 1)], [(0, 1)]])
         tree = SpanningTree(2, frozenset({(0, 1)}))
         plan = partition_epochs(graph, tree, 1, 1, 1, 1)
-        traces = run_epoch_traces(graph, build_dfs_tour(tree, 0), plan)
+        traces = run_epoch_traces(graph, build_dfs_tour(tree), plan)
         assert traces[0].final.arc_masks()[0] == 0b11
         assert is_covering_tuple(traces[0].final.agents[:1], traces, 2)
 
@@ -152,7 +152,7 @@ class TestCoveringTuples:
         graph = TemporalGraph.build(2, [[(0, 1)]] * 6)
         tree = SpanningTree(2, frozenset({(0, 1)}))
         plan = partition_epochs(graph, tree, 1, 1, 3, 1)
-        traces = run_epoch_traces(graph, build_dfs_tour(tree, 0), plan)
+        traces = run_epoch_traces(graph, build_dfs_tour(tree), plan)
         _, attempts = find_covering_tuple(traces, 2, LasVegas(seed=0))
         assert attempts == 1
 
@@ -269,7 +269,7 @@ class TestExplore:
                        tree_shape="random")
         result = gen_random_deficient(spec)
         run = explore_detailed(result.graph, k, delta, 0, tree=result.tree)
-        tour = build_dfs_tour(result.tree, 0)
+        tour = build_dfs_tour(result.tree)
         assert len(run.plan.epochs) == rho_for(k)
         for epoch, trace in zip(run.plan.epochs, run.traces, strict=True):
             checked = run_roundabout(result.graph, tour, epoch.roundabout_times, run.plan.budget,

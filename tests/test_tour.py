@@ -19,6 +19,34 @@ def arc_members(i: int, j: int, n: int) -> set[int]:
     return set(range(i, n + 1)) | set(range(1, j + 1))
 
 
+def reference_dfs_tour(tree: SpanningTree) -> tuple[int, ...]:
+    """Reference tour: an iterator-stack DFS from 0 over an adjacency built
+    from the edge set, children in ascending vertex id."""
+    adj: dict[int, list[int]] = {v: [] for v in range(tree.n)}
+    for u, v in tree.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seq = [0]
+    visited = {0}
+    stack = [(0, iter(sorted(adj[0])))]
+    while stack:
+        _, neighbours = stack[-1]
+        advanced = False
+        for w in neighbours:
+            if w in visited:
+                continue
+            visited.add(w)
+            seq.append(w)
+            stack.append((w, iter(sorted(adj[w]))))
+            advanced = True
+            break
+        if not advanced:
+            stack.pop()
+            if stack:
+                seq.append(stack[-1][0])
+    return tuple(seq[:-1])
+
+
 def positions(mask: int) -> set[int]:
     """Tour positions (1-indexed) whose bits are set in mask."""
     return {i + 1 for i in range(mask.bit_length()) if mask >> i & 1}
@@ -65,25 +93,25 @@ class TestCircularInterval:
 class TestBuildTour:
     def test_path_tree(self):
         tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
-        tour = build_dfs_tour(tree, 0)
+        tour = build_dfs_tour(tree)
         assert tour.vertices == (0, 1, 2, 1)
         assert tour.n_positions == 4
 
     def test_star_tree(self):
         tree = SpanningTree(4, frozenset({(0, 1), (0, 2), (0, 3)}))
-        tour = build_dfs_tour(tree, 0)
+        tour = build_dfs_tour(tree)
         assert tour.vertices == (0, 1, 0, 2, 0, 3)
         assert tour.n_positions == 6
 
     def test_single_edge(self):
         tree = SpanningTree(2, frozenset({(0, 1)}))
-        tour = build_dfs_tour(tree, 0)
+        tour = build_dfs_tour(tree)
         assert tour.vertices == (0, 1)
         assert tour.n_positions == 2
 
     def test_single_vertex_has_no_tour(self):
         with pytest.raises(ValueError):
-            build_dfs_tour(SpanningTree(1, frozenset()), 0)
+            build_dfs_tour(SpanningTree(1, frozenset()))
 
     @pytest.mark.parametrize("vertices, message", [
         ((0, 1), "tour length must be 2(n-1)"),
@@ -97,16 +125,9 @@ class TestBuildTour:
         with pytest.raises(ValueError, match=re.escape(message)):
             DfsTour(tree, 0, vertices)
 
-    def test_root_override(self):
-        tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
-        tour = build_dfs_tour(tree, 1)
-        assert tour.vertices[0] == 1
-        assert tour.n_positions == 4
-
-    @given(spanning_trees(max_n=10), st.data())
-    def test_tour_covers_all_vertices_and_edges_twice(self, tree, data):
-        root = data.draw(st.integers(0, tree.n - 1))
-        tour = build_dfs_tour(tree, root)
+    @given(spanning_trees(max_n=10))
+    def test_tour_covers_all_vertices_and_edges_twice(self, tree):
+        tour = build_dfs_tour(tree)
         assert set(tour.vertices) == set(range(tree.n))
         assert tour.n_positions == 2 * (tree.n - 1)
         counts = Counter(tour.tour_edge(i) for i in range(1, tour.n_positions + 1))
@@ -116,4 +137,10 @@ class TestBuildTour:
 
     @given(spanning_trees(max_n=10))
     def test_tour_is_deterministic(self, tree):
-        assert build_dfs_tour(tree, 0) == build_dfs_tour(tree, 0)
+        assert build_dfs_tour(tree) == build_dfs_tour(tree)
+
+    @given(spanning_trees(max_n=14), st.data())
+    def test_matches_iterator_dfs_reference(self, tree, data):
+        perm = data.draw(st.permutations(range(tree.n)))
+        tree = SpanningTree(tree.n, frozenset(canonical_edge(perm[u], perm[v]) for u, v in tree.edges))
+        assert build_dfs_tour(tree).vertices == reference_dfs_tour(tree)
