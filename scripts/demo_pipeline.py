@@ -21,8 +21,6 @@ from tempex.scheduler import (
     LasVegas,
     explore,
     recovery_prefix,
-    rho_for,
-    step_budget,
     verify_schedule,
 )
 
@@ -51,7 +49,6 @@ def main() -> int:
     print("\nwith witness tree:")
     print(json.dumps(stats.to_json_dict(), indent=2, sort_keys=True))
     print(f"verdict: {report.describe()}")
-    print(f"span budget: rho*(delta+t) = {rho_for(k) * (delta + step_budget(n, k))}")
 
     schedule2, stats2 = explore(result.graph, k, delta, 0, strategy=LasVegas(seed=seed))
     report2 = verify_schedule(result.graph, 0, schedule2)

@@ -131,6 +131,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     if args.stats and not args.out:
         raise ValueError("--stats needs --out")
+    strategy = LasVegas(seed=args.seed, max_attempts=args.max_attempts)
     graph = _load_graph(args.graph)
     tree = None
     if args.tree is not None:
@@ -147,7 +148,6 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if not report.ok:
             print(f"delta check failed: witness {report.witness}", file=sys.stderr)
             return 1
-    strategy = LasVegas(seed=args.seed, max_attempts=args.max_attempts)
     run = explore_detailed(graph, args.k, delta, args.start, tree, strategy)
     if args.trace:
         for i, trace in enumerate(run.traces, start=1):
@@ -267,7 +267,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
     with _writing():
         out.parent.mkdir(parents=True, exist_ok=True)
-    header = "instance,n,k,delta,rho,t,scheduleSpan,scheduleLength,tau,attempts,wallMillis"
+    header = "instance,n,k,delta,rho,t,epochs,scheduleSpan,scheduleLength,coverStep,tau,attempts,wallMillis"
     lines = [header]
     for i, row in enumerate(rows):
         n, k, delta, seed = row["n"], row["k"], row["delta"], row["seed"]
@@ -289,8 +289,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         wall_ms = int((time.perf_counter() - started) * 1000)
         stats = run.stats
         lines.append(
-            f"bench-{i},{n},{k},{delta},{stats.rho},{stats.budget},"
-            f"{stats.span},{stats.length},{tau(n, k, delta):.3f},{stats.attempts},{wall_ms}"
+            f"bench-{i},{n},{k},{delta},{stats.rho},{stats.budget},{stats.epoch_count},"
+            f"{stats.span},{stats.length},{stats.cover_step},{tau(n, k, delta):.3f},"
+            f"{stats.attempts},{wall_ms}"
         )
     with _writing():
         out.write_text("\n".join(lines) + "\n")

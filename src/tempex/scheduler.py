@@ -2,20 +2,27 @@
 
 The pipeline: partition a timeline prefix into rho epochs (a delta-step
 repositioning window followed by enough deficient snapshots to run the
-roundabout for its step budget), pick one surviving agent per epoch whose
-visited arcs jointly cover the whole tour, then have a single explorer
-reposition to each chosen agent's start and replay its moves.
+roundabout for its step budget), then run the epochs one at a time. Each
+epoch draws one surviving agent, and a single explorer repositions to that
+agent's start and replays its moves; the run stops after the first epoch by
+whose end every vertex has been visited. The draws are those of the first
+attempt of the Las Vegas covering-tuple search, so when that attempt covers
+the tour the schedule is the full-plan schedule cut at an epoch end. When a
+vertex is still unvisited after epoch rho, the search picks a tuple whose
+visited arcs jointly cover the whole tour, and the explorer replays it over
+all rho epochs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TypeVar
 
 from .core import (
     ParseError,
+    Route,
     SpanningTree,
     TemporalGraph,
     canonical_edge,
@@ -27,6 +34,7 @@ from .tour import DfsTour, build_dfs_tour
 from .treefind import find_good_tree
 
 Action = Optional[tuple[int, int]]  # None = wait, (u, v) = traverse from u to v
+T = TypeVar("T")
 
 
 class InsufficientSnapshots(Exception):
@@ -179,6 +187,11 @@ class LasVegas:
             raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
 
 
+def _draw(rng: SplitMix64, survivors: Sequence[T]) -> T:
+    """One uniform draw among an epoch's survivors, listed in ascending agent order."""
+    return survivors[rng.below(len(survivors))]
+
+
 def find_covering_tuple(
     traces: Sequence[RoundaboutTrace],
     n_positions: int,
@@ -196,7 +209,7 @@ def find_covering_tuple(
         union = 0
         sel: list[int] = []
         for options in per_epoch:
-            agent, mask = options[rng.below(len(options))]
+            agent, mask = _draw(rng, options)
             sel.append(agent)
             union |= mask
         if union == full:
@@ -306,6 +319,37 @@ def parse_schedule(text: str) -> Schedule:
     return Schedule(start, first_step if first_step is not None else 1, tuple(actions))
 
 
+def _reposition_and_replay(
+    graph: TemporalGraph,
+    tour: DfsTour,
+    number: int,
+    epoch: Epoch,
+    trace: RoundaboutTrace,
+    agent: int,
+    at: int,
+) -> tuple[Route, int]:
+    """The explorer's timed moves in epoch `number`, starting at vertex `at`:
+    a foremost walk to the agent's start vertex inside the repositioning
+    window, then the agent's moves from the trace. Also returns the vertex
+    where the explorer ends the epoch."""
+    target = tour.vertex(agent)
+    window = (epoch.start, epoch.reposition_end)
+    walk = () if at == target else foremost_walk(graph, window, at).walk_to(target)
+    if walk is None:
+        raise RepositionFailed(number, target)
+    route = (*walk, *trace.moves_of(agent, tour))
+    return route, route[-1][1][1] if route else at
+
+
+def _write_schedule(start: int, end: int, routes: Sequence[Route]) -> Schedule:
+    """Schedule over steps 1..end that makes the routes' timed moves and waits otherwise."""
+    actions: list[Action] = [None] * end
+    for route in routes:
+        for t, move in route:
+            actions[t - 1] = move
+    return Schedule(start, 1, tuple(actions))
+
+
 def assemble_schedule(
     graph: TemporalGraph,
     tour: DfsTour,
@@ -319,19 +363,28 @@ def assemble_schedule(
     from the trace, both written as timed moves into the actions."""
     if len(traces) != len(plan.epochs) or len(choice) != len(plan.epochs):
         raise ValueError("plan, traces and choice must align")
-    actions: list[Action] = [None] * plan.epochs[-1].end
-    cur = start
+    routes: list[Route] = []
+    at = start
     for number, (epoch, trace, s) in enumerate(zip(plan.epochs, traces, choice), start=1):
-        target = tour.vertex(s)
-        window = (epoch.start, epoch.reposition_end)
-        walk = () if cur == target else foremost_walk(graph, window, cur).walk_to(target)
-        if walk is None:
-            raise RepositionFailed(number, target)
-        replay = trace.moves_of(s, tour)
-        for t, move in (*walk, *replay):
-            actions[t - 1] = move
-        cur = replay[-1][1][1] if replay else target
-    return Schedule(start, 1, tuple(actions))
+        route, at = _reposition_and_replay(graph, tour, number, epoch, trace, s, at)
+        routes.append(route)
+    return _write_schedule(start, plan.epochs[-1].end, routes)
+
+
+def cover_step(schedule: Schedule, n: int) -> Optional[int]:
+    """First step by which the explorer has visited all n vertices.
+
+    0 when its start vertex is the only one; None when it never visits them all.
+    """
+    seen = {schedule.start}
+    if len(seen) == n:
+        return 0
+    for t, action in enumerate(schedule.actions, start=schedule.first_step):
+        if action is not None and action[1] not in seen:
+            seen.add(action[1])
+            if len(seen) == n:
+                return t
+    return None
 
 
 @dataclass(frozen=True)
@@ -381,6 +434,10 @@ def verify_schedule(graph: TemporalGraph, start: int, schedule: Schedule) -> Ver
 
 @dataclass(frozen=True)
 class ExploreStats:
+    """What a run did. `rho` is the paper's epoch count and `paper_budget`
+    its span bound rho*(delta+t); `epoch_count` counts the epochs run, and
+    `cover_step` is the step by which every vertex has been visited."""
+
     rho: int
     budget: int
     epoch_count: int
@@ -388,6 +445,8 @@ class ExploreStats:
     attempts: int
     span: int
     length: int
+    paper_budget: int
+    cover_step: Optional[int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -398,6 +457,8 @@ class ExploreStats:
             "attempts": self.attempts,
             "scheduleSpan": self.span,
             "scheduleLength": self.length,
+            "paperBudget": self.paper_budget,
+            "coverStep": self.cover_step,
         }
 
 
@@ -407,13 +468,46 @@ def run_epoch_traces(graph: TemporalGraph, tour: DfsTour, plan: EpochPlan) -> li
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """Everything the pipeline produced, for diagnostics and the CLI."""
+    """Everything the pipeline produced, for diagnostics and the CLI.
+
+    `plan` holds the epochs run, and `traces` and `choice` hold one entry
+    per epoch run: its roundabout run and the agent the explorer replayed.
+    """
 
     schedule: Schedule
     stats: ExploreStats
     tree: Optional[SpanningTree]
     plan: Optional[EpochPlan]
     traces: tuple[RoundaboutTrace, ...]
+    choice: tuple[int, ...]
+
+
+def _explore_until_cover(
+    graph: TemporalGraph, tour: DfsTour, plan: EpochPlan, strategy: LasVegas, start: int
+) -> tuple[list[RoundaboutTrace], list[int], Optional[Schedule]]:
+    """Run the plan's epochs in order until the explorer has visited every vertex.
+
+    Epoch j replays the agent that attempt 1 of find_covering_tuple draws
+    for epoch j. Returns the traces and the agents of the epochs run, and
+    the schedule through the end of the last of them; the schedule is None
+    when a vertex is still unvisited after the last epoch of the plan.
+    """
+    rng = SplitMix64(strategy.seed)
+    traces: list[RoundaboutTrace] = []
+    choice: list[int] = []
+    routes: list[Route] = []
+    at, seen = start, {start}
+    for number, epoch in enumerate(plan.epochs, start=1):
+        trace = run_roundabout(graph, tour, epoch.roundabout_times, plan.budget)
+        agent = _draw(rng, trace.final.agents)
+        route, at = _reposition_and_replay(graph, tour, number, epoch, trace, agent, at)
+        traces.append(trace)
+        choice.append(agent)
+        routes.append(route)
+        seen.update(v for _, (_, v) in route)
+        if len(seen) == graph.n:
+            return traces, choice, _write_schedule(start, epoch.end, routes)
+    return traces, choice, None
 
 
 def explore_detailed(
@@ -428,8 +522,12 @@ def explore_detailed(
 
     With a witness tree the pipeline runs at deficiency k; without one it
     first recovers a tree from the absence counts of a timeline prefix and
-    runs at deficiency 2k. Raises InsufficientSnapshots or RepositionFailed
-    when the input does not meet the corresponding hypothesis.
+    runs at deficiency 2k. Epochs run one at a time until the explorer has
+    visited every vertex (see _explore_until_cover). If a vertex is still
+    unvisited after all rho epochs, the Las Vegas search picks a covering
+    tuple over them and the explorer replays it. Raises InsufficientSnapshots
+    when the timeline cannot hold rho epochs, and RepositionFailed when an
+    epoch run cannot reach its agent's start.
     """
     if not (0 <= start < graph.n):
         raise ValueError(f"start {start} out of range")
@@ -447,7 +545,8 @@ def explore_detailed(
     if strategy is None:
         strategy = LasVegas()
     if graph.n == 1:
-        return PipelineRun(Schedule(start, 1, ()), ExploreStats(0, 0, 0, (), 0, 0, 0), None, None, ())
+        stats = ExploreStats(0, 0, 0, (), 0, 0, 0, 0, 0)
+        return PipelineRun(Schedule(start, 1, ()), stats, None, None, (), ())
 
     if tree is None:
         q = recovery_prefix(graph.n, k, delta)
@@ -462,9 +561,15 @@ def explore_detailed(
     budget = step_budget(graph.n, effective_k)
     tour = build_dfs_tour(tree)
     plan = partition_epochs(graph, tree, effective_k, delta, rho, budget)
-    traces = run_epoch_traces(graph, tour, plan)
-    choice, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
-    schedule = assemble_schedule(graph, tour, plan, traces, choice, start)
+    traces, choice, schedule = _explore_until_cover(graph, tour, plan, strategy, start)
+    if schedule is None:
+        # The epochs ran attempt 1's draws and did not cover the tour; the
+        # search draws attempt 1 again, rejects it and goes on.
+        choice, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
+        schedule = assemble_schedule(graph, tour, plan, traces, choice, start)
+    else:
+        attempts = 1
+        plan = replace(plan, epochs=plan.epochs[: len(traces)])
     stats = ExploreStats(
         rho,
         budget,
@@ -473,8 +578,10 @@ def explore_detailed(
         attempts,
         schedule.span,
         schedule.length,
+        rho * (delta + budget),
+        cover_step(schedule, graph.n),
     )
-    return PipelineRun(schedule, stats, tree, plan, tuple(traces))
+    return PipelineRun(schedule, stats, tree, plan, tuple(traces), tuple(choice))
 
 
 def explore(

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from cliutil import run_cli
+from reference import assert_cut_of_full_plan
 from tempex.core import SpanningTree, TemporalGraph, foremost_walk
 from tempex.gen import GenSpec, GenResult, gen_blocking_front, gen_random_deficient
 from tempex.oracle import foremost_arrival_oracle, optimal_exploration_time
@@ -134,8 +135,13 @@ def test_criterion_3_las_vegas_efficiency():
 
 
 def test_criterion_4_end_to_end_with_witness_tree():
-    """100 instances with witness tree and all snapshots deficient."""
+    """100 instances with witness tree and all snapshots deficient.
+
+    Each run stops after the epoch that completes the visit; its schedule is
+    the full-plan schedule (all rho epochs) cut at that epoch's end.
+    """
     ranges = {1: (5, 40), 2: (6, 30), 3: (8, 24), 4: (9, 14)}
+    most_epochs = 0
     for i in range(100):
         k = i % 4 + 1
         lo, hi = ranges[k]
@@ -145,14 +151,17 @@ def test_criterion_4_end_to_end_with_witness_tree():
         rho = rho_for(k)
         lifetime = rho * (delta + budget)
         result = _mixed_instance(i, n, k, lifetime, connected=True)
-        run = explore_detailed(result.graph, k, delta, i % n, tree=result.tree,
-                               strategy=LasVegas(seed=i))
+        strategy = LasVegas(seed=i)
+        run = explore_detailed(result.graph, k, delta, i % n, tree=result.tree, strategy=strategy)
         report = verify_schedule(result.graph, i % n, run.schedule)
         assert report.ok, report.describe()
-        assert run.stats.span <= rho * (delta + budget + delta)
         # all snapshots deficient, so greedy epochs consume nothing extra
-        assert run.stats.span == rho * (delta + budget)
-    _passed(4, "100 instances verified; spans exactly rho*(delta+t)")
+        epochs = run.stats.epoch_count
+        assert run.stats.span == epochs * (delta + budget) == run.plan.epochs[-1].end
+        assert epochs <= rho and run.stats.span <= run.stats.paper_budget == rho * (delta + budget)
+        assert_cut_of_full_plan(result.graph, run, delta, i % n, strategy)
+        most_epochs = max(most_epochs, epochs)
+    _passed(4, f"100 instances verified; spans exactly epochs*(delta+t), at most {most_epochs} epochs")
 
 
 def test_criterion_5_end_to_end_without_witness_tree():

@@ -90,5 +90,8 @@ def test_explore_run_fields():
     assert run.tree.edges == result.tree.edges
     assert run.schedule.first_step == 1
     assert len(run.schedule.actions) == run.schedule.span
+    # the run's plan holds only the epochs run, and the schedule ends with the last
+    assert run.schedule.span == run.plan.epochs[-1].end
+    assert run.stats.cover_step <= run.schedule.span <= run.stats.paper_budget
     failures = tempex.cli.ALGORITHMIC_FAILURES
     assert isinstance(failures, tuple) and all(issubclass(e, Exception) for e in failures)

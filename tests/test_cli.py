@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from cliutil import run_cli
-from tempex.core import parse_temporal_graph
+from reference import full_plan_schedule
+from tempex.core import parse_spanning_tree, parse_temporal_graph
+from tempex.scheduler import LasVegas, parse_schedule
 from test_core import per_source_delta_check
 
 
@@ -38,7 +40,18 @@ class TestPipeline:
         assert proc.returncode == 0, proc.stderr
         stats = json.loads(proc.stdout)
         assert stats["rho"] == 33
-        assert stats["epochs"] == 33
+        # the run stops after the epoch that completes the visit: its schedule is
+        # the full-plan schedule cut at that epoch's end
+        parsed = parse_temporal_graph(graph.read_text())
+        plan, full, attempts = full_plan_schedule(
+            parsed, parse_spanning_tree(tree.read_text(), 6), 1, 5, 0, LasVegas(seed=1)
+        )
+        assert attempts == 1
+        assert 1 <= stats["epochs"] < 33
+        end = plan.epochs[stats["epochs"] - 1].end
+        assert stats["scheduleSpan"] == end <= stats["paperBudget"] == 33 * (5 + 5)
+        assert parse_schedule(sched.read_text()).actions == full.actions[:end]
+        assert stats["coverStep"] <= end
         manifest = json.loads((tmp_path / "sched.txt.manifest.json").read_text())
         assert manifest["parameters"] == {"k": 1, "delta": 5, "start": 0, "seed": 1}
 
@@ -181,10 +194,15 @@ class TestSubcommands:
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().splitlines()
         assert lines[0] == (
-            "instance,n,k,delta,rho,t,scheduleSpan,scheduleLength,tau,attempts,wallMillis"
+            "instance,n,k,delta,rho,t,epochs,scheduleSpan,scheduleLength,coverStep,tau,"
+            "attempts,wallMillis"
         )
         assert len(lines) == 3
         assert lines[1].startswith("bench-0,5,1,4,33,")
+        for line in lines[1:]:
+            row = dict(zip(lines[0].split(","), line.split(",")))
+            assert 1 <= int(row["epochs"]) <= int(row["rho"])
+            assert 1 <= int(row["coverStep"]) <= int(row["scheduleSpan"])
 
 
 class TestExitCodes:
@@ -290,6 +308,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "must be at least 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_max_attempts_is_checked_before_any_input(self, tmp_path):
+        # the graph fails the delta check, which would exit 1 had it run
+        graph = tmp_path / "g.tg"
+        graph.write_text("3 2\n1\n0 1\n2\n0 1\n1 2\n")
+        out = tmp_path / "s.txt"
+        proc = run_cli(
+            "explore", "--graph", str(graph), "--k", "1", "--delta", "1",
+            "--max-attempts", "0", "--check-delta", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "bad input: max_attempts must be at least 1, got 0" in proc.stderr
+        assert "delta check" not in proc.stderr
+        assert proc.stdout == ""
+        assert list(tmp_path.iterdir()) == [graph]
 
     @pytest.mark.parametrize("flags", [
         ["--strategy", "enumerate"],

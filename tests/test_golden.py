@@ -1,7 +1,9 @@
 """Golden hashes of pipeline outputs for fixed (instance, seed) pairs.
 
 Refactors must leave every schedule, stats record and roundabout trace
-byte-identical; a changed hash here means behaviour changed.
+byte-identical; a changed hash here means behaviour changed. The full-plan
+schedule of each case is pinned too, and the pipeline's schedule must be it
+cut at an epoch end.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import json
 
 import pytest
 
+from reference import assert_cut_of_full_plan
 from tempex.core import serialize_temporal_graph
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.scheduler import (
@@ -77,67 +80,93 @@ def fingerprint(name: str) -> tuple[str, str, str, str]:
 GOLDEN = {
     'blocking-front-k2': (
         'c9e13a57757aab10f1836d8e56538ff3c13837a18e9b68d6c04d2e4150d18f1f',
-        '5fa2193717f93a8d944bbd033b72ba66ccaf466a21244e9776b2710d9bb2de94',
-        '65d5dd1343e24e48d4cde1074516ae1d4677a1c7cb67f193e9fb5ca0f56f835b',
-        '4f1418f2df5eee655507e717353d7408b4ac05007e2a554f9c4d5d15a8cfe623',
+        '7e2d30c1abbaa050c5a4574e1c12d947e3584bf0dfb0132e57f74a948a2b2e4b',
+        '0ce0acb9fddf030c6a48bfd62364f9737955ade49bb2a06306ece3f0b86bb4c9',
+        '739d6cde791c9cc86b98c9d8566aac6d6e637be4f9ca41e7690fc1de85d07ae4',
     ),
     'delta-only-k1': (
         '5bd0845f55aa6eefbcfdb6df0e6002e08a7d23b97603cc48bf0c07fc1d0ce144',
-        '6a3ae9e474c033ab8a09273cab2181b154fd1564d917d3d878841823629fd39b',
-        '019805f9a3a70d1bf2f11daee660a30e4e6ba59f8b3150e9f1d0e082f5e41893',
-        'd2b17f66271a4c772a3ebf00c80e1354617753bf0cca4e09404e53a0c384294d',
-    ),
-    'two-vertex-k1': (
-        '2679b36446610bde86f6ac14c22512842d9e9f4be3d039c1867f881c6ebc4911',
-        '2362168866138d172941bfdd4950713207b1b2afd6cf23edccac5bfd5108c542',
-        'c95b85222f391e4ebd43424f2944ae4fba51c583cee6c4f8130f661835f8d5d0',
-        'e84dc43baf6486e41247dc811d3d21dadfe73c5de9f784ef04a4dc1a6f4e91ee',
+        '743e65c6799f0b61c4e8c65cea4593ae97b17ef0c32160f88414b8dee64fcd85',
+        '83ee34d4cbac150ea4f00624ccfaeb5f7da0bebbb74904068f3ee98a30a6f9fc',
+        'f0cd2711a48d38cbc1e7eec5fcc6dc19811673c71f66becac33bb4fdf86e0a08',
     ),
     'path-k1': (
         '1fe108b5eb131e96ac6842ea72f6495c978a77941657b9712bd70513d72edd2a',
-        'b2ccb9bb717570fd4b35ae35d46a9fd704327065cb46c742fb7b73c2ff6f5665',
-        'cac1c64846b4f0d87619a3f8bf5e45229a30252e834ddb7e01bc2b30aed9c99d',
-        '0dceb544f6bd0b8d1c400689cc26b80ed8cd9c570c750c5d96134987ff3b77b8',
+        'ff963f470af8138563403c562d6bf6b774af081661966e1b7926529c604da900',
+        '1261fdbe23134cd50000df544b6a1b5bef82b07e8dc7d87ba1d17edc5d810bdd',
+        'bf7c1c64b1822eb5db16ba44a19c6394113de544ef9ad4d99e3e035ff35c5eba',
     ),
     'path-k2': (
         '2290277469cc42927ed8ffb1784c9c3d3af85433598b52ff31768f055ea06e51',
-        '9832b3f0832bae5b8465db1159e831e6332f25aa80dd907dd17886a04280c0ec',
-        '45ce3f06ab4ab33c5af459a72922b16de49dff8f1bd78b883586e7ded176bc4b',
-        '96be1772c612c604589743b0820dddd7df8794ba1dd9cb586349379aa6a2fff3',
+        '9180c6ea08d8319072a4ee3bf38727a6971c068789585203fe1e304df2bf5902',
+        '82ef96ad515a81f9d380a5c453ecb3fd0e5b3269958d9cff0a78563874250843',
+        '15d58348243abc9f6f626f2321ee427f17a557801dc5cbce7a41effbef41c79f',
     ),
     'random-k1': (
         'f8c5c644bf65d22add329b80ae3c5d5d13c8d8f82d0be7ab5b754aa5b309d5f6',
-        '1150de0d6e70ec504c9266f1938d9cf41eca18a8cbdd651281cf529910585226',
-        'fe7e9a34227dd129cb7fa23bbb23479021268095c10fb45c1d0fd970e06a4f4a',
-        '8a604b44c419e6b94f999e5487ffacaad569a28ccae3a5d8988bf9114ce6ed1f',
+        '27a5c7b8ee1bcd3d3bf5104fc838156f4da03be2f60e986acefbd88b0bb4f4e3',
+        'aa2e127f984ddf1e364a09b6cc541c8d54b006fdfe1c112eb566a962a39ecfbe',
+        '1cb4068c7c1bed1fa8a44342d350d9c21eedb2ada25e16a6461db3dbe75e728e',
     ),
     'random-k3': (
         '5d687757a9e0b0f53578b270cf2bdd2058d194acbb99943fac0b6f74f242e68c',
-        'ed9ed41657ec1ee933297b697137ab37bb06eb4ce8b2bec3047f27bf97edb146',
-        'd27d6dfceb4d4590cc582106afb9256a81eac73bc265248aa04ccebff0209692',
-        '8e4c18662a73444a403ce9c38fba315e83443d3ab9c46b91f03d9c3e0543ebe9',
+        '66b8ccf8974cb685ef04d3fa6dc53a5cf08c54587bfbc4798e454d5e4d7c6482',
+        'cb20701911a38829b59fbbafb9b61c196e7f3814a529ccb7c0a982b79e3b1aca',
+        '24740005257aa0dbfa7cdfa78d52057b0ea42d95590ab5b1c955b4e9c6742a69',
     ),
     'recovery-random-k1': (
         '56ea456a00d5072624b3da73214335627db6510755c8264f9340c851d2cf769f',
-        '95577deffcf21696bb2e97b93737c188404cf12376fb5a4fc3cce99b1eeed715',
-        'd47adc5b4fe18c00b100ca545475cb6c3524c585df9c528e8ad296a62f50cc83',
-        'f28e51a1b8633e948250c4ad7828f0720c1e194676598ae3b5f41e1f99bd6df3',
+        '94a6b84ec4914c83847e06c3d25fe18f99c3ef29287cfd8becc6cc16c6eb28be',
+        '6acdd78df4cb13a54250b6b4c293d3a87d1aeda6000103cbcbcf353819762072',
+        'd1887e4b011468cce64c2b1778cbd8f0c94abd3b53785f97b017a81bc04af944',
     ),
     'recovery-star-k1': (
         '4e48e7cb4c7f939def7711a3cedcc9069d17476c9994ef6e687f857169ba11bb',
-        '1ebb676624f3225c009b53be047e9d5d7b6f6909e5fdb5c3a3760afbaed73f41',
-        'faf61ece32875004a2b11b19ac09b416e9d76839e43d211dc2e369c3fdba60f2',
-        '7af527a431b7a5a762c0a80500ec3e92049801bf2fbdaf3b977a47232bd79964',
+        '5dd1f3551b5632694f3d6097e24555f949cc3ce319fc1dc8d792f56b66fbad81',
+        '4f042e8c3150ae140b87aa61dde9d6b472da53d392af18a834857438c57823f7',
+        '19557cdeef6714025a88dfacc0a0777ca5c47029b7bd473e0b4419bb0e892c3f',
     ),
     'star-k2': (
         '879b9cbff48908bd7895fb0a9f8f9fd3e1567eecf9f9251c6a12f0f2eb560aa1',
-        'c8ea83a6e623dab189f1989710bc8f2f9746eabbde72ccb6f36cf0b283e0dc49',
-        '870e3174db12ae40c3c3b901fa58c2ef7094530aa96b07386e83bf88647ee0a2',
-        'daccacf671be79d8abe07f96190b3fa46287d764a1701ff73bdd0b7de9dc3999',
+        '550472f0affe1dafbf9b35a7065791f1b3184a1e64f0c3c3e6136c1944b5ec7b',
+        '751189a9191f3d92a44fac62d9fb50eddd00c46019d72f6347230681fd1919b3',
+        'b2ee85ab63a50ad6763891bed02d9c229a8280867ab2929ce3210c2a4bb4281f',
     ),
+    'two-vertex-k1': (
+        '2679b36446610bde86f6ac14c22512842d9e9f4be3d039c1867f881c6ebc4911',
+        'de82c56c887c5e080d76b619f47b57ec9325f5b4ae68093b9ff121fe6c381943',
+        'affae5541245fdba7607830fcb025c9df4ea5071f45d044d3764bc03fb51d1c0',
+        '921221bb4ca98ed49f51d5eb0de73dd310f85922f96291620aca8669b7855b88',
+    ),
+}
+
+# sha256 of each case's full-plan schedule (every one of the rho epochs,
+# reference.full_plan_schedule), the schedule the pipeline wrote before it
+# stopped at cover. The pipeline's schedule is this one cut at an epoch end.
+FULL_PLAN_SCHEDULE = {
+    'blocking-front-k2': '5fa2193717f93a8d944bbd033b72ba66ccaf466a21244e9776b2710d9bb2de94',
+    'delta-only-k1': '6a3ae9e474c033ab8a09273cab2181b154fd1564d917d3d878841823629fd39b',
+    'path-k1': 'b2ccb9bb717570fd4b35ae35d46a9fd704327065cb46c742fb7b73c2ff6f5665',
+    'path-k2': '9832b3f0832bae5b8465db1159e831e6332f25aa80dd907dd17886a04280c0ec',
+    'random-k1': '1150de0d6e70ec504c9266f1938d9cf41eca18a8cbdd651281cf529910585226',
+    'random-k3': 'ed9ed41657ec1ee933297b697137ab37bb06eb4ce8b2bec3047f27bf97edb146',
+    'recovery-random-k1': '95577deffcf21696bb2e97b93737c188404cf12376fb5a4fc3cce99b1eeed715',
+    'recovery-star-k1': '1ebb676624f3225c009b53be047e9d5d7b6f6909e5fdb5c3a3760afbaed73f41',
+    'star-k2': 'c8ea83a6e623dab189f1989710bc8f2f9746eabbde72ccb6f36cf0b283e0dc49',
+    'two-vertex-k1': '2362168866138d172941bfdd4950713207b1b2afd6cf23edccac5bfd5108c542',
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_hashes(name):
     assert fingerprint(name) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_schedule_is_the_full_plan_schedule_cut_at_an_epoch_end(name):
+    build, k, delta, start, with_tree, strategy = CASES[name]
+    result = build()
+    run = explore_detailed(result.graph, k, delta, start, result.tree if with_tree else None, strategy)
+    full = assert_cut_of_full_plan(result.graph, run, delta, start, strategy)
+    assert _sha(serialize_schedule(full)) == FULL_PLAN_SCHEDULE[name]
+    assert len(run.plan.epochs) < run.stats.rho

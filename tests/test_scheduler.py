@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
+from reference import assert_cut_of_full_plan, full_plan_schedule
 from tempex.core import SpanningTree, TemporalGraph, parse_temporal_graph
-from tempex.gen import GenSpec, gen_random_deficient
+from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
+from tempex.rng import SplitMix64
 from tempex.roundabout import run_roundabout
 from tempex.scheduler import (
     Epoch,
@@ -17,6 +22,7 @@ from tempex.scheduler import (
     Schedule,
     TupleSearchExhausted,
     assemble_schedule,
+    cover_step,
     exhaustive_covering_fraction,
     explore,
     explore_detailed,
@@ -225,6 +231,22 @@ class TestAssembleAndVerify:
         assert not report.ok
 
 
+class TestCoverStep:
+    def test_step_of_the_last_new_vertex(self):
+        # 0 -> 1, wait, 1 -> 0 (seen), 0 -> 2 covers at step 4
+        schedule = Schedule(0, 1, ((0, 1), None, (1, 0), (0, 2), (2, 0)))
+        assert cover_step(schedule, 3) == 4
+
+    def test_counts_from_the_first_step(self):
+        assert cover_step(Schedule(0, 5, (None, (0, 1))), 2) == 6
+
+    def test_lone_start_covers_at_zero(self):
+        assert cover_step(Schedule(0, 1, ()), 1) == 0
+
+    def test_never_covering(self):
+        assert cover_step(Schedule(0, 1, ((0, 1), (1, 0))), 3) is None
+
+
 class TestScheduleWireFormat:
     def test_round_trip(self, path3_full, path3_tree, path3_tour, two_epoch_run):
         plan, traces = two_epoch_run
@@ -246,6 +268,8 @@ class TestScheduleWireFormat:
 
 class TestExplore:
     def test_with_witness_tree_tight_span(self):
+        # every snapshot is deficient, so each epoch is exactly delta + t steps
+        # and the run ends at the end of its last epoch, inside the paper's budget
         n, k = 8, 1
         delta = n - 1
         budget = step_budget(n, k)
@@ -253,28 +277,36 @@ class TestExplore:
         spec = GenSpec(n=n, lifetime=lifetime, k=k, seed=3, tree_shape="path",
                        connectivity="per-snapshot", extra_edge_rate=0.1)
         result = gen_random_deficient(spec)
-        schedule, stats = explore(result.graph, k, delta, 0, tree=result.tree,
-                                  strategy=LasVegas(seed=5))
-        assert verify_schedule(result.graph, 0, schedule).ok
-        assert stats.span == rho_for(k) * (delta + budget)
+        strategy = LasVegas(seed=5)
+        run = explore_detailed(result.graph, k, delta, 0, tree=result.tree, strategy=strategy)
+        stats = run.stats
+        assert verify_schedule(result.graph, 0, run.schedule).ok
+        assert stats.span == stats.epoch_count * (delta + budget) == run.plan.epochs[-1].end
+        assert stats.span <= stats.paper_budget == rho_for(k) * (delta + budget)
         assert stats.rho == 33
         assert all(c <= 6 * k for c in stats.active_counts)
+        assert_cut_of_full_plan(result.graph, run, delta, 0, strategy)
 
     def test_every_epoch_of_a_witness_plan_keeps_the_invariants(self):
-        # the pipeline runs its epochs unchecked; rerun each with every
-        # per-step property and the 6k survivor bound asserted
+        # the pipeline runs its epochs unchecked and stops at cover; run every
+        # one of the plan's rho epochs with each per-step property and the 6k
+        # survivor bound asserted, and match those the pipeline ran
         n, k = 20, 2
         delta = n - 1
         spec = GenSpec(n=n, lifetime=rho_for(k) * (delta + step_budget(n, k)), k=k, seed=3,
                        tree_shape="random")
         result = gen_random_deficient(spec)
-        run = explore_detailed(result.graph, k, delta, 0, tree=result.tree)
-        tour = build_dfs_tour(result.tree)
-        assert len(run.plan.epochs) == rho_for(k)
-        for epoch, trace in zip(run.plan.epochs, run.traces, strict=True):
-            checked = run_roundabout(result.graph, tour, epoch.roundabout_times, run.plan.budget,
-                                     check_k=run.plan.k)
-            assert checked == trace
+        tree = result.tree
+        plan = partition_epochs(result.graph, tree, k, delta, rho_for(k), step_budget(n, k))
+        tour = build_dfs_tour(tree)
+        assert len(plan.epochs) == rho_for(k)
+        checked = [
+            run_roundabout(result.graph, tour, epoch.roundabout_times, plan.budget, check_k=k)
+            for epoch in plan.epochs
+        ]
+        run = explore_detailed(result.graph, k, delta, 0, tree=tree)
+        assert 1 <= len(run.traces) < rho_for(k)
+        assert list(run.traces) == checked[: len(run.traces)]
 
     def test_without_tree_uses_doubled_deficiency(self):
         n, k = 6, 1
@@ -392,9 +424,13 @@ class TestExplore:
         star = [(0, v) for v in range(1, n)]
         snaps = [star if t % 2 == 0 else tree_edges for t in range(lifetime)]
         graph = TemporalGraph.build(n, snaps)
-        schedule, stats = explore(graph, k, delta, 4, tree=tree, strategy=LasVegas(seed=6))
-        assert verify_schedule(graph, 4, schedule).ok
-        assert stats.span > rho_for(k) * (delta + budget)  # junk stretches epochs
+        strategy = LasVegas(seed=6)
+        run = explore_detailed(graph, k, delta, 4, tree=tree, strategy=strategy)
+        assert verify_schedule(graph, 4, run.schedule).ok
+        # junk stretches every epoch to delta + 2t steps
+        assert run.stats.span == run.stats.epoch_count * (delta + 2 * budget)
+        assert run.stats.span <= run.stats.paper_budget
+        assert_cut_of_full_plan(graph, run, delta, 4, strategy)
 
     def test_delta_only_instance_with_disconnected_snapshots(self):
         # the connectivity promise holds per window even though individual
@@ -409,14 +445,124 @@ class TestExplore:
         from tempex.core import verify_delta_connectivity
 
         assert verify_delta_connectivity(result.graph, delta, mode="sampled", seed=1).ok
-        schedule, stats = explore(result.graph, k, delta, 3, tree=result.tree,
-                                  strategy=LasVegas(seed=2))
-        assert verify_schedule(result.graph, 3, schedule).ok
-        assert stats.span == rho_for(k) * (delta + budget)
+        strategy = LasVegas(seed=2)
+        run = explore_detailed(result.graph, k, delta, 3, tree=result.tree, strategy=strategy)
+        assert verify_schedule(result.graph, 3, run.schedule).ok
+        assert run.stats.span == run.stats.epoch_count * (delta + budget)
+        assert run.stats.span <= run.stats.paper_budget == rho_for(k) * (delta + budget)
+        assert_cut_of_full_plan(result.graph, run, delta, 3, strategy)
 
     def test_stats_json_keys(self, path3_full, path3_tree):
         graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * (rho_for(1) * 4))
         _, stats = explore(graph, 1, 2, 0, tree=path3_tree)
         assert set(stats.to_json_dict()) == {
             "rho", "t", "epochs", "activeCounts", "attempts", "scheduleSpan", "scheduleLength",
+            "paperBudget", "coverStep",
         }
+        assert stats.to_json_dict()["paperBudget"] == rho_for(1) * (2 + step_budget(3, 1))
+
+
+class TestStopAtCover:
+    @given(
+        family=st.sampled_from(["random", "blocking-front"]),
+        k=st.integers(1, 2),
+        n=st.integers(3, 11),
+        seed=st.integers(0, 10_000),
+        strategy_seed=st.integers(0, 10_000),
+        start=st.integers(0, 10),
+    )
+    def test_schedule_is_the_full_plan_schedule_cut_at_an_epoch_end(
+        self, family, k, n, seed, strategy_seed, start
+    ):
+        delta = n - 1
+        start %= n
+        lifetime = rho_for(k) * (delta + step_budget(n, k))
+        if family == "random":
+            spec = GenSpec(n=n, lifetime=lifetime, k=k, seed=seed, tree_shape="random")
+            result = gen_random_deficient(spec)
+        else:
+            result = gen_blocking_front(n, k, lifetime, seed)
+        graph, strategy = result.graph, LasVegas(seed=strategy_seed)
+        _, _, attempts = full_plan_schedule(graph, result.tree, k, delta, start, strategy)
+        assume(attempts == 1)
+        run = explore_detailed(graph, k, delta, start, tree=result.tree, strategy=strategy)
+        assert_cut_of_full_plan(graph, run, delta, start, strategy)
+        assert verify_schedule(graph, start, run.schedule).ok
+        assert len(run.plan.epochs) == len(run.traces) == len(run.choice) <= run.stats.rho
+        assert run.stats.epoch_count == len(run.plan.epochs)
+        # every vertex is visited by coverStep, and coverStep lies in the last epoch run
+        step = run.stats.cover_step
+        assert verify_schedule(graph, start, replace(run.schedule, actions=run.schedule.actions[:step])).ok
+        assert not verify_schedule(
+            graph, start, replace(run.schedule, actions=run.schedule.actions[: step - 1])
+        ).ok
+        ends = [0] + [e.end for e in run.plan.epochs]
+        assert ends[-2] < step <= ends[-1]
+
+    def test_uncovered_after_rho_epochs_falls_back_to_the_search(self, monkeypatch):
+        # Path 0-1-2 whose every step lacks (1,2) and has the chord (0,2).
+        # Each epoch ends with survivors 3 (arc: position 3) and 4 (positions
+        # 4, 1, 2). Zeroed first draws pick agent 3 in every epoch, whose start
+        # vertex 2 the explorer reaches over the chord: vertex 1 stays unvisited.
+        rho = rho_for(1)
+        tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+        graph = TemporalGraph.build(3, [[(0, 1), (0, 2)]] * (rho * 4))
+        strategy = LasVegas(seed=4)
+        original = SplitMix64.below
+
+        def zero_first_draws(count):
+            calls = iter(range(count))
+
+            def below(self, bound):
+                draw = original(self, bound)
+                return 0 if next(calls, None) is not None else draw
+
+            monkeypatch.setattr(SplitMix64, "below", below)
+
+        # the epochs run and the search's first attempt both draw agent 3 throughout
+        zero_first_draws(2 * rho)
+        run = explore_detailed(graph, 1, 2, 0, tree=tree, strategy=strategy)
+        zero_first_draws(rho)
+        plan, full, attempts = full_plan_schedule(graph, tree, 1, 2, 0, strategy)
+        assert attempts >= 2
+        assert len(run.plan.epochs) == len(run.traces) == rho
+        assert run.plan == plan
+        assert run.stats.attempts == attempts
+        assert serialize_schedule(run.schedule) == serialize_schedule(full)
+        assert {trace.final.agents for trace in run.traces} == {(3, 4)}
+        assert 4 in run.choice
+        assert verify_schedule(graph, 0, run.schedule).ok
+
+    def test_repositioning_failure_after_the_cover_is_not_reached(self):
+        # Path 0-1-2 whose steps lack (1,2) from step 9 on: no repositioning
+        # window after that reaches vertex 2. The full plan draws vertex 2 as a
+        # start in epoch 4; the run has covered the tour by the end of epoch 2.
+        tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+        graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * 8 + [[(0, 1)]] * (rho_for(1) * 4 - 8))
+        strategy = LasVegas(seed=0)
+        with pytest.raises(RepositionFailed) as exc:
+            full_plan_schedule(graph, tree, 1, 2, 0, strategy)
+        assert exc.value.epoch == 4
+        run = explore_detailed(graph, 1, 2, 0, tree=tree, strategy=strategy)
+        assert (run.stats.epoch_count, run.stats.cover_step) == (2, 7)
+        assert verify_schedule(graph, 0, run.schedule).ok
+
+    def test_repositioning_failure_before_the_cover_still_raises(self):
+        # same graph, a draw whose epoch 3 needs vertex 2 before the tour is covered
+        tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+        graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * 8 + [[(0, 1)]] * (rho_for(1) * 4 - 8))
+        with pytest.raises(RepositionFailed) as exc:
+            explore_detailed(graph, 1, 2, 0, tree=tree, strategy=LasVegas(seed=1))
+        assert (exc.value.epoch, exc.value.target) == (3, 2)
+
+    def test_timeline_one_step_short_of_rho_epochs(self, path3_tree):
+        # the first epoch already covers the path, but the plan still needs
+        # all rho epochs to fit into the timeline
+        rho = rho_for(1)
+        graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * (rho * 4 - 1))
+        with pytest.raises(InsufficientSnapshots) as exc:
+            explore(graph, 1, 2, 0, tree=path3_tree)
+        assert (exc.value.epoch, exc.value.found, exc.value.needed) == (rho, 1, 2)
+        graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * (rho * 4))
+        run = explore_detailed(graph, 1, 2, 0, tree=path3_tree)
+        assert len(run.plan.epochs) < rho
