@@ -2,15 +2,15 @@
 
 The pipeline: partition a timeline prefix into rho epochs (a delta-step
 repositioning window followed by enough deficient snapshots to run the
-roundabout for its step budget), then run the epochs one at a time. Each
-epoch draws one surviving agent, and a single explorer repositions to that
-agent's start and replays its moves; the run stops after the first epoch by
-whose end every vertex has been visited. The draws are those of the first
-attempt of the Las Vegas covering-tuple search, so when that attempt covers
-the tour the schedule is the full-plan schedule cut at an epoch end. When a
-vertex is still unvisited after epoch rho, the search picks a tuple whose
-visited arcs jointly cover the whole tour, and the explorer replays it over
-all rho epochs.
+roundabout for its step budget), then run the epochs one at a time in
+`assemble_schedule`. Each epoch picks one surviving agent, and a single
+explorer repositions to that agent's start and replays its moves; the run
+stops after the first epoch by whose end every vertex has been visited. The
+first pass picks the draws of the first attempt of the Las Vegas
+covering-tuple search, so when that attempt covers the tour the schedule is
+the full-plan schedule cut at an epoch end. When a vertex is still unvisited
+after epoch rho, the search picks a tuple whose visited arcs jointly cover
+the whole tour, and the same loop replays it, again stopping at cover.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 from .core import (
     ParseError,
@@ -129,12 +129,12 @@ def partition_epochs(
     """Greedy left-to-right epoch layout.
 
     Each epoch reserves delta steps for repositioning, then extends until
-    `budget` snapshots k-deficient with respect to the tree have accumulated.
-    Greedy is prefix-optimal: it succeeds whenever any partition does.
+    `budget` snapshots k-deficient with respect to the tree have accumulated;
+    only the steps an epoch lays out after its window are read. Greedy is
+    prefix-optimal: it succeeds whenever any partition does.
     """
     if delta < 1 or rho < 1 or budget < 0 or k < 0:
         raise ValueError("bad epoch parameters")
-    deficient = [len(m) <= k for m in graph.missing(tree.edges, range(1, graph.lifetime + 1))]
     epochs: list[Epoch] = []
     cursor = 1
     for e in range(1, rho + 1):
@@ -142,11 +142,13 @@ def partition_epochs(
         if reposition_end > graph.lifetime:
             raise InsufficientSnapshots(e, 0, budget, graph.lifetime)
         times: list[int] = []
-        t = reposition_end + 1
-        while len(times) < budget and t <= graph.lifetime:
-            if deficient[t - 1]:
-                times.append(t)
-            t += 1
+        if budget:
+            steps = range(reposition_end + 1, graph.lifetime + 1)
+            for t, lacked in zip(steps, graph.missing(tree.edges, steps)):
+                if len(lacked) <= k:
+                    times.append(t)
+                    if len(times) == budget:
+                        break
         if len(times) < budget:
             raise InsufficientSnapshots(e, len(times), budget, graph.lifetime)
         end = times[-1] if times else reposition_end
@@ -341,50 +343,43 @@ def _reposition_and_replay(
     return route, route[-1][1][1] if route else at
 
 
-def _write_schedule(start: int, end: int, routes: Sequence[Route]) -> Schedule:
-    """Schedule over steps 1..end that makes the routes' timed moves and waits otherwise."""
-    actions: list[Action] = [None] * end
-    for route in routes:
-        for t, move in route:
-            actions[t - 1] = move
-    return Schedule(start, 1, tuple(actions))
-
-
 def assemble_schedule(
     graph: TemporalGraph,
     tour: DfsTour,
     plan: EpochPlan,
-    traces: Sequence[RoundaboutTrace],
-    choice: Sequence[int],
+    traces: list[RoundaboutTrace],
+    choose: Callable[[int, RoundaboutTrace], int],
     start: int,
-) -> Schedule:
-    """Explorer schedule: per epoch, a foremost walk to the chosen agent's
-    start vertex inside the repositioning window, then that agent's moves
-    from the trace, both written as timed moves into the actions."""
-    if len(traces) != len(plan.epochs) or len(choice) != len(plan.epochs):
-        raise ValueError("plan, traces and choice must align")
-    routes: list[Route] = []
-    at = start
-    for number, (epoch, trace, s) in enumerate(zip(plan.epochs, traces, choice), start=1):
-        route, at = _reposition_and_replay(graph, tour, number, epoch, trace, s, at)
-        routes.append(route)
-    return _write_schedule(start, plan.epochs[-1].end, routes)
+) -> tuple[Schedule, tuple[int, ...], Optional[int]]:
+    """Run the plan's epochs in order until the explorer has visited every vertex.
 
-
-def cover_step(schedule: Schedule, n: int) -> Optional[int]:
-    """First step by which the explorer has visited all n vertices.
-
-    0 when its start vertex is the only one; None when it never visits them all.
+    Epoch j (from 0) runs its roundabout unless `traces` already holds that
+    run, and appends the run otherwise; the explorer then repositions to the
+    start of agent `choose(j, trace)` and replays its moves. Returns the
+    schedule through the end of the last epoch run, the agents replayed, and
+    the step at which the last unvisited vertex is entered: None when a
+    vertex is still unvisited after the plan's last epoch.
     """
-    seen = {schedule.start}
-    if len(seen) == n:
-        return 0
-    for t, action in enumerate(schedule.actions, start=schedule.first_step):
-        if action is not None and action[1] not in seen:
-            seen.add(action[1])
-            if len(seen) == n:
-                return t
-    return None
+    actions: list[Action] = []
+    choice: list[int] = []
+    at, seen = start, {start}
+    cover: Optional[int] = None
+    for j, epoch in enumerate(plan.epochs):
+        if j == len(traces):
+            traces.append(run_roundabout(graph, tour, epoch.roundabout_times, plan.budget))
+        agent = choose(j, traces[j])
+        route, at = _reposition_and_replay(graph, tour, j + 1, epoch, traces[j], agent, at)
+        choice.append(agent)
+        actions.extend([None] * (epoch.end - len(actions)))
+        for t, move in route:
+            actions[t - 1] = move
+            if move[1] not in seen:
+                seen.add(move[1])
+                if len(seen) == graph.n:
+                    cover = t
+        if cover is not None:
+            break
+    return Schedule(start, 1, tuple(actions)), tuple(choice), cover
 
 
 @dataclass(frozen=True)
@@ -435,7 +430,7 @@ def verify_schedule(graph: TemporalGraph, start: int, schedule: Schedule) -> Ver
 @dataclass(frozen=True)
 class ExploreStats:
     """What a run did. `rho` is the paper's epoch count and `paper_budget`
-    its span bound rho*(delta+t); `epoch_count` counts the epochs run, and
+    its span bound rho*(delta+t); `epoch_count` counts the epochs replayed, and
     `cover_step` is the step by which every vertex has been visited."""
 
     rho: int
@@ -470,8 +465,8 @@ def run_epoch_traces(graph: TemporalGraph, tour: DfsTour, plan: EpochPlan) -> li
 class PipelineRun:
     """Everything the pipeline produced, for diagnostics and the CLI.
 
-    `plan` holds the epochs run, and `traces` and `choice` hold one entry
-    per epoch run: its roundabout run and the agent the explorer replayed.
+    `plan` holds the epochs replayed, and `traces` and `choice` hold one
+    entry per epoch replayed: its roundabout run and the agent replayed.
     """
 
     schedule: Schedule
@@ -480,34 +475,6 @@ class PipelineRun:
     plan: Optional[EpochPlan]
     traces: tuple[RoundaboutTrace, ...]
     choice: tuple[int, ...]
-
-
-def _explore_until_cover(
-    graph: TemporalGraph, tour: DfsTour, plan: EpochPlan, strategy: LasVegas, start: int
-) -> tuple[list[RoundaboutTrace], list[int], Optional[Schedule]]:
-    """Run the plan's epochs in order until the explorer has visited every vertex.
-
-    Epoch j replays the agent that attempt 1 of find_covering_tuple draws
-    for epoch j. Returns the traces and the agents of the epochs run, and
-    the schedule through the end of the last of them; the schedule is None
-    when a vertex is still unvisited after the last epoch of the plan.
-    """
-    rng = SplitMix64(strategy.seed)
-    traces: list[RoundaboutTrace] = []
-    choice: list[int] = []
-    routes: list[Route] = []
-    at, seen = start, {start}
-    for number, epoch in enumerate(plan.epochs, start=1):
-        trace = run_roundabout(graph, tour, epoch.roundabout_times, plan.budget)
-        agent = _draw(rng, trace.final.agents)
-        route, at = _reposition_and_replay(graph, tour, number, epoch, trace, agent, at)
-        traces.append(trace)
-        choice.append(agent)
-        routes.append(route)
-        seen.update(v for _, (_, v) in route)
-        if len(seen) == graph.n:
-            return traces, choice, _write_schedule(start, epoch.end, routes)
-    return traces, choice, None
 
 
 def explore_detailed(
@@ -523,9 +490,10 @@ def explore_detailed(
     With a witness tree the pipeline runs at deficiency k; without one it
     first recovers a tree from the absence counts of a timeline prefix and
     runs at deficiency 2k. Epochs run one at a time until the explorer has
-    visited every vertex (see _explore_until_cover). If a vertex is still
+    visited every vertex (see assemble_schedule), each replaying the agent
+    that attempt 1 of find_covering_tuple draws. If a vertex is still
     unvisited after all rho epochs, the Las Vegas search picks a covering
-    tuple over them and the explorer replays it. Raises InsufficientSnapshots
+    tuple over them and the same loop replays it. Raises InsufficientSnapshots
     when the timeline cannot hold rho epochs, and RepositionFailed when an
     epoch run cannot reach its agent's start.
     """
@@ -561,15 +529,21 @@ def explore_detailed(
     budget = step_budget(graph.n, effective_k)
     tour = build_dfs_tour(tree)
     plan = partition_epochs(graph, tree, effective_k, delta, rho, budget)
-    traces, choice, schedule = _explore_until_cover(graph, tour, plan, strategy, start)
-    if schedule is None:
+    traces: list[RoundaboutTrace] = []
+    rng = SplitMix64(strategy.seed)
+    schedule, choice, cover = assemble_schedule(
+        graph, tour, plan, traces, lambda j, trace: _draw(rng, trace.final.agents), start
+    )
+    attempts = 1
+    if cover is None:
         # The epochs ran attempt 1's draws and did not cover the tour; the
         # search draws attempt 1 again, rejects it and goes on.
-        choice, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
-        schedule = assemble_schedule(graph, tour, plan, traces, choice, start)
-    else:
-        attempts = 1
-        plan = replace(plan, epochs=plan.epochs[: len(traces)])
+        covering, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
+        schedule, choice, cover = assemble_schedule(
+            graph, tour, plan, traces, lambda j, trace: covering[j], start
+        )
+    plan = replace(plan, epochs=plan.epochs[: len(choice)])
+    traces = traces[: len(choice)]
     stats = ExploreStats(
         rho,
         budget,
@@ -579,7 +553,7 @@ def explore_detailed(
         schedule.span,
         schedule.length,
         rho * (delta + budget),
-        cover_step(schedule, graph.n),
+        cover,
     )
     return PipelineRun(schedule, stats, tree, plan, tuple(traces), tuple(choice))
 

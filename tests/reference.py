@@ -1,7 +1,8 @@
 """The full-plan schedule: every one of the rho epochs, the tuple the Las Vegas
-search returns, assembled over all of them. A pipeline run that stops at
-cover must be this schedule cut at the end of its last epoch whenever the
-search's first draw covers the tour."""
+search returns, replayed over all of them. A pipeline run that stops at
+cover must be this schedule cut at the end of its last epoch whenever it
+replays that tuple: when the search's first draw covers the tour, and when
+the run falls back to the search."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from tempex.scheduler import (
     LasVegas,
     PipelineRun,
     Schedule,
-    assemble_schedule,
+    _reposition_and_replay,
     find_covering_tuple,
     partition_epochs,
     rho_for,
@@ -36,16 +37,23 @@ def full_plan_schedule(
     tour = build_dfs_tour(tree)
     traces = run_epoch_traces(graph, tour, plan)
     choice, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
-    return plan, assemble_schedule(graph, tour, plan, traces, choice, start), attempts
+    actions = [None] * plan.epochs[-1].end
+    at = start
+    for number, (epoch, trace, agent) in enumerate(zip(plan.epochs, traces, choice), start=1):
+        route, at = _reposition_and_replay(graph, tour, number, epoch, trace, agent, at)
+        for t, move in route:
+            actions[t - 1] = move
+    return plan, Schedule(start, 1, tuple(actions)), attempts
 
 
 def assert_cut_of_full_plan(
     graph: TemporalGraph, run: PipelineRun, delta: int, start: int, strategy: LasVegas
 ) -> Schedule:
     """Assert that the run is the full-plan run cut after its last epoch; return
-    the full-plan schedule. The search's first draw must cover the tour."""
+    the full-plan schedule. The run and the reference must make the same
+    number of search attempts: one when the search's first draw covers."""
     plan, full, attempts = full_plan_schedule(graph, run.tree, run.plan.k, delta, start, strategy)
-    assert attempts == 1
+    assert attempts == run.stats.attempts
     j = len(run.plan.epochs)
     assert 1 <= j <= plan.rho == run.stats.rho
     assert run.plan.epochs == plan.epochs[:j]

@@ -4,7 +4,8 @@
 steps from ``movement_step``'s first argument, and ``perfbench/run.py``
 counts a graph's edges by iterating its snapshots, measures tree deficiency
 with set differences, calls ``explore_detailed`` positionally and reads the
-paper's quantities off the run it returns. A
+paper's quantities off the run it returns, and times the epoch loop by the
+``assemble_schedule`` spans. A
 break here would otherwise show only as a traced benchmark run exiting 3 or
 crashing while it inspects a solve.
 """
@@ -95,3 +96,19 @@ def test_explore_run_fields():
     assert run.stats.cover_step <= run.schedule.span <= run.stats.paper_budget
     failures = tempex.cli.ALGORITHMIC_FAILURES
     assert isinstance(failures, tuple) and all(issubclass(e, Exception) for e in failures)
+
+
+def test_traced_explore_times_the_epoch_loop():
+    # scheduler.assemble_s sums the assemble_schedule spans: the loop must
+    # run on every solve, and each epoch's roundabout inside it
+    n, k, delta = 7, 1, 6
+    spec = GenSpec(n=n, lifetime=rho_for(k) * (delta + step_budget(n, k)), k=k, seed=5)
+    result = gen_random_deficient(spec)
+    tracer = load_tracing().Tracer()
+    with tracer.installed():
+        run = explore_detailed(result.graph, k, delta, 0, result.tree, LasVegas(seed=5))
+    spans, _ = tracer.take()
+    loops = [i for i, (name, _, _, _) in enumerate(spans) if name == "assemble_schedule"]
+    assert len(loops) == run.stats.attempts == 1
+    roundabouts = [parent for name, _, _, parent in spans if name == "run_roundabout"]
+    assert roundabouts == loops * len(run.traces)

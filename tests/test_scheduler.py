@@ -9,7 +9,14 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from reference import assert_cut_of_full_plan, full_plan_schedule
-from tempex.core import SpanningTree, TemporalGraph, parse_temporal_graph
+from tempex.cli import main
+from tempex.core import (
+    SpanningTree,
+    TemporalGraph,
+    parse_temporal_graph,
+    serialize_spanning_tree,
+    serialize_temporal_graph,
+)
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.rng import SplitMix64
 from tempex.roundabout import run_roundabout
@@ -22,7 +29,6 @@ from tempex.scheduler import (
     Schedule,
     TupleSearchExhausted,
     assemble_schedule,
-    cover_step,
     exhaustive_covering_fraction,
     explore,
     explore_detailed,
@@ -50,6 +56,41 @@ def two_epoch_run(path3_full, path3_tree, path3_tour):
     plan = partition_epochs(path3_full, path3_tree, 1, 2, 2, 2)
     traces = run_epoch_traces(path3_full, path3_tour, plan)
     return plan, traces
+
+
+def replaying(choice):
+    """assemble_schedule's `choose` for a fixed tuple: entry j in epoch j."""
+    return lambda j, trace: choice[j]
+
+
+@pytest.fixture
+def zero_first_draws(monkeypatch):
+    """Arm with a count: that many next SplitMix64.below draws return 0, later
+    ones the generator's own (the generator advances on every draw)."""
+    original = SplitMix64.below
+
+    def arm(count):
+        calls = iter(range(count))
+
+        def below(self, bound):
+            draw = original(self, bound)
+            return 0 if next(calls, None) is not None else draw
+
+        monkeypatch.setattr(SplitMix64, "below", below)
+
+    return arm
+
+
+def chord_path():
+    """Path 0-1-2 whose every step lacks (1,2) and has the chord (0,2).
+
+    Each epoch of the plan for k=1, delta=2 ends with survivors 3 (arc:
+    position 3) and 4 (positions 4, 1, 2). Zeroed first draws pick agent 3
+    in every epoch, whose start vertex 2 the explorer reaches over the
+    chord: vertex 1 stays unvisited.
+    """
+    tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
+    return tree, TemporalGraph.build(3, [[(0, 1), (0, 2)]] * (rho_for(1) * 4))
 
 
 class TestParameters:
@@ -106,6 +147,31 @@ class TestPartition:
     def test_zero_budget_epochs_are_windows_only(self, path3_full, path3_tree):
         plan = partition_epochs(path3_full, path3_tree, 4, 2, 3, 0)
         assert [(e.start, e.end) for e in plan.epochs] == [(1, 2), (3, 4), (5, 6)]
+
+    @pytest.mark.parametrize("budget", [0, 2])
+    def test_reads_only_the_steps_it_lays_out(self, monkeypatch, path3_tree, budget):
+        # no step of a repositioning window, and none after the last epoch,
+        # is asked for its missing tree edges
+        full = [(0, 1), (1, 2)]
+        graph = TemporalGraph.build(3, [full, full, [], full, full, full, [], [], full] + [full] * 6)
+        read: list[int] = []
+        original = TemporalGraph.missing
+
+        def missing(self, tree_edges, steps):
+            def recorded():
+                for t in steps:
+                    read.append(t)
+                    yield t
+
+            return original(self, tree_edges, recorded())
+
+        monkeypatch.setattr(TemporalGraph, "missing", missing)
+        plan = partition_epochs(graph, path3_tree, 1, 2, 2, budget)
+        windows = {t for e in plan.epochs for t in range(e.start, e.reposition_end + 1)}
+        assert windows.isdisjoint(read)
+        assert read == [t for e in plan.epochs for t in range(e.reposition_end + 1, e.end + 1)]
+        if budget:
+            assert [e.roundabout_times for e in plan.epochs] == [(4, 5), (9, 10)]
 
 
 class TestCoveringTuples:
@@ -179,18 +245,30 @@ class TestCoveringTuples:
 class TestAssembleAndVerify:
     def test_end_to_end_small_path(self, path3_full, path3_tree, path3_tour, two_epoch_run):
         plan, traces = two_epoch_run
-        schedule = assemble_schedule(path3_full, path3_tour, plan, traces, (2, 4), 0)
-        assert schedule.span == 8
+        schedule, choice, _ = assemble_schedule(
+            path3_full, path3_tour, plan, list(traces), replaying((4, 2)), 0
+        )
+        assert (schedule.span, choice) == (8, (4, 2))
         report = verify_schedule(path3_full, 0, schedule)
         assert report.ok, report.describe()
+
+    def test_runs_only_the_roundabouts_the_traces_lack(self, path3_full, path3_tour, two_epoch_run):
+        plan, traces = two_epoch_run
+        held = traces[:1]
+        assemble_schedule(path3_full, path3_tour, plan, held, replaying((4, 2)), 0)
+        assert held[0] is traces[0]
+        assert held == traces
+        # a run that stops at cover runs no roundabout past its last epoch
+        held = []
+        assemble_schedule(path3_full, path3_tour, plan, held, replaying((2, 4)), 0)
+        assert held == traces[:1]
 
     def test_reposition_failure_is_typed(self, path3_tree, path3_tour):
         full = [(0, 1), (1, 2)]
         graph = TemporalGraph.build(3, [[], [], full, full])
         plan = EpochPlan((Epoch(1, 2, 4, (3, 4)),), 1, 2, 1, 2)
-        traces = run_epoch_traces(graph, path3_tour, plan)
         with pytest.raises(RepositionFailed) as exc:
-            assemble_schedule(graph, path3_tour, plan, traces, (2,), 2)
+            assemble_schedule(graph, path3_tour, plan, [], replaying((2,)), 2)
         assert exc.value.epoch == 1
 
     def test_forged_move_rejected(self, path3_full):
@@ -232,25 +310,45 @@ class TestAssembleAndVerify:
 
 
 class TestCoverStep:
-    def test_step_of_the_last_new_vertex(self):
-        # 0 -> 1, wait, 1 -> 0 (seen), 0 -> 2 covers at step 4
-        schedule = Schedule(0, 1, ((0, 1), None, (1, 0), (0, 2), (2, 0)))
-        assert cover_step(schedule, 3) == 4
+    # the step at which assemble_schedule's explorer enters its last unvisited vertex
+    def test_step_of_the_last_new_vertex(self, path3_full, path3_tour, two_epoch_run):
+        # from 0: 0 -> 1 repositions, agent 2 replays 1 -> 2 at step 3 and
+        # 2 -> 1 at step 4; the run stops at the end of epoch 1
+        plan, _ = two_epoch_run
+        schedule, choice, cover = assemble_schedule(
+            path3_full, path3_tour, plan, [], replaying((2, 4)), 0
+        )
+        assert schedule.actions == ((0, 1), None, (1, 2), (2, 1))
+        assert (choice, cover) == ((2,), 3)
 
-    def test_counts_from_the_first_step(self):
-        assert cover_step(Schedule(0, 5, (None, (0, 1))), 2) == 6
+    def test_counts_from_the_first_step(self, path3_full, path3_tour, two_epoch_run):
+        # from 1, agent 4 returns to 1 in epoch 1 and agent 2 enters 2 at
+        # step 7: a timeline step, not an offset into epoch 2 (steps 5-8)
+        plan, _ = two_epoch_run
+        schedule, choice, cover = assemble_schedule(
+            path3_full, path3_tour, plan, [], replaying((4, 2)), 1
+        )
+        assert (schedule.span, choice, cover) == (8, (4, 2), 7)
 
     def test_lone_start_covers_at_zero(self):
-        assert cover_step(Schedule(0, 1, ()), 1) == 0
+        _, stats = explore(TemporalGraph.build(1, [[]]), 1, 1, 0)
+        assert stats.cover_step == stats.to_json_dict()["coverStep"] == 0
 
-    def test_never_covering(self):
-        assert cover_step(Schedule(0, 1, ((0, 1), (1, 0))), 3) is None
+    def test_never_covering(self, path3_full, path3_tour, two_epoch_run):
+        # agent 2 in both epochs never enters vertex 0: every epoch runs
+        plan, _ = two_epoch_run
+        schedule, choice, cover = assemble_schedule(
+            path3_full, path3_tour, plan, [], replaying((2, 2)), 1
+        )
+        assert (schedule.span, choice, cover) == (8, (2, 2), None)
 
 
 class TestScheduleWireFormat:
     def test_round_trip(self, path3_full, path3_tree, path3_tour, two_epoch_run):
         plan, traces = two_epoch_run
-        schedule = assemble_schedule(path3_full, path3_tour, plan, traces, (2, 4), 0)
+        schedule, _, _ = assemble_schedule(
+            path3_full, path3_tour, plan, list(traces), replaying((4, 2)), 0
+        )
         text = serialize_schedule(schedule)
         parsed = parse_schedule(text)
         assert parsed.start == schedule.start
@@ -380,7 +478,7 @@ class TestExplore:
         with pytest.raises(InsufficientSnapshots):
             explore(path3_full, 1, 2, 0, tree=path3_tree)
 
-    def test_enumerate_strategy_end_to_end(self):
+    def test_two_vertices_first_draw_covers(self):
         # two vertices: every epoch ends with one survivor whose arc covers
         # the tour, so the first draw covers
         graph = TemporalGraph.build(2, [[(0, 1)]] * (rho_for(1) * 2))
@@ -499,39 +597,47 @@ class TestStopAtCover:
         ends = [0] + [e.end for e in run.plan.epochs]
         assert ends[-2] < step <= ends[-1]
 
-    def test_uncovered_after_rho_epochs_falls_back_to_the_search(self, monkeypatch):
-        # Path 0-1-2 whose every step lacks (1,2) and has the chord (0,2).
-        # Each epoch ends with survivors 3 (arc: position 3) and 4 (positions
-        # 4, 1, 2). Zeroed first draws pick agent 3 in every epoch, whose start
-        # vertex 2 the explorer reaches over the chord: vertex 1 stays unvisited.
+    def test_uncovered_after_rho_epochs_falls_back_to_the_search(self, zero_first_draws):
+        # the epochs run and the search's first attempt both draw agent 3
+        # throughout; the search's covering tuple is replayed until the visit
+        # completes, through the same loop
         rho = rho_for(1)
-        tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
-        graph = TemporalGraph.build(3, [[(0, 1), (0, 2)]] * (rho * 4))
+        tree, graph = chord_path()
         strategy = LasVegas(seed=4)
-        original = SplitMix64.below
-
-        def zero_first_draws(count):
-            calls = iter(range(count))
-
-            def below(self, bound):
-                draw = original(self, bound)
-                return 0 if next(calls, None) is not None else draw
-
-            monkeypatch.setattr(SplitMix64, "below", below)
-
-        # the epochs run and the search's first attempt both draw agent 3 throughout
         zero_first_draws(2 * rho)
         run = explore_detailed(graph, 1, 2, 0, tree=tree, strategy=strategy)
+        assert run.stats.attempts >= 2
         zero_first_draws(rho)
-        plan, full, attempts = full_plan_schedule(graph, tree, 1, 2, 0, strategy)
-        assert attempts >= 2
-        assert len(run.plan.epochs) == len(run.traces) == rho
-        assert run.plan == plan
-        assert run.stats.attempts == attempts
-        assert serialize_schedule(run.schedule) == serialize_schedule(full)
+        full = assert_cut_of_full_plan(graph, run, 2, 0, strategy)
+        assert len(run.plan.epochs) == len(run.traces) == len(run.choice) < rho
+        assert run.stats.epoch_count == len(run.plan.epochs)
         assert {trace.final.agents for trace in run.traces} == {(3, 4)}
         assert 4 in run.choice
         assert verify_schedule(graph, 0, run.schedule).ok
+        # the cut is at the first epoch end by which every vertex is visited
+        ends = [0] + [e.end for e in run.plan.epochs]
+        assert ends[-2] < run.stats.cover_step <= ends[-1]
+        assert not verify_schedule(graph, 0, replace(full, actions=full.actions[: ends[-2]])).ok
+
+    def test_exhausted_fallback_fails_typed_end_to_end(self, zero_first_draws, tmp_path, capsys):
+        rho = rho_for(1)
+        tree, graph = chord_path()
+        zero_first_draws(2 * rho)
+        with pytest.raises(TupleSearchExhausted) as exc:
+            explore_detailed(graph, 1, 2, 0, tree=tree, strategy=LasVegas(seed=4, max_attempts=1))
+        assert exc.value.attempts == 1
+        graph_file, tree_file = tmp_path / "chord.tg", tmp_path / "chord.tree"
+        graph_file.write_text(serialize_temporal_graph(graph))
+        tree_file.write_text(serialize_spanning_tree(tree))
+        zero_first_draws(2 * rho)
+        code = main([
+            "explore", "--graph", str(graph_file), "--k", "1", "--delta", "2", "--start", "0",
+            "--tree", str(tree_file), "--seed", "4", "--max-attempts", "1",
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "failed: no covering tuple found after 1 sampling attempts\n"
 
     def test_repositioning_failure_after_the_cover_is_not_reached(self):
         # Path 0-1-2 whose steps lack (1,2) from step 9 on: no repositioning
