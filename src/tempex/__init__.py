@@ -50,13 +50,12 @@ from .scheduler import (
     explore,
     explore_detailed,
     find_covering_tuple,
-    is_covering_tuple,
+    paper_budget,
     parse_schedule,
     partition_epochs,
     rho_for,
     serialize_schedule,
     step_budget,
-    tau,
     verify_schedule,
 )
 from .tour import DfsTour, arc_mask, build_dfs_tour

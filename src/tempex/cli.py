@@ -33,11 +33,9 @@ from .scheduler import (
     RepositionFailed,
     TupleSearchExhausted,
     explore_detailed,
+    paper_budget,
     parse_schedule,
-    rho_for,
     serialize_schedule,
-    step_budget,
-    tau,
     verify_schedule,
 )
 from .treefind import DisconnectedGraph, find_good_tree
@@ -267,16 +265,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     out = Path(args.out)
     with _writing():
         out.parent.mkdir(parents=True, exist_ok=True)
-    header = "instance,n,k,delta,rho,t,epochs,scheduleSpan,scheduleLength,coverStep,tau,attempts,wallMillis"
+    header = (
+        "instance,n,k,delta,rho,t,epochs,scheduleSpan,scheduleLength,coverStep,paperBudget,"
+        "verified,attempts,wallMillis"
+    )
     lines = [header]
     for i, row in enumerate(rows):
-        n, k, delta, seed = row["n"], row["k"], row["delta"], row["seed"]
-        rho = rho_for(k)
-        budget = step_budget(n, k)
-        lifetime = rho * (delta + budget)
+        n, k, delta, seed, start = row["n"], row["k"], row["delta"], row["seed"], row.get("start", 0)
         spec = GenSpec(
             n=n,
-            lifetime=lifetime,
+            lifetime=paper_budget(n, k, delta),
             k=k,
             seed=seed,
             tree_shape=row.get("treeShape", "path"),
@@ -285,12 +283,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
         result = gen_random_deficient(spec)
         started = time.perf_counter()
-        run = explore_detailed(result.graph, k, delta, row.get("start", 0), result.tree, LasVegas(seed=seed))
+        run = explore_detailed(result.graph, k, delta, start, result.tree, LasVegas(seed=seed))
         wall_ms = int((time.perf_counter() - started) * 1000)
         stats = run.stats
+        verified = "true" if verify_schedule(result.graph, start, run.schedule).ok else "false"
         lines.append(
             f"bench-{i},{n},{k},{delta},{stats.rho},{stats.budget},{stats.epoch_count},"
-            f"{stats.span},{stats.length},{stats.cover_step},{tau(n, k, delta):.3f},"
+            f"{stats.span},{stats.length},{stats.cover_step},{stats.paper_budget},{verified},"
             f"{stats.attempts},{wall_ms}"
         )
     with _writing():

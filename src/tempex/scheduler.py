@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Optional, Sequence, TypeVar
 
 from .core import (
@@ -25,6 +24,8 @@ from .core import (
     Route,
     SpanningTree,
     TemporalGraph,
+    _content_lines,
+    _parse_int,
     canonical_edge,
     foremost_walk,
 )
@@ -86,16 +87,16 @@ def step_budget(n: int, k: int) -> int:
     return (n - 1) // k
 
 
-def tau(n: int, k: int, delta: int) -> float:
-    """Deficient-snapshot budget sufficient for the whole pipeline."""
-    return rho_for(k) * (delta + n / k)
+def paper_budget(n: int, k: int, delta: int) -> int:
+    """The paper's span bound rho*(delta+t): rho epochs, each a delta-step
+    repositioning window and t roundabout steps."""
+    return rho_for(k) * (delta + step_budget(n, k))
 
 
 def recovery_prefix(n: int, k: int, delta: int) -> int:
     """Half-prefix q used to recover a tree when no witness is given.
 
-    Integer upper bound on tau(n, 2k, delta): the fractional n/2k is rounded
-    up per epoch.
+    rho epochs at deficiency 2k, each delta steps plus ceil(n/2k).
     """
     kk = 2 * k
     return rho_for(kk) * (delta + -(-n // kk))
@@ -157,26 +158,6 @@ def partition_epochs(
     return EpochPlan(tuple(epochs), rho, budget, k, delta)
 
 
-def _final_arc_masks(trace: RoundaboutTrace) -> list[tuple[int, int]]:
-    """(agent, visited-arc mask) of each survivor, in ascending agent order."""
-    return list(zip(trace.final.agents, trace.final.arc_masks()))
-
-
-def is_covering_tuple(
-    choice: Sequence[int], traces: Sequence[RoundaboutTrace], n_positions: int
-) -> bool:
-    """True iff the chosen agents' visited arcs jointly cover every tour position."""
-    if len(choice) != len(traces):
-        raise ValueError("one choice per epoch required")
-    union = 0
-    for s, trace in zip(choice, traces):
-        masks = dict(_final_arc_masks(trace))
-        if s not in masks:
-            raise ValueError(f"{s} is not a surviving start position of its epoch")
-        union |= masks[s]
-    return union == (1 << n_positions) - 1
-
-
 @dataclass(frozen=True)
 class LasVegas:
     """Sample uniformly (independent per epoch) until a covering tuple shows up."""
@@ -205,7 +186,8 @@ def find_covering_tuple(
     rather than looping forever.
     """
     full = (1 << n_positions) - 1
-    per_epoch = [_final_arc_masks(t) for t in traces]
+    # (agent, visited-arc mask) of each survivor, in ascending agent order
+    per_epoch = [list(zip(t.final.agents, t.final.arc_masks())) for t in traces]
     rng = SplitMix64(strategy.seed)
     for attempt in range(1, strategy.max_attempts + 1):
         union = 0
@@ -217,33 +199,6 @@ def find_covering_tuple(
         if union == full:
             return tuple(sel), attempt
     raise TupleSearchExhausted(strategy.max_attempts)
-
-
-def exhaustive_covering_fraction(
-    traces: Sequence[RoundaboutTrace], n_positions: int
-) -> Fraction:
-    """Exact fraction of covering tuples, by dynamic programming over unions."""
-    full = (1 << n_positions) - 1
-    per_epoch = [_final_arc_masks(t) for t in traces]
-    total = 1
-    for options in per_epoch:
-        total *= len(options)
-    suffix_sizes = [1] * (len(per_epoch) + 1)
-    for j in range(len(per_epoch) - 1, -1, -1):
-        suffix_sizes[j] = suffix_sizes[j + 1] * len(per_epoch[j])
-    covering = 0
-    level: dict[int, int] = {0: 1}
-    for j, options in enumerate(per_epoch):
-        nxt: dict[int, int] = {}
-        for union, count in level.items():
-            for _, mask in options:
-                u2 = union | mask
-                if u2 == full:
-                    covering += count * suffix_sizes[j + 1]
-                else:
-                    nxt[u2] = nxt.get(u2, 0) + count
-        level = nxt
-    return Fraction(covering, total)
 
 
 # --- schedules ----------------------------------------------------------------
@@ -278,46 +233,32 @@ def serialize_schedule(schedule: Schedule) -> str:
 
 
 def parse_schedule(text: str) -> Schedule:
-    lines = [
-        (no, raw.strip())
-        for no, raw in enumerate(text.splitlines(), start=1)
-        if raw.strip() and not raw.strip().startswith("#")
-    ]
-    if not lines:
-        raise ParseError("empty schedule", 1)
-    no, header = lines[0]
-    parts = header.split()
-    if len(parts) != 2 or parts[0] != "start":
-        raise ParseError(f"expected 'start <v>', got {header!r}", no)
+    """Parse the schedule format: 'start <v>', then one line per step,
+    '<t> wait' or '<t> move <u> <v>' (comments allowed)."""
+    lines = _content_lines(text)
     try:
-        start = int(parts[1])
-    except ValueError:
-        raise ParseError(f"bad start vertex {parts[1]!r}", no) from None
+        no, parts = next(lines)
+    except StopIteration:
+        raise ParseError("empty schedule", 1) from None
+    if len(parts) != 2 or parts[0] != "start":
+        raise ParseError(f"expected 'start <v>', got {' '.join(parts)!r}", no)
+    start = _parse_int(parts[1], no, "start vertex")
     actions: list[Action] = []
     first_step: Optional[int] = None
-    expected: Optional[int] = None
-    for no, line in lines[1:]:
-        parts = line.split()
-        try:
-            t = int(parts[0])
-        except (ValueError, IndexError):
-            raise ParseError(f"bad schedule line {line!r}", no) from None
+    for no, parts in lines:
+        t = _parse_int(parts[0], no, "step")
         if first_step is None:
             first_step = t
-            expected = t
-        if t != expected:
-            raise ParseError(f"expected step {expected}, got {t}", no)
-        expected = t + 1
+        if t != first_step + len(actions):
+            raise ParseError(f"expected step {first_step + len(actions)}, got {t}", no)
         if len(parts) == 2 and parts[1] == "wait":
             actions.append(None)
         elif len(parts) == 4 and parts[1] == "move":
-            try:
-                u, v = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise ParseError(f"bad move endpoints in {line!r}", no) from None
+            u = _parse_int(parts[2], no, "move endpoint")
+            v = _parse_int(parts[3], no, "move endpoint")
             actions.append((u, v))
         else:
-            raise ParseError(f"bad schedule line {line!r}", no)
+            raise ParseError(f"bad schedule line {' '.join(parts)!r}", no)
     return Schedule(start, first_step if first_step is not None else 1, tuple(actions))
 
 
@@ -435,13 +376,16 @@ class ExploreStats:
 
     rho: int
     budget: int
-    epoch_count: int
     active_counts: tuple[int, ...]
     attempts: int
     span: int
     length: int
     paper_budget: int
     cover_step: Optional[int]
+
+    @property
+    def epoch_count(self) -> int:
+        return len(self.active_counts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -455,10 +399,6 @@ class ExploreStats:
             "paperBudget": self.paper_budget,
             "coverStep": self.cover_step,
         }
-
-
-def run_epoch_traces(graph: TemporalGraph, tour: DfsTour, plan: EpochPlan) -> list[RoundaboutTrace]:
-    return [run_roundabout(graph, tour, epoch.roundabout_times, plan.budget) for epoch in plan.epochs]
 
 
 @dataclass(frozen=True)
@@ -513,7 +453,7 @@ def explore_detailed(
     if strategy is None:
         strategy = LasVegas()
     if graph.n == 1:
-        stats = ExploreStats(0, 0, 0, (), 0, 0, 0, 0, 0)
+        stats = ExploreStats(0, 0, (), 0, 0, 0, 0, 0)
         return PipelineRun(Schedule(start, 1, ()), stats, None, None, (), ())
 
     if tree is None:
@@ -547,12 +487,11 @@ def explore_detailed(
     stats = ExploreStats(
         rho,
         budget,
-        len(plan.epochs),
         tuple(len(t.final.agents) for t in traces),
         attempts,
         schedule.span,
         schedule.length,
-        rho * (delta + budget),
+        paper_budget(graph.n, effective_k, delta),
         cover,
     )
     return PipelineRun(schedule, stats, tree, plan, tuple(traces), tuple(choice))

@@ -5,14 +5,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the pass lines.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from pathlib import Path
 
-import pytest
-
 from cliutil import run_cli
-from reference import assert_cut_of_full_plan
+from reference import assert_cut_of_full_plan, exhaustive_covering_fraction, run_epoch_traces
 from tempex.core import SpanningTree, TemporalGraph, foremost_walk
 from tempex.gen import GenSpec, GenResult, gen_blocking_front, gen_random_deficient
 from tempex.oracle import foremost_arrival_oracle, optimal_exploration_time
@@ -20,12 +17,10 @@ from tempex.rng import SplitMix64
 from tempex.roundabout import run_roundabout
 from tempex.scheduler import (
     LasVegas,
-    exhaustive_covering_fraction,
     explore_detailed,
     partition_epochs,
     recovery_prefix,
     rho_for,
-    run_epoch_traces,
     step_budget,
     verify_schedule,
 )

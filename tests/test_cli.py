@@ -194,15 +194,19 @@ class TestSubcommands:
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().splitlines()
         assert lines[0] == (
-            "instance,n,k,delta,rho,t,epochs,scheduleSpan,scheduleLength,coverStep,tau,"
-            "attempts,wallMillis"
+            "instance,n,k,delta,rho,t,epochs,scheduleSpan,scheduleLength,coverStep,paperBudget,"
+            "verified,attempts,wallMillis"
         )
         assert len(lines) == 3
-        assert lines[1].startswith("bench-0,5,1,4,33,")
-        for line in lines[1:]:
-            row = dict(zip(lines[0].split(","), line.split(",")))
+        assert lines[1].startswith("bench-0,5,1,4,33,4,")
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert rows[0]["paperBudget"] == "264"  # 33 * (4 + 4)
+        for row in rows:
             assert 1 <= int(row["epochs"]) <= int(row["rho"])
             assert 1 <= int(row["coverStep"]) <= int(row["scheduleSpan"])
+            assert int(row["paperBudget"]) == int(row["rho"]) * (int(row["delta"]) + int(row["t"]))
+            assert int(row["scheduleSpan"]) <= int(row["paperBudget"])
+            assert row["verified"] == "true"
 
 
 class TestExitCodes:
@@ -216,6 +220,14 @@ class TestExitCodes:
         proc = run_cli("oracle", "--graph", str(path), "--start", "0")
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
+
+    def test_malformed_schedule_is_format_error(self, tmp_path, e1_graph_file):
+        path = tmp_path / "bad.txt"
+        path.write_text("start 0\n# first step\n1 move 0 1\n\n2 move 1 x\n")
+        proc = run_cli("verify", "--graph", str(e1_graph_file), "--schedule", str(path))
+        assert proc.returncode == 2
+        assert "format error: line 5: move endpoint: expected integer, got 'x'" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bench_row_missing_key_is_usage_error(self, tmp_path):
         manifest = tmp_path / "rows.json"

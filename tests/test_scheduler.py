@@ -8,12 +8,18 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from reference import assert_cut_of_full_plan, full_plan_schedule
+from reference import (
+    assert_cut_of_full_plan,
+    exhaustive_covering_fraction,
+    full_plan_schedule,
+    is_covering_tuple,
+    run_epoch_traces,
+)
 from tempex.cli import main
 from tempex.core import (
+    ParseError,
     SpanningTree,
     TemporalGraph,
-    parse_temporal_graph,
     serialize_spanning_tree,
     serialize_temporal_graph,
 )
@@ -29,16 +35,14 @@ from tempex.scheduler import (
     Schedule,
     TupleSearchExhausted,
     assemble_schedule,
-    exhaustive_covering_fraction,
     explore,
     explore_detailed,
     find_covering_tuple,
-    is_covering_tuple,
+    paper_budget,
     parse_schedule,
     partition_epochs,
     recovery_prefix,
     rho_for,
-    run_epoch_traces,
     serialize_schedule,
     step_budget,
     verify_schedule,
@@ -103,6 +107,10 @@ class TestParameters:
         assert step_budget(3, 1) == 2
         assert step_budget(100, 1) == 99
         assert step_budget(3, 4) == 0
+
+    def test_paper_budget(self):
+        assert paper_budget(100, 2, 99) == 13_320
+        assert paper_budget(100, 1, 99) == 6_534
 
 
 class TestPartition:
@@ -356,12 +364,23 @@ class TestScheduleWireFormat:
         assert serialize_schedule(parsed) == text
 
     def test_parse_rejects_gap_in_steps(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError, match="expected step 2, got 3") as err:
             parse_schedule("start 0\n1 wait\n3 wait\n")
+        assert err.value.line == 3
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ParseError, match="bad schedule line") as err:
             parse_schedule("start 0\n1 jump 0 1\n")
+        assert err.value.line == 2
+
+    def test_comments_and_blank_lines_between_steps(self):
+        text = "# a schedule\nstart 0\n\n1 move 0 1\n  # stays put\n\n2 wait\n"
+        parsed = parse_schedule(text)
+        assert parsed == Schedule(0, 1, ((0, 1), None))
+        assert parse_schedule(serialize_schedule(parsed)) == parsed
+        with pytest.raises(ParseError, match="expected step 2, got 3") as err:
+            parse_schedule(text.replace("2 wait", "3 wait"))
+        assert err.value.line == 7
 
 
 class TestExplore:
@@ -416,6 +435,8 @@ class TestExplore:
         schedule, stats = explore(result.graph, k, delta, 2, strategy=LasVegas(seed=7))
         assert stats.rho == rho_for(2 * k) == 90
         assert stats.budget == step_budget(n, 2 * k)
+        assert stats.span <= stats.paper_budget == paper_budget(n, 2 * k, delta)
+        assert stats.paper_budget == rho_for(2 * k) * (delta + step_budget(n, 2 * k))
         assert verify_schedule(result.graph, 2, schedule).ok
 
     def test_deterministic_output(self):

@@ -26,3 +26,10 @@ def test_bench_sweep_runs(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sweep.csv").exists()
     assert proc.stdout.startswith("instance,n,k,delta,")
+    header, *lines = proc.stdout.splitlines()
+    assert lines
+    for line in lines:
+        row = dict(zip(header.split(","), line.split(",")))
+        assert int(row["paperBudget"]) == int(row["rho"]) * (int(row["delta"]) + int(row["t"]))
+        assert int(row["scheduleSpan"]) <= int(row["paperBudget"])
+        assert row["verified"] == "true"
