@@ -30,10 +30,8 @@ from .core import (
 from .gen import GenResult, GenSpec, gen_blocking_front, gen_random_deficient
 from .oracle import OracleResult, foremost_arrival_oracle, optimal_exploration_time
 from .roundabout import (
-    InvariantViolation,
     RoundaboutState,
     RoundaboutTrace,
-    check_state_invariants,
     eliminate_redundant,
     movement_step,
     run_roundabout,

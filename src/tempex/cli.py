@@ -129,7 +129,6 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     if args.stats and not args.out:
         raise ValueError("--stats needs --out")
-    strategy = LasVegas(seed=args.seed, max_attempts=args.max_attempts)
     graph = _load_graph(args.graph)
     tree = None
     if args.tree is not None:
@@ -146,7 +145,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
         if not report.ok:
             print(f"delta check failed: witness {report.witness}", file=sys.stderr)
             return 1
-    run = explore_detailed(graph, args.k, delta, args.start, tree, strategy)
+    run = explore_detailed(graph, args.k, delta, args.start, tree, LasVegas(seed=args.seed))
     if args.trace:
         for i, trace in enumerate(run.traces, start=1):
             for line in trace.format_lines():
@@ -333,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--tree", default=None, help="witness tree file; omit to recover one")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-attempts", type=int, default=10_000)
     p.add_argument("--check-delta", action="store_true")
     p.add_argument("--trace", action="store_true", help="dump roundabout traces to stderr")
     p.add_argument("--out", default=None, help="schedule file; stdout when omitted")

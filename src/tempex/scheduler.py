@@ -36,6 +36,7 @@ from .treefind import find_good_tree
 
 Action = Optional[tuple[int, int]]  # None = wait, (u, v) = traverse from u to v
 T = TypeVar("T")
+MAX_ATTEMPTS = 10_000  # covering-tuple draws before the search gives up
 
 
 class InsufficientSnapshots(Exception):
@@ -114,9 +115,7 @@ class Epoch:
 class EpochPlan:
     epochs: tuple[Epoch, ...]
     rho: int
-    budget: int
     k: int
-    delta: int
 
 
 def partition_epochs(
@@ -155,7 +154,7 @@ def partition_epochs(
         end = times[-1] if times else reposition_end
         epochs.append(Epoch(cursor, reposition_end, end, tuple(times)))
         cursor = end + 1
-    return EpochPlan(tuple(epochs), rho, budget, k, delta)
+    return EpochPlan(tuple(epochs), rho, k)
 
 
 @dataclass(frozen=True)
@@ -163,11 +162,6 @@ class LasVegas:
     """Sample uniformly (independent per epoch) until a covering tuple shows up."""
 
     seed: int = 0
-    max_attempts: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be at least 1, got {self.max_attempts}")
 
 
 def _draw(rng: SplitMix64, survivors: Sequence[T]) -> T:
@@ -182,14 +176,15 @@ def find_covering_tuple(
 ) -> tuple[tuple[int, ...], int]:
     """Pick one surviving agent per epoch covering the whole tour.
 
-    Returns (tuple, attempts). Sampling fails loudly after max_attempts
-    rather than looping forever.
+    Returns (tuple, attempts). Each draw covers with probability at least
+    1/12, so MAX_ATTEMPTS misses in a row have probability about e^-870: the
+    cap is a failsafe, after which sampling fails loudly, not forever.
     """
     full = (1 << n_positions) - 1
     # (agent, visited-arc mask) of each survivor, in ascending agent order
     per_epoch = [list(zip(t.final.agents, t.final.arc_masks())) for t in traces]
     rng = SplitMix64(strategy.seed)
-    for attempt in range(1, strategy.max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         union = 0
         sel: list[int] = []
         for options in per_epoch:
@@ -198,7 +193,7 @@ def find_covering_tuple(
             union |= mask
         if union == full:
             return tuple(sel), attempt
-    raise TupleSearchExhausted(strategy.max_attempts)
+    raise TupleSearchExhausted(MAX_ATTEMPTS)
 
 
 # --- schedules ----------------------------------------------------------------
@@ -307,7 +302,7 @@ def assemble_schedule(
     cover: Optional[int] = None
     for j, epoch in enumerate(plan.epochs):
         if j == len(traces):
-            traces.append(run_roundabout(graph, tour, epoch.roundabout_times, plan.budget))
+            traces.append(run_roundabout(graph, tour, epoch.roundabout_times))
         agent = choose(j, traces[j])
         route, at = _reposition_and_replay(graph, tour, j + 1, epoch, traces[j], agent, at)
         choice.append(agent)

@@ -29,17 +29,16 @@ def arc_mask(start: int, length: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class DfsTour:
-    """Cyclic DFS tour of a spanning tree; each tree edge is crossed exactly twice."""
+    """Cyclic DFS tour of a spanning tree from root 0; each tree edge is crossed exactly twice."""
 
     tree: SpanningTree
-    root: int
     vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
         n = self.tree.n
         if len(self.vertices) != 2 * (n - 1):
             raise ValueError("tour length must be 2(n-1)")
-        if self.vertices[0] != self.root:
+        if self.vertices[0] != 0:
             raise ValueError("tour must start at the root")
         edges: list[Edge] = []
         counts: dict[Edge, int] = {}
@@ -83,4 +82,4 @@ def build_dfs_tour(tree: SpanningTree) -> DfsTour:
         seq.append(v)
     while seq[-1] != 0:
         seq.append(parent[seq[-1]])
-    return DfsTour(tree, 0, tuple(seq[:-1]))
+    return DfsTour(tree, tuple(seq[:-1]))

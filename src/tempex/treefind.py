@@ -22,7 +22,6 @@ class EdgeWeights:
     """Absence count over a timeline prefix, per underlying edge."""
 
     weights: dict[Edge, int]
-    prefix_length: int
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ class TreeStats:
 
 def absence_weights(graph: TemporalGraph, prefix_length: int) -> EdgeWeights:
     """w(e) = number of snapshots among the first `prefix_length` missing e."""
-    return EdgeWeights(graph.absences(prefix_length), prefix_length)
+    return EdgeWeights(graph.absences(prefix_length))
 
 
 class _UnionFind:

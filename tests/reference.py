@@ -8,16 +8,19 @@ the run falls back to the search.
 
 The covering-tuple oracles: whether one tuple covers the tour, and the exact
 fraction of tuples that do (the paper's bound is at least 1/12).
+
+The roundabout's per-step properties and its 6k survivor bound, asserted
+on a recorded trace rather than inside the pipeline's step loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from tempex.core import SpanningTree, TemporalGraph
-from tempex.roundabout import RoundaboutTrace, run_roundabout
+from tempex.roundabout import RoundaboutState, RoundaboutTrace, run_roundabout
 from tempex.scheduler import (
     EpochPlan,
     LasVegas,
@@ -32,9 +35,68 @@ from tempex.scheduler import (
 from tempex.tour import DfsTour, build_dfs_tour
 
 
+class InvariantViolation(AssertionError):
+    """A runtime-checkable property of the process failed."""
+
+
+def check_state_invariants(state: RoundaboutState, k: Optional[int] = None) -> None:
+    """Assert the per-step properties of the process on a post-elimination state.
+
+    Checks: full coverage of the tour, pairwise distinct states, no position
+    in three arcs, total arc mass <= 2N - |A|, consecutive-start arc cover,
+    and (when k is given) the shrinkage bound on the step count.
+    """
+    n = state.n_positions
+    m = len(state.agents)
+    if m == 0:
+        raise InvariantViolation("no active agents")
+    once = twice = thrice = 0  # positions in at least one, two, three arcs
+    for mask in state.arc_masks():
+        thrice |= twice & mask
+        twice |= once & mask
+        once |= mask
+    gap = ((1 << n) - 1) & ~once
+    if gap:
+        raise InvariantViolation(f"position {(gap & -gap).bit_length()} not covered")
+    if thrice:
+        raise InvariantViolation("a position is covered by three active agents")
+    if len(set(state.states)) != m:
+        raise InvariantViolation("two active agents share a state")
+    mass = sum(state.arc_length(i) for i in range(m))
+    if mass > 2 * n - m:
+        raise InvariantViolation(f"arc mass {mass} exceeds {2 * n - m}")
+    for i in range(m):
+        p = state.agents[i]
+        q = state.agents[(i + 1) % m]
+        gap = (q - p) % n
+        if gap and gap - 1 > state.arc_length(i) - 1:
+            raise InvariantViolation(f"agent {p} does not cover up to next start {q}")
+    if k is not None and m >= 2 * k + 1 and state.step > 0:
+        bound = (2 * n - m) / (m - 2 * k)
+        if state.step > bound:
+            raise InvariantViolation(f"{m} agents active after {state.step} steps (max {bound:.2f})")
+
+
+def checked_roundabout(
+    graph: TemporalGraph, tour: DfsTour, times: Sequence[int], k: int
+) -> RoundaboutTrace:
+    """`run_roundabout`, then the paper's properties asserted on its trace:
+    every snapshot k-deficient, the per-step invariants on every state after
+    step 0, and at most 6k survivors when the run takes N // 2k steps."""
+    trace = run_roundabout(graph, tour, times)
+    for t, blocked in zip(trace.times, graph.missing(tour.tree.edges, trace.times)):
+        if len(blocked) > k:
+            raise InvariantViolation(f"snapshot {t} is not {k}-deficient")
+    for state in trace.history[1:]:
+        check_state_invariants(state, k)
+    if len(trace.times) == tour.n_positions // (2 * k) and len(trace.final.agents) > 6 * k:
+        raise InvariantViolation(f"{len(trace.final.agents)} agents survive, bound is {6 * k}")
+    return trace
+
+
 def run_epoch_traces(graph: TemporalGraph, tour: DfsTour, plan: EpochPlan) -> list[RoundaboutTrace]:
     """The roundabout run of every epoch of the plan."""
-    return [run_roundabout(graph, tour, epoch.roundabout_times, plan.budget) for epoch in plan.epochs]
+    return [run_roundabout(graph, tour, epoch.roundabout_times) for epoch in plan.epochs]
 
 
 def _final_arc_masks(trace: RoundaboutTrace) -> list[tuple[int, int]]:

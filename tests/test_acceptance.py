@@ -9,12 +9,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from cliutil import run_cli
-from reference import assert_cut_of_full_plan, exhaustive_covering_fraction, run_epoch_traces
+from reference import (
+    assert_cut_of_full_plan,
+    checked_roundabout,
+    exhaustive_covering_fraction,
+    run_epoch_traces,
+)
 from tempex.core import SpanningTree, TemporalGraph, foremost_walk
 from tempex.gen import GenSpec, GenResult, gen_blocking_front, gen_random_deficient
 from tempex.oracle import foremost_arrival_oracle, optimal_exploration_time
 from tempex.rng import SplitMix64
-from tempex.roundabout import run_roundabout
 from tempex.scheduler import (
     LasVegas,
     explore_detailed,
@@ -57,9 +61,9 @@ def test_criterion_1_roundabout_step_properties():
         budget = step_budget(n, k)
         result = _mixed_instance(i, n, k, budget)
         tour = build_dfs_tour(result.tree)
-        # check_k asserts coverage, distinctness, multiplicity, mass
-        # and the shrinkage bound after every simulated step
-        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
+        # checked_roundabout asserts coverage, distinctness, multiplicity,
+        # mass and the shrinkage bound on every recorded step
+        trace = checked_roundabout(result.graph, tour, range(1, budget + 1), k)
         assert len(trace.final.agents) <= 6 * k
         runs += 1
     assert runs == 200
@@ -123,7 +127,7 @@ def test_criterion_3_las_vegas_efficiency():
                        extra_edge_rate=0.1 if n <= 20 else 0.0)
         result = gen_random_deficient(spec)
         run = explore_detailed(result.graph, k, delta, 0, tree=result.tree,
-                               strategy=LasVegas(seed=i, max_attempts=100))
+                               strategy=LasVegas(seed=i))
         attempts_seen.append(run.stats.attempts)
         assert run.stats.attempts <= 100
     _passed(3, f"50 instances, max attempts observed = {max(attempts_seen)}")

@@ -136,7 +136,6 @@ def draw_args(draw, d: Path) -> list[str]:
     if command == "explore":
         args = [
             "explore", "--graph", str(graph), "--k", str(draw(K)), "--start", str(draw(VERTEX)),
-            "--max-attempts", str(draw(st.sampled_from((3, 1, 0)))),
             *optional(draw, "--delta", STEPS),
             *optional(draw, "--tree", st.just(tree)),
             *optional(draw, "--out", st.just(d / "sched.txt")),

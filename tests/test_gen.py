@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import checked_roundabout
 from strategies import spanning_trees
 from tempex.core import (
     SpanningTree,
@@ -191,13 +192,41 @@ def test_delta_form_equals_build_of_the_same_snapshots(make):
     assert TemporalGraph.build(graph.n, graph.snapshots) == graph
 
 
+PREFIX_LIFETIME = 40
+
+
+@pytest.mark.parametrize("make", [
+    lambda L: gen_random_deficient(GenSpec(n=12, lifetime=L, k=2, seed=5, tree_shape="random")),
+    lambda L: gen_random_deficient(GenSpec(n=10, lifetime=L, k=3, seed=8, tree_shape="random",
+                                           connectivity="none")),
+    lambda L: gen_random_deficient(GenSpec(n=9, lifetime=L, k=2, seed=3, tree_shape="star",
+                                           extra_edge_rate=0.2)),
+    lambda L: gen_blocking_front(10, 2, L, 3),
+    # both snapshots of the 2-step instance lack both tree edges
+    lambda L: gen_random_deficient(GenSpec(n=3, lifetime=L, k=2, seed=19, connectivity="none")),
+], ids=["per-snapshot", "none", "extra-edges", "blocking-front", "patched-at-step-2"])
+@pytest.mark.parametrize("P", [1, 2, 17, PREFIX_LIFETIME - 1])
+def test_a_shorter_instance_is_a_prefix_of_a_longer_one(make, P):
+    # each step draws from its own stream, so a P-step instance is the first P
+    # snapshots of a longer one, except for the tree edges the last-step patch
+    # of _delta_graph adds back to snapshot P
+    prefix, full = make(P), make(PREFIX_LIFETIME)
+    assert prefix.tree == full.tree
+    for t in range(1, P):
+        assert prefix.graph.edge_set(t) == full.graph.edge_set(t)
+    last, full_last = prefix.graph.edge_set(P), full.graph.edge_set(P)
+    assert full_last <= last
+    assert last - full_last <= full.tree.edges
+    assert prefix.fallbacks <= full.fallbacks
+
+
 class TestBlockingFront:
     def test_blocks_most_steps(self):
         n, k = 8, 1
         result = gen_blocking_front(n, k, 60, 0)
         tour = build_dfs_tour(result.tree)
         budget = (n - 1) // k
-        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
+        trace = checked_roundabout(result.graph, tour, range(1, budget + 1), k)
         blocked_steps = 0
         for t, before in zip(trace.times, trace.history):
             # the lead agents, in the order gen_blocking_front ranks them
@@ -220,7 +249,7 @@ class TestBlockingFront:
         result = gen_blocking_front(n, k, lifetime, seed)
         tour = build_dfs_tour(result.tree)
         budget = step_budget(n, k)
-        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget)
+        trace = run_roundabout(result.graph, tour, range(1, budget + 1))
         blocked_steps = 0
         for t, before in zip(trace.times, trace.history):
             lead = sorted(

@@ -4,16 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import InvariantViolation, check_state_invariants, checked_roundabout
 from tempex.core import SpanningTree, TemporalGraph
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
-from tempex.roundabout import (
-    InvariantViolation,
-    RoundaboutState,
-    check_state_invariants,
-    eliminate_redundant,
-    movement_step,
-    run_roundabout,
-)
+from tempex.roundabout import RoundaboutState, eliminate_redundant, movement_step, run_roundabout
 from tempex.tour import build_dfs_tour
 
 
@@ -108,33 +102,29 @@ class TestElimination:
 
 class TestRunRoundabout:
     def test_path3_two_steps(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [1, 2], 2, check_k=1)
+        trace = checked_roundabout(path3_full, path3_tour, [1, 2], 1)
         assert trace.final.agents == (2, 4)
         assert trace.final.states == (4, 2)
         assert trace.final.arc_masks() == [0b1110, 0b1011]
 
     def test_zero_budget_returns_initial(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [], 0)
+        trace = run_roundabout(path3_full, path3_tour, [])
         assert trace.final == RoundaboutState.initial(4)
         assert trace.times == ()
         assert trace.history == (trace.final,)
         assert trace.final.arc_masks() == [1 << (a - 1) for a in trace.final.agents]
 
     def test_six_k_bound_trivial_for_small_tour(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [1, 2], 2, check_k=1)
+        trace = checked_roundabout(path3_full, path3_tour, [1, 2], 1)
         assert len(trace.final.agents) <= 6
-
-    def test_needs_enough_snapshots(self, path3_full, path3_tour):
-        with pytest.raises(ValueError):
-            run_roundabout(path3_full, path3_tour, [1], 2)
 
     def test_rejects_non_deficient_snapshot_in_check_mode(self, path3_tour):
         graph = TemporalGraph.build(3, [[]])
-        with pytest.raises(InvariantViolation):
-            run_roundabout(graph, path3_tour, [1], 1, check_k=1)
+        with pytest.raises(InvariantViolation, match="snapshot 1 is not 1-deficient"):
+            checked_roundabout(graph, path3_tour, [1], 1)
 
     def test_trace_format(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [1, 2], 2)
+        trace = run_roundabout(path3_full, path3_tour, [1, 2])
         lines = trace.format_lines()
         assert lines[0] == "1 1 |A|=2 states=3,1"
         assert lines[1] == "2 2 |A|=2 states=4,2"
@@ -148,7 +138,7 @@ class TestRunRoundabout:
                        connectivity="per-snapshot", extra_edge_rate=0.1)
         result = gen_random_deficient(spec)
         tour = build_dfs_tour(result.tree)
-        trace = run_roundabout(result.graph, tour, range(1, budget + 1), budget, check_k=k)
+        trace = checked_roundabout(result.graph, tour, range(1, budget + 1), k)
         assert len(trace.final.agents) <= 6 * k
 
     @pytest.mark.parametrize("seed", range(4))
@@ -157,7 +147,7 @@ class TestRunRoundabout:
         # edges the snapshot lacks
         result = gen_blocking_front(7, 2, 20, seed)
         tour = build_dfs_tour(result.tree)
-        trace = run_roundabout(result.graph, tour, range(1, 4), 3)
+        trace = run_roundabout(result.graph, tour, range(1, 4))
         assert trace.times == (1, 2, 3)
         assert trace.history[0] == RoundaboutState.initial(tour.n_positions)
         for i in range(1, len(trace.history)):
@@ -171,19 +161,19 @@ class TestRunRoundabout:
         result = gen_random_deficient(GenSpec(n=12, lifetime=10, k=2, seed=4, tree_shape="random",
                                               extra_edge_rate=0.2))
         tour = build_dfs_tour(result.tree)
-        expected = run_roundabout(result.graph, tour, range(1, 6), 5, check_k=2)
+        expected = checked_roundabout(result.graph, tour, range(1, 6), 2)
         front = gen_blocking_front(7, 2, 20, 0)
 
         def no_snapshot(self, t):
             raise AssertionError(f"snapshot {t} built")
 
         monkeypatch.setattr(TemporalGraph, "edge_set", no_snapshot)
-        assert run_roundabout(result.graph, tour, range(1, 6), 5, check_k=2) == expected
+        assert checked_roundabout(result.graph, tour, range(1, 6), 2) == expected
         assert gen_blocking_front(7, 2, 20, 0) == front
 
     def test_moves_of_final_agent_spans_all_steps(self, path3_full, path3_tour):
         # every tour edge is present, so each agent crosses one per step
-        trace = run_roundabout(path3_full, path3_tour, [1, 2], 2)
+        trace = run_roundabout(path3_full, path3_tour, [1, 2])
         for agent in trace.final.agents:
             moves = trace.moves_of(agent, path3_tour)
             assert [t for t, _ in moves] == [1, 2]
@@ -192,16 +182,12 @@ class TestRunRoundabout:
     def test_moves_of_reports_blocked_step(self, path3_tour):
         # snapshot 1 lacks tree edge {1,2}: agent 3 (at position 3) is blocked
         graph = TemporalGraph.build(3, [[(0, 1)], [(0, 1), (1, 2)]])
-        trace = run_roundabout(graph, path3_tour, [1, 2], 2)
+        trace = run_roundabout(graph, path3_tour, [1, 2])
         assert trace.final.agents == (3, 4)
         assert trace.moves_of(3, path3_tour) == ((2, (2, 1)),)
         assert trace.moves_of(4, path3_tour) == ((1, (1, 0)), (2, (0, 1)))
         for agent in (3, 4):
             assert_chains_along_tour(trace.moves_of(agent, path3_tour), agent, path3_tour)
-
-    def test_only_first_budget_snapshots_are_used(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [3, 5, 6, 7, 8], 2)
-        assert trace.times == (3, 5)
 
 
 class TestInvariantChecker:

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 
 from reference import (
     assert_cut_of_full_plan,
+    checked_roundabout,
     exhaustive_covering_fraction,
     full_plan_schedule,
     is_covering_tuple,
     run_epoch_traces,
 )
+from test_golden import CASES
+from tempex import scheduler
 from tempex.cli import main
 from tempex.core import (
     ParseError,
@@ -25,7 +28,6 @@ from tempex.core import (
 )
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.rng import SplitMix64
-from tempex.roundabout import run_roundabout
 from tempex.scheduler import (
     Epoch,
     EpochPlan,
@@ -207,17 +209,13 @@ class TestCoveringTuples:
         second = find_covering_tuple(traces, 4, LasVegas(seed=9))
         assert first == second
 
-    def test_las_vegas_exhaustion_is_loud(self, two_epoch_run):
+    def test_las_vegas_exhaustion_is_loud(self, two_epoch_run, monkeypatch):
         _, traces = two_epoch_run
         _, attempts = find_covering_tuple(traces, 4, LasVegas(seed=3))
         assert attempts == 3
+        monkeypatch.setattr(scheduler, "MAX_ATTEMPTS", attempts - 1)
         with pytest.raises(TupleSearchExhausted):
-            find_covering_tuple(traces, 4, LasVegas(seed=3, max_attempts=attempts - 1))
-
-    @pytest.mark.parametrize("max_attempts", [0, -5])
-    def test_las_vegas_needs_an_attempt(self, max_attempts):
-        with pytest.raises(ValueError, match="max_attempts must be at least 1"):
-            LasVegas(max_attempts=max_attempts)
+            find_covering_tuple(traces, 4, LasVegas(seed=3))
 
     def test_single_epoch_full_coverage_agent(self):
         # one epoch whose survivor visited the whole tour covers by itself
@@ -274,7 +272,7 @@ class TestAssembleAndVerify:
     def test_reposition_failure_is_typed(self, path3_tree, path3_tour):
         full = [(0, 1), (1, 2)]
         graph = TemporalGraph.build(3, [[], [], full, full])
-        plan = EpochPlan((Epoch(1, 2, 4, (3, 4)),), 1, 2, 1, 2)
+        plan = EpochPlan((Epoch(1, 2, 4, (3, 4)),), 1, 1)
         with pytest.raises(RepositionFailed) as exc:
             assemble_schedule(graph, path3_tour, plan, [], replaying((2,)), 2)
         assert exc.value.epoch == 1
@@ -418,12 +416,27 @@ class TestExplore:
         tour = build_dfs_tour(tree)
         assert len(plan.epochs) == rho_for(k)
         checked = [
-            run_roundabout(result.graph, tour, epoch.roundabout_times, plan.budget, check_k=k)
+            checked_roundabout(result.graph, tour, epoch.roundabout_times, k)
             for epoch in plan.epochs
         ]
         run = explore_detailed(result.graph, k, delta, 0, tree=tree)
         assert 1 <= len(run.traces) < rho_for(k)
         assert list(run.traces) == checked[: len(run.traces)]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_replayed_epoch_of_a_golden_case_keeps_the_invariants(self, name):
+        # rerun each epoch the pipeline replayed with every per-step property
+        # and the 6k survivor bound asserted, at the deficiency it ran at (2k
+        # on the recovery cases), and match the trace it recorded
+        build, k, delta, start, with_tree, strategy = CASES[name]
+        result = build()
+        run = explore_detailed(result.graph, k, delta, start, result.tree if with_tree else None, strategy)
+        tour = build_dfs_tour(run.tree)
+        checked = [
+            checked_roundabout(result.graph, tour, epoch.roundabout_times, run.plan.k)
+            for epoch in run.plan.epochs
+        ]
+        assert checked == list(run.traces)
 
     def test_without_tree_uses_doubled_deficiency(self):
         n, k = 6, 1
@@ -640,12 +653,13 @@ class TestStopAtCover:
         assert ends[-2] < run.stats.cover_step <= ends[-1]
         assert not verify_schedule(graph, 0, replace(full, actions=full.actions[: ends[-2]])).ok
 
-    def test_exhausted_fallback_fails_typed_end_to_end(self, zero_first_draws, tmp_path, capsys):
+    def test_exhausted_fallback_fails_typed_end_to_end(self, zero_first_draws, tmp_path, capsys, monkeypatch):
         rho = rho_for(1)
         tree, graph = chord_path()
+        monkeypatch.setattr(scheduler, "MAX_ATTEMPTS", 1)
         zero_first_draws(2 * rho)
         with pytest.raises(TupleSearchExhausted) as exc:
-            explore_detailed(graph, 1, 2, 0, tree=tree, strategy=LasVegas(seed=4, max_attempts=1))
+            explore_detailed(graph, 1, 2, 0, tree=tree, strategy=LasVegas(seed=4))
         assert exc.value.attempts == 1
         graph_file, tree_file = tmp_path / "chord.tg", tmp_path / "chord.tree"
         graph_file.write_text(serialize_temporal_graph(graph))
@@ -653,7 +667,7 @@ class TestStopAtCover:
         zero_first_draws(2 * rho)
         code = main([
             "explore", "--graph", str(graph_file), "--k", "1", "--delta", "2", "--start", "0",
-            "--tree", str(tree_file), "--seed", "4", "--max-attempts", "1",
+            "--tree", str(tree_file), "--seed", "4",
         ])
         out, err = capsys.readouterr()
         assert code == 1

@@ -123,7 +123,7 @@ class TestBuildTour:
     def test_malformed_tour_rejected(self, vertices, message):
         tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
         with pytest.raises(ValueError, match=re.escape(message)):
-            DfsTour(tree, 0, vertices)
+            DfsTour(tree, vertices)
 
     @given(spanning_trees(max_n=10))
     def test_tour_covers_all_vertices_and_edges_twice(self, tree):
