@@ -576,17 +576,27 @@ def verify_delta_connectivity(
 ) -> ConnectivityReport:
     """Check that every length-delta window is temporally connected.
 
-    Each window is one all-sources earliest-arrival sweep: ``reach[v]`` is the
-    bitmask of the sources that reached v strictly before the current step,
-    and each snapshot's next masks are built from the previous ones, so a
-    walk crosses at most one edge per step. The sweep stops as soon as every
-    vertex has been reached by every source, which is exact because reach
-    only grows. Cost: O((L-delta+1) * delta * (|E_t| + n)) word operations,
-    usually far less with the early stop. Exhaustive mode scans all
-    L-delta+1 windows; sampled mode checks a seeded subset of them. Returns
-    the first violating (window start, (source, target)) if any: the
-    smallest source that fails to reach some vertex, and the smallest vertex
-    it fails to reach.
+    All windows share one forward sweep over the timeline. ``reach[v]``
+    holds one n-bit field per live window, the oldest in the low bits: bit
+    ``i*n + s`` is set once source s of the i-th oldest live window has
+    reached v strictly before the current step. A window starting at step t
+    sets its sources' own bits before t's edges are applied; each snapshot's
+    next masks are built from the previous ones, so a walk crosses at most
+    one edge per step, and one OR per edge end advances every live window.
+    A later window has reached no more (source, vertex) pairs by any step
+    than an earlier one, since a walk may wait at its source, so windows
+    become connected in start order: only the oldest field is tested, and a
+    connected window retires by shifting every mask right by n. Each
+    snapshot is read once, and sampled mode skips the steps no chosen window
+    covers. Cost: O(sum over windows of c_w * (|E_t| + n) * n / word) word
+    operations, where c_w <= delta is the number of steps window w stays
+    open, and O(delta * n^2) bits of memory, since up to delta windows are
+    open at once and ``reach`` and its next copy each hold delta*n bits per
+    vertex. Exhaustive mode checks all L-delta+1 windows; sampled mode a
+    seeded subset of them. Returns the first violating (window start,
+    (source, target)) if any: the smallest source that fails to reach some
+    vertex, and the smallest vertex it fails to reach. ``windows_checked``
+    counts the chosen windows up to that one, or all of them.
     """
     if not (1 <= delta <= graph.lifetime):
         raise ValueError(f"delta {delta} outside [1, {graph.lifetime}]")
@@ -601,29 +611,37 @@ def verify_delta_connectivity(
         while len(chosen) < samples:
             chosen.add(starts[rng.below(len(starts))])
         starts = sorted(chosen)
-    everyone = (1 << graph.n) - 1
-    # each snapshot's edge set is built once per call; a window's first
-    # snapshot is dropped when the window is done, as later windows start after it
-    edge_sets: dict[int, frozenset[Edge]] = {}
-    checked = 0
-    for w in starts:
-        checked += 1
-        reach = [1 << v for v in range(graph.n)]
-        for t in range(w, w + delta):
-            snap = edge_sets.get(t)
-            if snap is None:
-                snap = edge_sets[t] = graph.edge_set(t)
-            nxt = reach[:]
-            for u, v in snap:
-                nxt[u] |= reach[v]
-                nxt[v] |= reach[u]
-            reach = nxt
-            if reduce(and_, reach) == everyone:
-                break
-        edge_sets.pop(w, None)
-        missing = everyone & ~reduce(and_, reach)
-        if missing:
-            source = (missing & -missing).bit_length() - 1
-            target = next(v for v, mask in enumerate(reach) if not mask >> source & 1)
-            return ConnectivityReport(False, (w, (source, target)), checked, mode)
-    return ConnectivityReport(True, None, checked, mode)
+    n = graph.n
+    everyone = (1 << n) - 1
+    reach = [0] * n
+    oldest = opened = 0  # the live windows are starts[oldest:opened]
+    t = starts[0]
+    while True:
+        if opened < len(starts) and starts[opened] == t:
+            shift = (opened - oldest) * n
+            reach = [mask | 1 << (shift + v) for v, mask in enumerate(reach)]
+            opened += 1
+        nxt = reach[:]
+        for u, v in graph.edge_set(t):
+            nxt[u] |= reach[v]
+            nxt[v] |= reach[u]
+        reach = nxt
+        common = reduce(and_, reach)
+        retired = oldest
+        while oldest < opened and common & everyone == everyone:
+            oldest += 1
+            common >>= n
+        if oldest > retired:
+            reach = [mask >> (oldest - retired) * n for mask in reach]
+        if oldest < opened:
+            w = starts[oldest]
+            if w + delta - 1 == t:
+                missing = everyone & ~common
+                source = (missing & -missing).bit_length() - 1
+                target = next(v for v, mask in enumerate(reach) if not mask >> source & 1)
+                return ConnectivityReport(False, (w, (source, target)), oldest + 1, mode)
+            t += 1
+        elif opened < len(starts):
+            t = starts[opened]
+        else:
+            return ConnectivityReport(True, None, len(starts), mode)

@@ -11,6 +11,9 @@ fraction of tuples that do (the paper's bound is at least 1/12).
 
 The roundabout's per-step properties and its 6k survivor bound, asserted
 on a recorded trace rather than inside the pipeline's step loop.
+
+The delta check done the slow way: one foremost walk per source in every
+window, for the shared sweep of ``verify_delta_connectivity`` to equal.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from tempex.core import SpanningTree, TemporalGraph
+from tempex.core import ConnectivityReport, SpanningTree, TemporalGraph, foremost_walk
+from tempex.rng import SplitMix64
 from tempex.roundabout import RoundaboutState, RoundaboutTrace, run_roundabout
 from tempex.scheduler import (
     EpochPlan,
@@ -183,3 +187,28 @@ def assert_cut_of_full_plan(
     assert run.schedule == replace(full, actions=full.actions[:end])
     assert run.stats.span == end
     return full
+
+
+def chosen_starts(lifetime, delta, mode, samples, seed):
+    """Window starts the delta check covers, in increasing order."""
+    starts = list(range(1, lifetime - delta + 2))
+    if mode == "sampled" and len(starts) > samples:
+        rng = SplitMix64(seed)
+        chosen = set()
+        while len(chosen) < samples:
+            chosen.add(starts[rng.below(len(starts))])
+        starts = sorted(chosen)
+    return starts
+
+
+def per_source_delta_check(graph, delta, mode, samples, seed):
+    """Reference delta check: one foremost sweep per source in every window."""
+    checked = 0
+    for w in chosen_starts(graph.lifetime, delta, mode, samples, seed):
+        checked += 1
+        for source in range(graph.n):
+            result = foremost_walk(graph, (w, w + delta - 1), source)
+            for target in range(graph.n):
+                if result.arrival[target] is None:
+                    return ConnectivityReport(False, (w, (source, target)), checked, mode)
+    return ConnectivityReport(True, None, checked, mode)

@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 
 from cliutil import run_cli
-from reference import full_plan_schedule
+from reference import full_plan_schedule, per_source_delta_check
 from tempex.core import parse_spanning_tree, parse_temporal_graph
 from tempex.scheduler import LasVegas, parse_schedule
-from test_core import per_source_delta_check
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference import chosen_starts, per_source_delta_check
 from strategies import near_static_snapshots, repeating_snapshots, spanning_trees, temporal_graphs
 from tempex.core import (
     ConnectivityReport,
@@ -25,28 +26,7 @@ from tempex.core import (
 )
 from tempex.gen import GenSpec, gen_random_deficient
 from tempex.oracle import foremost_arrival_oracle
-from tempex.rng import SplitMix64
 from tempex.treefind import absence_weights
-
-
-def per_source_delta_check(graph, delta, mode, samples, seed):
-    """Reference delta check: one foremost sweep per source in every window."""
-    starts = list(range(1, graph.lifetime - delta + 2))
-    if mode == "sampled" and len(starts) > samples:
-        rng = SplitMix64(seed)
-        chosen = set()
-        while len(chosen) < samples:
-            chosen.add(starts[rng.below(len(starts))])
-        starts = sorted(chosen)
-    checked = 0
-    for w in starts:
-        checked += 1
-        for source in range(graph.n):
-            result = foremost_walk(graph, (w, w + delta - 1), source)
-            for target in range(graph.n):
-                if result.arrival[target] is None:
-                    return ConnectivityReport(False, (w, (source, target)), checked, mode)
-    return ConnectivityReport(True, None, checked, mode)
 
 
 def sorted_lines_tg1(graph):
@@ -568,6 +548,41 @@ class TestDeltaConnectivity:
             for mode in ("exhaustive", "sampled"):
                 got = verify_delta_connectivity(graph, delta, mode, samples, seed)
                 assert got == per_source_delta_check(graph, delta, mode, samples, seed)
+
+    @given(temporal_graphs())
+    def test_later_windows_connect_no_earlier(self, graph):
+        # the shared sweep retires windows in start order because of this
+        def connected_at(w):
+            last = 0
+            for source in range(graph.n):
+                for arrival in foremost_walk(graph, (w, graph.lifetime), source).arrival:
+                    if arrival is None:
+                        return float("inf")
+                    last = max(last, arrival)
+            return last
+
+        steps = [connected_at(w) for w in range(1, graph.lifetime + 1)]
+        assert steps == sorted(steps)
+
+    def test_wide_masks_every_window_live_to_its_last_step(self):
+        # n=70 path: source 0 reaches 69 exactly at step n-1 of a window
+        n, lifetime = 70, 100
+        graph = TemporalGraph.build(n, [[(i, i + 1) for i in range(n - 1)]] * lifetime)
+        report = verify_delta_connectivity(graph, n - 1)
+        assert report == ConnectivityReport(True, None, lifetime - n + 2, "exhaustive")
+        report = verify_delta_connectivity(graph, n - 2)
+        assert report == ConnectivityReport(False, (1, (0, 69)), 1, "exhaustive")
+
+    @pytest.mark.parametrize("delta, ok", [(7, False), (20, True)])
+    def test_sampled_windows_far_apart(self, delta, ok):
+        spec = GenSpec(n=8, lifetime=2000, k=2, seed=3, tree_shape="random",
+                       connectivity="delta-only", delta=20)
+        graph = gen_random_deficient(spec).graph
+        starts = chosen_starts(graph.lifetime, delta, "sampled", 5, 18)
+        assert all(b - a >= delta for a, b in zip(starts, starts[1:]))
+        got = verify_delta_connectivity(graph, delta, "sampled", 5, 18)
+        assert got == per_source_delta_check(graph, delta, "sampled", 5, 18)
+        assert got.ok == ok
 
     def test_delta_above_lifetime(self, path3_full):
         with pytest.raises(ValueError):
