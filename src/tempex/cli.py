@@ -80,8 +80,16 @@ def _load_graph(path: str):
     return parse_temporal_graph(Path(path).read_text())
 
 
+# The only values gen_blocking_front builds with; it takes none of these flags.
+_BLOCKING_FRONT_BUILDS = {"tree_shape": "path", "connectivity": "per-snapshot", "delta": None, "extra_edge_rate": 0.0}
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     if args.family == "blocking-front":
+        for name, value in _BLOCKING_FRONT_BUILDS.items():
+            if getattr(args, name) != value:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} {getattr(args, name)} does not apply to --family blocking-front")
         result = gen_blocking_front(args.n, args.k, args.L, args.seed)
         parameters = {"family": "blocking-front", "n": args.n, "L": args.L, "k": args.k, "seed": args.seed}
     else:

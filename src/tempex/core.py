@@ -132,24 +132,26 @@ class TemporalGraph:
         for diff in chain(self.removed, self.added):
             if type(diff) is not tuple or (len(diff) > 1 and not all(map(lt, diff, diff[1:]))):
                 raise ValueError("removed and added edges must be strictly sorted tuples")
-        if not self.base.issuperset(chain.from_iterable(self.removed)):
+        lacking = Counter(chain.from_iterable(self.removed))
+        having = Counter(chain.from_iterable(self.added))
+        if not self.base.issuperset(lacking):
             raise ValueError("a removed edge is not in the base")
-        if not self.base.isdisjoint(chain.from_iterable(self.added)):
+        if not self.base.isdisjoint(having):
             raise ValueError("an added edge is already in the base")
-        _check_edges(self.n, frozenset().union(*self.added), "snapshot")
-        self._rebase_onto_majority()
+        _check_edges(self.n, having, "snapshot")
+        self._rebase_onto_majority(lacking, having)
 
-    def _rebase_onto_majority(self) -> None:
+    def _rebase_onto_majority(self, lacking: Counter[Edge], having: Counter[Edge]) -> None:
         """Move the base to the edges present in more than half the snapshots.
 
-        Costs O(|base| + total diff): an edge's presence is the lifetime
-        minus its :meth:`absences`. Each distinct (removed, added) pair is
-        rewritten once, and the steps that repeat it share the new tuples.
+        `lacking` counts the steps that remove each base edge and `having`
+        the steps that add each other edge. Costs O(|base| + total diff).
+        Each distinct (removed, added) pair is rewritten once, and the steps
+        that repeat it share the new tuples.
         """
         lifetime = self.lifetime
-        absent = self.absences(lifetime)
-        demoted = frozenset(e for e in self.base if 2 * absent[e] >= lifetime)
-        promoted = frozenset(e for e, c in absent.items() if 2 * c < lifetime and e not in self.base)
+        demoted = frozenset(e for e, c in lacking.items() if 2 * c >= lifetime)
+        promoted = frozenset(e for e, c in having.items() if 2 * c > lifetime)
         if not demoted and not promoted:
             return
         rebased: dict[tuple[tuple[Edge, ...], tuple[Edge, ...]], tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
@@ -256,10 +258,11 @@ def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"{what}: expected integer, got {token!r}", lineno) from None
+    """An optional '-' and ASCII digits; no '+', '_', spaces or other scripts' digits."""
+    digits = token[1:] if token.startswith("-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"{what}: expected integer, got {token!r}", lineno)
+    return int(token)
 
 
 def _parse_edge_line(parts: list[str], lineno: int, n: int, seen: set[Edge]) -> None:

@@ -58,7 +58,7 @@ def movement_step(state: RoundaboutState, blocked: Collection[Edge], tour: DfsTo
     n = state.n_positions
     moves = list(state.moves)
     for i, (a, m) in enumerate(zip(state.agents, state.moves)):
-        if tour.tour_edge((a - 1 + m) % n + 1) not in blocked:
+        if tour.edges[(a - 1 + m) % n] not in blocked:
             moves[i] = m + 1
     return RoundaboutState(n, state.step + 1, state.agents, tuple(moves))
 

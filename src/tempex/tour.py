@@ -9,7 +9,7 @@ single integer operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import Edge, SpanningTree, canonical_edge
 
@@ -29,28 +29,32 @@ def arc_mask(start: int, length: int, n: int) -> int:
 
 @dataclass(frozen=True)
 class DfsTour:
-    """Cyclic DFS tour of a spanning tree from root 0; each tree edge is crossed exactly twice."""
+    """Cyclic DFS tour of a spanning tree from root 0, children in ascending
+    vertex id; each tree edge is crossed exactly twice.
+
+    Read off the tree's preorder: go down to each vertex in turn, after
+    climbing parents from the previous one up to its parent; at the end,
+    climb back to the root. ``vertices[i-1]`` is v_i and ``edges[i-1]`` is
+    e_i; both follow from the tree, so neither takes part in equality.
+    """
 
     tree: SpanningTree
-    vertices: tuple[int, ...]
+    vertices: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    edges: tuple[Edge, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.tree.n
-        if len(self.vertices) != 2 * (n - 1):
-            raise ValueError("tour length must be 2(n-1)")
-        if self.vertices[0] != 0:
-            raise ValueError("tour must start at the root")
-        edges: list[Edge] = []
-        counts: dict[Edge, int] = {}
-        for u, v in zip(self.vertices, self.vertices[1:] + self.vertices[:1]):
-            e = canonical_edge(u, v)
-            if e not in self.tree.edges:
-                raise ValueError(f"tour step {e} is not a tree edge")
-            edges.append(e)
-            counts[e] = counts.get(e, 0) + 1
-        if any(c != 2 for c in counts.values()) or len(counts) != n - 1:
-            raise ValueError("each tree edge must appear exactly twice in the tour")
-        object.__setattr__(self, "_edges", tuple(edges))
+        if self.tree.n < 2:
+            raise ValueError("no tour exists for a single-vertex tree")
+        parent = self.tree.parent
+        seq = [0]
+        for v in self.tree.preorder[1:]:
+            while seq[-1] != parent[v]:
+                seq.append(parent[seq[-1]])
+            seq.append(v)
+        while seq[-1] != 0:
+            seq.append(parent[seq[-1]])
+        object.__setattr__(self, "vertices", tuple(seq[:-1]))
+        object.__setattr__(self, "edges", tuple(map(canonical_edge, seq, seq[1:])))
 
     @property
     def n_positions(self) -> int:
@@ -62,24 +66,9 @@ class DfsTour:
 
     def tour_edge(self, i: int) -> Edge:
         """Edge e_i = {v_i, v_{i+1}} (1-indexed, cyclic)."""
-        return self._edges[i - 1]  # type: ignore[attr-defined]
+        return self.edges[i - 1]
 
 
 def build_dfs_tour(tree: SpanningTree) -> DfsTour:
-    """The tree's DFS tour from root 0, children in ascending vertex id.
-
-    Read off the tree's preorder: go down to each vertex in turn, after
-    climbing parents from the previous one up to its parent; at the end,
-    climb back to the root.
-    """
-    if tree.n < 2:
-        raise ValueError("no tour exists for a single-vertex tree")
-    parent = tree.parent
-    seq = [0]
-    for v in tree.preorder[1:]:
-        while seq[-1] != parent[v]:
-            seq.append(parent[seq[-1]])
-        seq.append(v)
-    while seq[-1] != 0:
-        seq.append(parent[seq[-1]])
-    return DfsTour(tree, tuple(seq[:-1]))
+    """The tree's DFS tour from root 0, children in ascending vertex id."""
+    return DfsTour(tree)

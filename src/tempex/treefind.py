@@ -31,7 +31,11 @@ class TreeStats:
     q: int
     threshold: int
     deficiencies: tuple[int, ...]
-    total_weight: int
+
+    @property
+    def total_weight(self) -> int:
+        """The tree's absence weight over the prefix: by double counting, the deficiencies' sum."""
+        return sum(self.deficiencies)
 
     @property
     def good_count(self) -> int:
@@ -90,12 +94,6 @@ def find_good_tree(graph: TemporalGraph, k: int, q: int) -> tuple[SpanningTree, 
         raise ValueError("q must be positive")
     if k < 0:
         raise ValueError("k must be non-negative")
-    ew = absence_weights(graph, 2 * q)
-    tree = minimum_weight_spanning_tree(graph.n, ew.weights)
+    tree = minimum_weight_spanning_tree(graph.n, absence_weights(graph, 2 * q).weights)
     deficiencies = tuple(map(len, graph.missing(tree.edges, range(1, 2 * q + 1))))
-    total = sum(ew.weights[e] for e in tree.edges)
-    # double counting: summing missing tree edges per snapshot equals summing
-    # per-edge absence counts over the tree
-    if sum(deficiencies) != total:
-        raise AssertionError("deficiency/weight double counting failed")
-    return tree, TreeStats(q, 2 * k, deficiencies, total)
+    return tree, TreeStats(q, 2 * k, deficiencies)

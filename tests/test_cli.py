@@ -228,6 +228,27 @@ class TestExitCodes:
         assert "format error: line 5: move endpoint: expected integer, got 'x'" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("fmt", ["graph", "tree", "schedule"])
+    def test_integer_with_underscore_is_format_error(self, tmp_path, e1_graph_file, fmt):
+        # int() alone would read '1_0' as 10
+        path = tmp_path / "bad"
+        if fmt == "graph":
+            path.write_text("11 1\n1\n0 1_0\n")
+            args = ["check-delta", "--graph", str(path), "--delta", "1"]
+            where = "line 3: edge endpoint"
+        elif fmt == "tree":
+            path.write_text("0 1\n1 1_0\n")
+            args = ["explore", "--graph", str(e1_graph_file), "--k", "1", "--tree", str(path)]
+            where = "line 2: edge endpoint"
+        else:
+            path.write_text("start 0\n1_0 wait\n")
+            args = ["verify", "--graph", str(e1_graph_file), "--schedule", str(path)]
+            where = "line 2: step"
+        proc = run_cli(*args)
+        assert proc.returncode == 2
+        assert f"format error: {where}: expected integer, got '1_0'" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bench_row_missing_key_is_usage_error(self, tmp_path):
         manifest = tmp_path / "rows.json"
         manifest.write_text(json.dumps([
@@ -340,6 +361,34 @@ class TestExitCodes:
         assert "bad input: --stats needs --out" in proc.stderr
         assert proc.stdout == ""
         assert not stats.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--tree-shape", "star"),
+        ("--connectivity", "none"),
+        ("--extra-edge-rate", "0.9"),
+        ("--delta", "5"),
+    ])
+    def test_blocking_front_rejects_flags_it_ignores(self, tmp_path, flag, value):
+        out = tmp_path / "bf"
+        proc = run_cli(
+            "gen", "--n", "6", "--L", "50", "--k", "1", "--family", "blocking-front",
+            flag, value, "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert f"bad input: {flag} {value} does not apply to --family blocking-front" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_blocking_front_accepts_the_values_it_builds(self, tmp_path):
+        proc = run_cli(
+            "gen", "--n", "6", "--L", "50", "--k", "1", "--family", "blocking-front",
+            "--tree-shape", "path", "--connectivity", "per-snapshot", "--extra-edge-rate", "0",
+            "--out", str(tmp_path / "bf"),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert parse_spanning_tree((tmp_path / "bf.tg.tree").read_text(), 6).edges == {
+            (i, i + 1) for i in range(5)
+        }
 
     def test_check_delta_zero_samples_is_usage_error(self, e1_graph_file):
         proc = run_cli(

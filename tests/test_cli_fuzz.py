@@ -123,15 +123,18 @@ def draw_args(draw, d: Path) -> list[str]:
     manifest.write_text(draw(manifest_texts()))
     command = draw(st.sampled_from(("gen", "explore", "verify", "tree", "oracle", "check-delta", "bench")))
     if command == "gen":
-        return [
+        args = [
             "gen", "--n", str(draw(st.sampled_from((4, 5, 2, 1, 0)))), "--L", str(draw(STEPS)),
-            "--k", str(draw(K)),
-            "--family", draw(st.sampled_from(("random", "blocking-front"))),
+            "--k", str(draw(K)), "--out", str(d / "out"),
+        ]
+        if draw(st.booleans()):
+            return args + ["--family", "blocking-front"]  # takes none of the random family's flags
+        return args + [
+            "--family", "random",
             "--tree-shape", draw(st.sampled_from(("path", "star", "random"))),
             "--connectivity", draw(st.sampled_from(("per-snapshot", "delta-only", "none"))),
             *optional(draw, "--delta", STEPS),
             *optional(draw, "--extra-edge-rate", st.sampled_from((0.0, 0.5, 1.5))),
-            "--out", str(d / "out"),
         ]
     if command == "explore":
         args = [

@@ -140,6 +140,21 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_temporal_graph("2 1\n1\n0 1\n0 1\n")
 
+    @pytest.mark.parametrize("token", ["1_0", "+1", "\u0661", "1.0", "-", "--1"])
+    @pytest.mark.parametrize("text, what, line", [
+        ("{} 1\n1\n0 1\n", "header n", 1),
+        ("2 1\n{}\n0 1\n", "edge count", 2),
+        ("3 1\n1\n0 {}\n", "edge endpoint", 3),
+    ], ids=["header", "count", "endpoint"])
+    def test_only_ascii_decimals_are_integers(self, token, text, what, line):
+        with pytest.raises(ParseError) as exc:
+            parse_temporal_graph(text.format(token))
+        assert str(exc.value) == f"line {line}: {what}: expected integer, got {token!r}"
+
+    def test_negative_edge_count_is_read_as_a_number(self):
+        with pytest.raises(ParseError, match="negative edge count -1"):
+            parse_temporal_graph("2 1\n-1\n")
+
     def test_non_canonical_order_accepted(self):
         g = parse_temporal_graph("3 1\n2\n2 1\n1 0\n")
         assert tuple(g.snapshots) == (frozenset({(0, 1), (1, 2)}),)

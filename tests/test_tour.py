@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import re
 from collections import Counter
 
 import pytest
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from strategies import spanning_trees
 from tempex.core import SpanningTree, canonical_edge
-from tempex.tour import DfsTour, arc_mask, build_dfs_tour
+from tempex.tour import arc_mask, build_dfs_tour
 
 
 def arc_members(i: int, j: int, n: int) -> set[int]:
@@ -113,18 +112,6 @@ class TestBuildTour:
         with pytest.raises(ValueError):
             build_dfs_tour(SpanningTree(1, frozenset()))
 
-    @pytest.mark.parametrize("vertices, message", [
-        ((0, 1), "tour length must be 2(n-1)"),
-        ((1, 2, 1, 0), "tour must start at the root"),
-        ((0, 1, 1, 2), "self-loop at vertex 1"),
-        ((0, 2, 2, 1), "tour step (0, 2) is not a tree edge"),  # before the later self-loop
-        ((0, 1, 0, 1), "each tree edge must appear exactly twice in the tour"),
-    ])
-    def test_malformed_tour_rejected(self, vertices, message):
-        tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
-        with pytest.raises(ValueError, match=re.escape(message)):
-            DfsTour(tree, vertices)
-
     @given(spanning_trees(max_n=10))
     def test_tour_covers_all_vertices_and_edges_twice(self, tree):
         tour = build_dfs_tour(tree)
@@ -137,7 +124,9 @@ class TestBuildTour:
 
     @given(spanning_trees(max_n=10))
     def test_tour_is_deterministic(self, tree):
-        assert build_dfs_tour(tree) == build_dfs_tour(tree)
+        first, second = build_dfs_tour(tree), build_dfs_tour(tree)
+        assert first == second
+        assert (first.vertices, first.edges) == (second.vertices, second.edges)
 
     @given(spanning_trees(max_n=14), st.data())
     def test_matches_iterator_dfs_reference(self, tree, data):

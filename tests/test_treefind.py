@@ -137,6 +137,29 @@ class TestFindGoodTree:
             deficiency_count(result.graph.edge_set(t), tree) for t in range(1, 13)
         )
 
+    @given(
+        n=st.integers(2, 9),
+        k=st.sampled_from((1, 2)),
+        q=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        tree_shape=st.sampled_from(("path", "star", "random")),
+        extra_edge_rate=st.sampled_from((0.0, 0.3)),
+    )
+    def test_tree_weight_is_the_sum_of_deficiencies(self, n, k, q, seed, tree_shape, extra_edge_rate):
+        # sum over e in T of w(e) = sum over t of |T - G_t|: both sides count
+        # each (tree edge, snapshot) absence once, per edge through
+        # TemporalGraph.absences and per snapshot through TemporalGraph.missing
+        k = min(k, n - 1)
+        spec = GenSpec(n=n, lifetime=2 * q + seed % 3, k=k, seed=seed, tree_shape=tree_shape,
+                       extra_edge_rate=extra_edge_rate)
+        result = gen_random_deficient(spec)
+        weights = result.graph.absences(2 * q)
+        tree, stats = find_good_tree(result.graph, k, q)
+        assert stats.total_weight == sum(weights[e] for e in tree.edges)
+        if result.tree.edges <= weights.keys():  # else a witness edge is in no snapshot
+            lacked = result.graph.missing(result.tree.edges, range(1, 2 * q + 1))
+            assert sum(map(len, lacked)) == sum(weights[e] for e in result.tree.edges)
+
 
 def _is_spanning_tree(n: int, edges) -> bool:
     if len(edges) != n - 1:
