@@ -26,6 +26,7 @@ from .core import (
     serialize_spanning_tree,
     serialize_temporal_graph,
     verify_delta_connectivity,
+    write_temporal_graph,
 )
 from .gen import GenResult, GenSpec, gen_blocking_front, gen_random_deficient
 from .oracle import OracleResult, foremost_arrival_oracle, optimal_exploration_time

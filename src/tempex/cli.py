@@ -22,8 +22,8 @@ from .core import (
     parse_spanning_tree,
     parse_temporal_graph,
     serialize_spanning_tree,
-    serialize_temporal_graph,
     verify_delta_connectivity,
+    write_temporal_graph,
 )
 from .gen import CONNECTIVITY_MODES, TREE_SHAPES, GenSpec, gen_blocking_front, gen_random_deficient
 from .oracle import DEFAULT_LIFETIME_CAP, DEFAULT_VERTEX_CAP, optimal_exploration_time
@@ -120,7 +120,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     tree_path = Path(str(graph_path) + ".tree")
     with _writing():
         graph_path.parent.mkdir(parents=True, exist_ok=True)
-        graph_path.write_text(serialize_temporal_graph(result.graph))
+        with graph_path.open("w") as file:
+            write_temporal_graph(result.graph, file)
         tree_path.write_text(serialize_spanning_tree(result.tree))
     _write_manifest(
         graph_path,

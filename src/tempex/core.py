@@ -4,7 +4,8 @@ Time steps are 1-indexed; vertices are 0-indexed. Edges are canonical
 ``(min, max)`` tuples. A temporal graph is stored as one base edge set plus,
 per step, the few edges that step removes from it or adds to it, so a
 near-static graph costs little more than its base; TG1 output writes each
-snapshot in sorted order as slices of the sorted base's text. All values are
+snapshot in sorted order as slices of the sorted base's text, either joined
+into one string or streamed to a file. All values are
 immutable after construction and every operation is a pure function.
 """
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain
 from operator import and_, lt
-from typing import AbstractSet, Iterable, Iterator, Optional
+from typing import AbstractSet, Iterable, Iterator, Optional, TextIO
 
 from .rng import SplitMix64
 
@@ -433,7 +434,26 @@ def _parse_lines(text: str) -> TemporalGraph:
 
 
 def serialize_temporal_graph(graph: TemporalGraph) -> str:
-    """TG1 text; each snapshot's edges are written in sorted order.
+    """TG1 text; each snapshot's edges are written in sorted order."""
+    (pieces,) = _tg1_chunks(graph, graph.lifetime)
+    return "".join(pieces)
+
+
+def write_temporal_graph(graph: TemporalGraph, file: TextIO) -> None:
+    """Write the TG1 text of `graph` to the open text file `file`.
+
+    Writes the pieces that :func:`serialize_temporal_graph` joins, so the
+    file holds exactly that text, but never the whole text in memory: beyond
+    the base's text and index, writing holds the text of 64 steps at a time.
+    """
+    for pieces in _tg1_chunks(graph, 64):
+        file.write("".join(pieces))
+
+
+def _tg1_chunks(graph: TemporalGraph, chunk_steps: int) -> Iterator[list[str]]:
+    """The TG1 text of `graph` in order, as lists of pieces that join into
+    it: the header and the first `chunk_steps` steps, then each next
+    `chunk_steps` steps.
 
     The sorted base is rendered once as one text. A step without a diff
     repeats that block; any other step is the slices of the base text between
@@ -448,27 +468,30 @@ def serialize_temporal_graph(graph: TemporalGraph) -> str:
     size = len(base)
     whole = f"{size}\n{body}"
     out = [f"{graph.n} {graph.lifetime}\n"]
-    for removed, added in zip(graph.removed, graph.added):
-        if not removed and not added:
-            out.append(whole)
-            continue
-        out.append(f"{size - len(removed) + len(added)}\n")
-        start = 0  # the first base line not yet written or skipped
-        gone = map(index.__getitem__, removed)
-        i = next(gone, size)  # the next removed base line; size once none is left
-        for e in added:
-            j = bisect_left(base, e)  # an added line goes before a removed line at its position
-            while i < j:
+    for first in range(0, graph.lifetime, chunk_steps):
+        last = first + chunk_steps
+        for removed, added in zip(graph.removed[first:last], graph.added[first:last]):
+            if not removed and not added:
+                out.append(whole)
+                continue
+            out.append(f"{size - len(removed) + len(added)}\n")
+            start = 0  # the first base line not yet written or skipped
+            gone = map(index.__getitem__, removed)
+            i = next(gone, size)  # the next removed base line; size once none is left
+            for e in added:
+                j = bisect_left(base, e)  # an added line goes before a removed line at its position
+                while i < j:
+                    out.append(body[offset[start]:offset[i]])
+                    start, i = i + 1, next(gone, size)
+                out.append(body[offset[start]:offset[j]])
+                out.append(f"{e[0]} {e[1]}\n")
+                start = j
+            while i < size:
                 out.append(body[offset[start]:offset[i]])
                 start, i = i + 1, next(gone, size)
-            out.append(body[offset[start]:offset[j]])
-            out.append(f"{e[0]} {e[1]}\n")
-            start = j
-        while i < size:
-            out.append(body[offset[start]:offset[i]])
-            start, i = i + 1, next(gone, size)
-        out.append(body[offset[start]:])
-    return "".join(out)
+            out.append(body[offset[start]:])
+        yield out
+        out = []
 
 
 def parse_spanning_tree(text: str, n: int) -> SpanningTree:

@@ -8,6 +8,10 @@ that reconnect the snapshot without touching the deficiency count.
 Randomness is splitmix64 throughout: the tree structure uses child stream 0
 of the seed and snapshot t uses child stream t, so outputs are a pure
 function of (spec, seed).
+
+Each step is reduced to its final diff against the tree (sorted removed and
+added tuples) as soon as it is drawn, so generating costs about the memory
+of the graph it returns.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ class GenSpec:
                 raise ValueError("delta-only connectivity needs delta")
             if self.delta < self.n - 1:
                 raise ValueError("delta-only connectivity needs delta >= n-1")
+        elif self.delta is not None:
+            raise ValueError(f"delta applies only to delta-only connectivity, not {self.connectivity}")
 
 
 @dataclass(frozen=True)
@@ -160,23 +166,35 @@ def _draw_removal(rng: SplitMix64, tree_edges: list[Edge], k: int) -> list[Edge]
     return [tree_edges[i] for i in sorted(chosen)]
 
 
-def _delta_graph(
-    tree: SpanningTree, removed: list[set[Edge]], present: list[set[Edge]]
-) -> TemporalGraph:
-    """Graph whose snapshot t is the tree minus removed[t-1] plus present[t-1].
+class _Steps:
+    """The diffs of a graph whose snapshot t is the tree minus the t-th
+    step's removed edges plus its present edges, collected step by step.
 
-    Any tree edge missing from every snapshot goes into the last one. Adding a
-    tree edge only lowers that snapshot's deficiency, so the witness property
-    is preserved while the tree stays a subgraph of the underlying graph.
+    Each step becomes its final diff when it is added: the sorted tree edges
+    it lacks and the sorted non-tree edges it has, so only those tuples
+    outlive the step. Any tree edge missing from every snapshot goes into the
+    last one; a running intersection of the dropped edges finds them. Adding
+    a tree edge only lowers that snapshot's deficiency, so the witness
+    property is preserved while the tree stays a subgraph of the underlying
+    graph.
     """
-    dropped = [r - p for r, p in zip(removed, present)]
-    dropped[-1] -= set(dropped[0]).intersection(*dropped[1:])
-    return TemporalGraph(
-        tree.n,
-        tree.edges,
-        tuple(tuple(sorted(r)) if r else () for r in dropped),
-        tuple(tuple(sorted(p - tree.edges)) if p else () for p in present),
-    )
+
+    def __init__(self, tree: SpanningTree) -> None:
+        self.tree = tree
+        self.removed: list[tuple[Edge, ...]] = []
+        self.added: list[tuple[Edge, ...]] = []
+        self.always: Optional[set[Edge]] = None  # tree edges dropped by every step so far
+
+    def add(self, removed: set[Edge], present: set[Edge]) -> None:
+        dropped = removed - present
+        self.always = dropped if self.always is None else self.always & dropped
+        self.removed.append(tuple(sorted(dropped)))
+        self.added.append(tuple(sorted(present - self.tree.edges)))
+
+    def graph(self) -> TemporalGraph:
+        if self.always:
+            self.removed[-1] = tuple(e for e in self.removed[-1] if e not in self.always)
+        return TemporalGraph(self.tree.n, self.tree.edges, tuple(self.removed), tuple(self.added))
 
 
 def _bridged_positions(spec: GenSpec) -> Optional[set[int]]:
@@ -214,8 +232,7 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
     ] if spec.extra_edge_rate > 0.0 else []
     bridged = _bridged_positions(spec)
     fallbacks = 0
-    removals: list[set[Edge]] = []
-    additions: list[set[Edge]] = []
+    steps = _Steps(tree)
     for t in range(1, spec.lifetime + 1):
         rng = stream(spec.seed, t)
         removed = set(_draw_removal(rng, tree_edges, spec.k))
@@ -227,9 +244,8 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
             added, kept = _reconnect(tree, removed, rng)
             present.update(added)
             fallbacks += kept
-        removals.append(removed)
-        additions.append(present)
-    return GenResult(_delta_graph(tree, removals, additions), tree, fallbacks)
+        steps.add(removed, present)
+    return GenResult(steps.graph(), tree, fallbacks)
 
 
 def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
@@ -259,8 +275,7 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
     tour = build_dfs_tour(tree)
     state = RoundaboutState.initial(tour.n_positions)
     fallbacks = 0
-    removals: list[set[Edge]] = []
-    additions: list[set[Edge]] = []
+    steps = _Steps(tree)
     for t in range(1, lifetime + 1):
         rng = stream(seed, t)
         order = sorted(
@@ -275,7 +290,6 @@ def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
                 break
         added, kept = _reconnect(tree, removed, rng)
         fallbacks += kept
-        removals.append(removed)
-        additions.append(set(added))
+        steps.add(removed, set(added))
         state = eliminate_redundant(movement_step(state, removed.difference(added), tour))
-    return GenResult(_delta_graph(tree, removals, additions), tree, fallbacks)
+    return GenResult(steps.graph(), tree, fallbacks)

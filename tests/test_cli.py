@@ -379,6 +379,18 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("connectivity", ["per-snapshot", "none"])
+    def test_random_family_rejects_delta_outside_delta_only(self, tmp_path, connectivity):
+        out = tmp_path / "g"
+        proc = run_cli(
+            "gen", "--n", "6", "--L", "40", "--k", "1", "--connectivity", connectivity,
+            "--delta", "7", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert f"bad input: delta applies only to delta-only connectivity, not {connectivity}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_blocking_front_accepts_the_values_it_builds(self, tmp_path):
         proc = run_cli(
             "gen", "--n", "6", "--L", "50", "--k", "1", "--family", "blocking-front",

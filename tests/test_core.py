@@ -3,7 +3,7 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference import chosen_starts, per_source_delta_check
@@ -21,6 +21,7 @@ from tempex.core import (
     serialize_spanning_tree,
     serialize_temporal_graph,
     verify_delta_connectivity,
+    write_temporal_graph,
     _parse_lines,
     _parse_regular,
 )
@@ -287,6 +288,29 @@ class TestParse:
             tracemalloc.stop()
         assert text == sorted_lines_tg1(graph)
         assert peak < 2.5 * len(text)
+
+    @given(temporal_graphs())
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_file_writer_writes_the_serialized_text(self, tmp_path, graph):
+        path = tmp_path / "g.tg"
+        with path.open("w") as file:
+            write_temporal_graph(graph, file)
+        assert path.read_text() == serialize_temporal_graph(graph)
+
+    def test_file_writer_peak_memory_is_a_fraction_of_the_text(self, tmp_path):
+        """The file writer holds a few steps' text at a time, never all of it."""
+        graph = gen_random_deficient(GenSpec(n=40, lifetime=3000, k=1, seed=5, tree_shape="random")).graph
+        path = tmp_path / "g.tg"
+        with path.open("w") as file:
+            tracemalloc.start()
+            try:
+                write_temporal_graph(graph, file)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        text = path.read_text()
+        assert text == serialize_temporal_graph(graph)
+        assert peak < len(text) / 4
 
     def test_constructor_rejects_tuple_snapshot(self):
         with pytest.raises(ValueError, match="frozenset"):

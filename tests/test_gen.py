@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -119,8 +120,28 @@ class TestGenSpec:
         with pytest.raises(ValueError):
             GenSpec(n=4, lifetime=10, k=1, seed=0, connectivity="delta-only", delta=2)
 
+    @pytest.mark.parametrize("connectivity", ["per-snapshot", "none"])
+    def test_delta_outside_delta_only_is_rejected(self, connectivity):
+        with pytest.raises(ValueError, match=f"delta applies only to delta-only connectivity, not {connectivity}"):
+            GenSpec(n=6, lifetime=40, k=1, seed=0, connectivity=connectivity, delta=7)
+
 
 class TestRandomDeficient:
+    def test_peak_memory_stays_near_the_graph(self):
+        """Each step is reduced to its diff tuples as it is drawn; no per-step
+        sets outlive the step."""
+        spec = GenSpec(n=40, lifetime=3000, k=1, seed=5, tree_shape="random")
+        gen_random_deficient(GenSpec(n=3, lifetime=2, k=1, seed=0))  # first-call allocations
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = gen_random_deficient(spec)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.graph.lifetime == spec.lifetime
+        assert peak - before < 2 * (retained - before)
+
     def test_deterministic(self):
         spec = GenSpec(n=6, lifetime=40, k=1, seed=7, tree_shape="path",
                        connectivity="per-snapshot", extra_edge_rate=0.1)
