@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 typed algorithmic failure (plan ran out of
 snapshots, repositioning impossible, infeasible instance, invalid schedule),
-2 usage or format error. Results go to files or stdout; diagnostics to
+2 usage or format error. Every subcommand that reads a graph reads and checks
+all of it first, except `explore` without `--check-delta`, which reads only
+the steps its run uses. Results go to files or stdout; diagnostics to
 stderr. Every file-writing run leaves a JSON manifest alongside its outputs.
 """
 
@@ -19,6 +21,7 @@ from typing import Optional
 from . import __version__
 from .core import (
     ParseError,
+    TemporalGraph,
     parse_spanning_tree,
     parse_temporal_graph,
     serialize_spanning_tree,
@@ -76,8 +79,14 @@ def _write_manifest(out_base: Path, subcommand: str, inputs: dict, parameters: d
         path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _load_graph(path: str):
-    return parse_temporal_graph(Path(path).read_text())
+def _load_graph(path: str, whole: bool = True) -> TemporalGraph:
+    """The graph in the TG1 file at `path`. With `whole`, every step is read
+    and checked now, so a malformed line anywhere exits 2 before any work;
+    otherwise steps are read as the run asks for them."""
+    graph = parse_temporal_graph(Path(path).read_text())
+    if whole:
+        graph.read_all()
+    return graph
 
 
 # The only values gen_blocking_front builds with; it takes none of these flags.
@@ -138,7 +147,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     if args.stats and not args.out:
         raise ValueError("--stats needs --out")
-    graph = _load_graph(args.graph)
+    graph = _load_graph(args.graph, whole=args.check_delta)
     tree = None
     if args.tree is not None:
         tree = parse_spanning_tree(Path(args.tree).read_text(), graph.n)

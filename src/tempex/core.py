@@ -5,8 +5,10 @@ Time steps are 1-indexed; vertices are 0-indexed. Edges are canonical
 per step, the few edges that step removes from it or adds to it, so a
 near-static graph costs little more than its base; TG1 output writes each
 snapshot in sorted order as slices of the sorted base's text, either joined
-into one string or streamed to a file. All values are
-immutable after construction and every operation is a pure function.
+into one string or streamed to a file. A parsed graph reads its later steps
+from the TG1 text as they are first asked for. Values are immutable after
+construction, apart from the steps such a graph fills in, and every
+operation is a pure function.
 """
 
 from __future__ import annotations
@@ -99,7 +101,9 @@ class SpanningTree:
         object.__setattr__(self, "end", tuple(p + s for p, s in zip(pre, size)))
 
 
-@dataclass(frozen=True)
+READ_CHUNK = 128  # TG1 steps parse_temporal_graph reads at once, and a lazily read graph per read
+
+
 class TemporalGraph:
     """Sequence of snapshots over a fixed vertex set, stored as one base edge
     set plus, per step, the base edges it lacks and the other edges it has.
@@ -113,34 +117,63 @@ class TemporalGraph:
     their snapshot sequences are. Use :meth:`build` to construct from
     arbitrary snapshot edge lists. Restrictions to a window are represented as
     (graph, window) pairs by the callers; snapshots are never copied.
+
+    A graph that :func:`parse_temporal_graph` returns may hold only its first
+    steps. Each later step is read from the text, `READ_CHUNK` steps at a
+    time, the first time an accessor asks for it or for a later step; until
+    then no line after the steps read is checked, and reading a step can
+    raise the :class:`ParseError` of a malformed line. Until its last step is
+    read the graph is based on its first snapshot; reading the last step
+    re-bases it onto its majority graph, so that it then equals, field for
+    field, the graph that reading the whole text at once builds. The
+    per-step accessors take the base afresh after each step they read.
+    ``base``, ``removed``, ``added``, :meth:`underlying`, :meth:`absences`,
+    equality and hashing read every step first, as :meth:`read_all` does.
+    Reading is not synchronised: call :meth:`read_all` before sharing such a
+    graph between threads.
     """
 
-    n: int
-    base: frozenset[Edge]
-    removed: tuple[tuple[Edge, ...], ...]
-    added: tuple[tuple[Edge, ...], ...]
+    __slots__ = ("n", "lifetime", "_base", "_removed", "_added", "_reader")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(
+        self,
+        n: int,
+        base: frozenset[Edge],
+        removed: tuple[tuple[Edge, ...], ...],
+        added: tuple[tuple[Edge, ...], ...],
+    ) -> None:
+        if n < 1:
             raise ValueError("n must be at least 1")
-        if len(self.removed) < 1:
+        if len(removed) < 1:
             raise ValueError("lifetime must be at least 1")
-        if len(self.added) != len(self.removed):
+        if len(added) != len(removed):
             raise ValueError("removed and added need one entry per time step")
-        if not isinstance(self.base, frozenset):
-            raise ValueError(f"base must be a frozenset, got {type(self.base).__name__}")
-        _check_edges(self.n, self.base, "base")
-        for diff in chain(self.removed, self.added):
+        if not isinstance(base, frozenset):
+            raise ValueError(f"base must be a frozenset, got {type(base).__name__}")
+        _check_edges(n, base, "base")
+        for diff in chain(removed, added):
             if type(diff) is not tuple or (len(diff) > 1 and not all(map(lt, diff, diff[1:]))):
                 raise ValueError("removed and added edges must be strictly sorted tuples")
-        lacking = Counter(chain.from_iterable(self.removed))
-        having = Counter(chain.from_iterable(self.added))
-        if not self.base.issuperset(lacking):
+        lacking = Counter(chain.from_iterable(removed))
+        having = Counter(chain.from_iterable(added))
+        if not base.issuperset(lacking):
             raise ValueError("a removed edge is not in the base")
-        if not self.base.isdisjoint(having):
+        if not base.isdisjoint(having):
             raise ValueError("an added edge is already in the base")
-        _check_edges(self.n, having, "snapshot")
+        _check_edges(n, having, "snapshot")
+        self.n, self.lifetime, self._reader = n, len(removed), None
+        self._base, self._removed, self._added = base, tuple(removed), tuple(added)
         self._rebase_onto_majority(lacking, having)
+
+    @classmethod
+    def _reading(cls, reader: _BlockReader) -> "TemporalGraph":
+        """The graph of the steps `reader` has read, reading the rest on demand."""
+        graph = cls.__new__(cls)
+        graph.n, graph.lifetime, graph._reader = reader.n, reader.lifetime, reader
+        graph._base, graph._removed, graph._added = reader.base, reader.removed, reader.added
+        if len(reader.removed) == reader.lifetime:
+            graph._settle()
+        return graph
 
     def _rebase_onto_majority(self, lacking: Counter[Edge], having: Counter[Edge]) -> None:
         """Move the base to the edges present in more than half the snapshots.
@@ -157,7 +190,7 @@ class TemporalGraph:
             return
         rebased: dict[tuple[tuple[Edge, ...], tuple[Edge, ...]], tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
         steps = []
-        for pair in zip(self.removed, self.added):
+        for pair in zip(self._removed, self._added):
             new = rebased.get(pair)
             if new is None:
                 r, a = pair
@@ -167,9 +200,62 @@ class TemporalGraph:
                 )
             steps.append(new)
         removed, added = zip(*steps)
-        object.__setattr__(self, "base", self.base.difference(demoted).union(promoted))
-        object.__setattr__(self, "removed", removed)
-        object.__setattr__(self, "added", added)
+        self._base, self._removed, self._added = self._base.difference(demoted).union(promoted), removed, added
+
+    def _settle(self) -> None:
+        """Drop the reader, which has read the last step, then re-base the
+        graph; dropping it first lets its memo go before the re-base copies."""
+        self._reader = None
+        self._removed, self._added = tuple(self._removed), tuple(self._added)
+        lacking = Counter(chain.from_iterable(self._removed))
+        self._rebase_onto_majority(lacking, Counter(chain.from_iterable(self._added)))
+
+    def _read_through(self, t: int) -> None:
+        """Read the text's steps up to step t, a chunk at a time.
+
+        Text that turns irregular is read whole by the line-by-line parser,
+        which raises its first error or gives the graph to adopt.
+        """
+        while len(self._removed) < t:
+            if not self._reader.read(READ_CHUNK):
+                graph = _parse_lines(self._reader.text)
+                self._reader = None
+                self._base, self._removed, self._added = graph._base, graph._removed, graph._added
+                return
+        if len(self._removed) == self.lifetime:
+            self._settle()
+
+    def read_all(self) -> None:
+        """Read every step not read yet; raises the ParseError of a malformed line."""
+        if self._reader is not None:
+            self._read_through(self.lifetime)
+
+    @property
+    def base(self) -> frozenset[Edge]:
+        self.read_all()
+        return self._base
+
+    @property
+    def removed(self) -> tuple[tuple[Edge, ...], ...]:
+        self.read_all()
+        return self._removed
+
+    @property
+    def added(self) -> tuple[tuple[Edge, ...], ...]:
+        self.read_all()
+        return self._added
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TemporalGraph):
+            return NotImplemented
+        return (self.n, self.base, self.removed, self.added) == (other.n, other.base, other.removed, other.added)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.base, self.removed, self.added))
+
+    def __repr__(self) -> str:
+        read = "" if self._reader is None else f", steps read={len(self._removed)} of {self.lifetime}"
+        return f"TemporalGraph(n={self.n}, base={self._base!r}, removed={self._removed!r}, added={self._added!r}{read})"
 
     @classmethod
     def build(cls, n: int, snapshots: Iterable[Iterable[Edge]]) -> "TemporalGraph":
@@ -178,52 +264,52 @@ class TemporalGraph:
         )
         return cls(n, frozenset(), ((),) * len(added), added)
 
-    @property
-    def lifetime(self) -> int:
-        return len(self.removed)
-
-    def _check_step(self, t: int) -> None:
+    def _diff(self, t: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+        """Step t's (removed, added), read from the text first if need be."""
         if not (1 <= t <= self.lifetime):
             raise ValueError(f"time step {t} outside [1, {self.lifetime}]")
-
-    def _apply(self, removed: tuple[Edge, ...], added: tuple[Edge, ...]) -> frozenset[Edge]:
-        if not removed and not added:
-            return self.base
-        return self.base.difference(removed).union(added)
+        if t > len(self._removed):
+            self._read_through(t)
+        return self._removed[t - 1], self._added[t - 1]
 
     def edge_set(self, t: int) -> frozenset[Edge]:
         """Edges of snapshot t (1-indexed); the base itself when t has no diff."""
-        self._check_step(t)
-        return self._apply(self.removed[t - 1], self.added[t - 1])
+        removed, added = self._diff(t)
+        if not removed and not added:
+            return self._base
+        return self._base.difference(removed).union(added)
 
     def has_edge(self, t: int, e: Edge) -> bool:
         """Whether canonical edge e is present in snapshot t."""
-        self._check_step(t)
-        if e in self.base:
-            return e not in self.removed[t - 1]
-        return e in self.added[t - 1]
+        removed, added = self._diff(t)
+        if e in self._base:
+            return e not in removed
+        return e in added
 
     @property
     def snapshots(self) -> Iterator[frozenset[Edge]]:
         """Every snapshot's edge set in time order, built one step at a time."""
-        return map(self._apply, self.removed, self.added)
+        return map(self.edge_set, range(1, self.lifetime + 1))
 
     def missing(self, tree_edges: AbstractSet[Edge], steps: Iterable[int]) -> Iterator[tuple[Edge, ...]]:
         """Per step in `steps`, the edges of `tree_edges` its snapshot lacks, sorted.
 
         O(|tree_edges| + the steps' diffs): a step lacks the tree edges it
         removes from the base plus the tree edges outside the base that it
-        does not add. When every edge a step removes is a tree edge, its
-        `removed` tuple is returned as is.
+        does not add. When every edge a step removes is a tree edge and the
+        base holds the whole tree, its `removed` tuple is returned as is.
         """
         tree = frozenset(tree_edges)
-        outside = tree.difference(self.base)
+        base: Optional[frozenset[Edge]] = None
+        outside: frozenset[Edge] = frozenset()
         for t in steps:
-            self._check_step(t)
-            r = self.removed[t - 1]
+            r, a = self._diff(t)
+            if self._base is not base:  # the first step, or reading t re-based the graph
+                base = self._base
+                outside = tree.difference(base)
             lacked = r if tree.issuperset(r) else tuple(e for e in r if e in tree)
             if outside:
-                lacked = tuple(sorted(chain(lacked, outside.difference(self.added[t - 1]))))
+                lacked = tuple(sorted(chain(lacked, outside.difference(a))))
             yield lacked
 
     def absences(self, prefix_length: int) -> dict[Edge, int]:
@@ -236,10 +322,11 @@ class TemporalGraph:
             raise ValueError(f"prefix {prefix_length} exceeds lifetime {self.lifetime}")
         if prefix_length < 1:
             raise ValueError("prefix must be positive")
-        removals = Counter(chain.from_iterable(self.removed[:prefix_length]))
-        additions = Counter(chain.from_iterable(self.added[:prefix_length]))
-        counts = {e: removals[e] for e in self.base}
-        for e in self.underlying().difference(self.base):
+        self.read_all()
+        removals = Counter(chain.from_iterable(self._removed[:prefix_length]))
+        additions = Counter(chain.from_iterable(self._added[:prefix_length]))
+        counts = {e: removals[e] for e in self._base}
+        for e in self.underlying().difference(self._base):
             counts[e] = prefix_length - additions[e]
         return counts
 
@@ -285,15 +372,22 @@ def _parse_edge_line(parts: list[str], lineno: int, n: int, seen: set[Edge]) -> 
 def parse_temporal_graph(text: str) -> TemporalGraph:
     """Parse the TG1 format: header 'n L', then per snapshot a count and edges.
 
-    Text in the form :func:`serialize_temporal_graph` writes (edges in any
-    order) takes a fast path that validates each distinct line once and diffs
-    each distinct snapshot block against the first one once. Anything else
-    (comments, blank lines, other whitespace, non-canonical numbers or edges,
-    and every error) goes through the line-by-line parser, which also
-    produces every ParseError.
+    Reads the header and the first `READ_CHUNK` steps now, and each later
+    step when the graph is first asked for it (see :class:`TemporalGraph`);
+    a text of at most `READ_CHUNK` steps is read whole. Text in the form
+    :func:`serialize_temporal_graph` writes (edges in any order) takes a fast
+    path that validates each distinct line once and diffs each distinct
+    snapshot block against the first one once. Anything else (comments, blank
+    lines, other whitespace, non-canonical numbers or edges, and every error)
+    goes through the line-by-line parser, which reads the whole text and
+    produces every ParseError. So the graph, and the error of a text that is
+    malformed within the steps read, are those of reading the whole text at
+    once.
     """
-    graph = _parse_regular(text)
-    return graph if graph is not None else _parse_lines(text)
+    reader = _BlockReader(text)
+    if not reader.read(READ_CHUNK):
+        return _parse_lines(text)
+    return TemporalGraph._reading(reader)
 
 
 def _regular_pair(line: str) -> Optional[tuple[int, int]]:
@@ -326,69 +420,90 @@ def _block_end(text: str, start: int, m: int, guess: int) -> Optional[int]:
     return end + 1
 
 
-def _parse_regular(text: str) -> Optional[TemporalGraph]:
-    """Fast path of parse_temporal_graph; None on any irregularity.
+class _BlockReader:
+    """The fast path of parse_temporal_graph, resumable: reads the text's
+    steps a given number at a time.
 
     Walks the text one snapshot block (the lines after a count) at a time and
     never splits the whole text. Each distinct block is split, validated and
-    diffed against the first block once; a repeated block costs one hash and
-    one dict lookup.
+    diffed against the first block once; a repeated block, read now or in an
+    earlier read, costs one hash and one dict lookup. `removed` and `added`
+    grow by each read's steps, as diffs against `base`, the first block's
+    edges.
     """
-    if not text.endswith("\n"):
-        text += "\n"  # so that every line, the last one too, ends in a newline
-    pos = text.index("\n") + 1
-    header = _regular_pair(text[: pos - 1])
-    if header is None:
-        return None
-    n, lifetime = header
-    if n < 1 or lifetime < 1:
-        return None
-    edge_of: dict[str, Edge] = {}
-    first: frozenset[str] = frozenset()
-    diff_of: dict[str, tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
-    removed: list[tuple[Edge, ...]] = []
-    added: list[tuple[Edge, ...]] = []
-    size, prev_m = 0, 0  # the previous block's length and line count
-    for t in range(lifetime):
-        eol = text.find("\n", pos)
-        count = text[pos:eol] if eol >= 0 else ""
-        if not (count.isascii() and count.isdigit()) or (count[0] == "0" and count != "0"):
-            return None
-        m = int(count)
-        start = eol + 1
-        # Guess m lines at the previous block's mean line length: exact when
-        # a block repeats, close when only the count changes.
-        end = _block_end(text, start, m, start + size * m // max(prev_m, 1))
-        if end is None:
-            return None
-        block = text[start:end]
-        size, prev_m, pos = end - start, m, end
-        diff = diff_of.get(block)
-        if diff is None:
-            lines = block.split("\n")
-            lines.pop()
-            lineset = frozenset(lines)
-            if len(lineset) != m:  # a repeated line
-                return None
-            new = lineset.difference(first)
-            for line in new:  # every line not yet validated
-                if line not in edge_of:
-                    pair = _regular_pair(line)
-                    if pair is None or not (0 <= pair[0] < pair[1] < n):
-                        return None
-                    edge_of[line] = pair
-            if t == 0:
-                first, new = lineset, ()
-            gone = first.difference(lineset)
-            diff = diff_of[block] = (
-                tuple(sorted(map(edge_of.__getitem__, gone))),
-                tuple(sorted(map(edge_of.__getitem__, new))),
-            )
-        removed.append(diff[0])
-        added.append(diff[1])
-    if pos != len(text):
-        return None
-    return TemporalGraph(n, frozenset(map(edge_of.__getitem__, first)), tuple(removed), tuple(added))
+
+    def __init__(self, text: str) -> None:
+        if not text.endswith("\n"):
+            text += "\n"  # so that every line, the last one too, ends in a newline
+        self.text = text
+        self.pos = text.index("\n") + 1
+        header = _regular_pair(text[: self.pos - 1])
+        self.n, self.lifetime = header if header is not None and min(header) >= 1 else (0, 0)
+        self.edge_of: dict[str, Edge] = {}
+        self.first: frozenset[str] = frozenset()
+        self.base: frozenset[Edge] = frozenset()
+        self.diff_of: dict[str, tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
+        self.removed: list[tuple[Edge, ...]] = []
+        self.added: list[tuple[Edge, ...]] = []
+        self.size, self.prev_m = 0, 0  # the previous block's length and line count
+
+    def read(self, steps: int) -> bool:
+        """Read up to `steps` more steps; False on any irregularity (after the
+        last step, on anything that follows it), keeping none of this read's
+        steps, so that a later read meets the same irregularity."""
+        if not self.lifetime:  # an irregular header
+            return False
+        text, pos, n = self.text, self.pos, self.n
+        edge_of, diff_of, first = self.edge_of, self.diff_of, self.first
+        size, prev_m = self.size, self.prev_m
+        removed: list[tuple[Edge, ...]] = []
+        added: list[tuple[Edge, ...]] = []
+        done = len(self.removed)
+        for t in range(done, min(done + steps, self.lifetime)):
+            eol = text.find("\n", pos)
+            count = text[pos:eol] if eol >= 0 else ""
+            if not (count.isascii() and count.isdigit()) or (count[0] == "0" and count != "0"):
+                return False
+            m = int(count)
+            start = eol + 1
+            # Guess m lines at the previous block's mean line length: exact when
+            # a block repeats, close when only the count changes.
+            end = _block_end(text, start, m, start + size * m // max(prev_m, 1))
+            if end is None:
+                return False
+            block = text[start:end]
+            size, prev_m, pos = end - start, m, end
+            diff = diff_of.get(block)
+            if diff is None:
+                lines = block.split("\n")
+                lines.pop()
+                lineset = frozenset(lines)
+                if len(lineset) != m:  # a repeated line
+                    return False
+                new = lineset.difference(first)
+                for line in new:  # every line not yet validated
+                    if line not in edge_of:
+                        pair = _regular_pair(line)
+                        if pair is None or not (0 <= pair[0] < pair[1] < n):
+                            return False
+                        edge_of[line] = pair
+                if t == 0:
+                    first, new = lineset, ()
+                    self.first = first
+                    self.base = frozenset(map(edge_of.__getitem__, first))
+                gone = first.difference(lineset)
+                diff = diff_of[block] = (
+                    tuple(sorted(map(edge_of.__getitem__, gone))),
+                    tuple(sorted(map(edge_of.__getitem__, new))),
+                )
+            removed.append(diff[0])
+            added.append(diff[1])
+        if done + len(removed) == self.lifetime and pos != len(text):
+            return False
+        self.removed.extend(removed)
+        self.added.extend(added)
+        self.pos, self.size, self.prev_m = pos, size, prev_m
+        return True
 
 
 def _parse_lines(text: str) -> TemporalGraph:
@@ -637,6 +752,12 @@ def verify_delta_connectivity(
         while len(chosen) < samples:
             chosen.add(starts[rng.below(len(starts))])
         starts = sorted(chosen)
+    if mode == "exhaustive":
+        # Every step is read anyway. Reading them all before the sweep keeps
+        # a lazily read graph's parse memory from interleaving with the
+        # sweep's masks, which fragments the heap: 200 solves of the
+        # benchmark's `delta` workload ended 0.9 MB higher in peak RSS.
+        graph.read_all()
     n = graph.n
     everyone = (1 << n) - 1
     reach = [0] * n

@@ -1,23 +1,25 @@
 """Epoch planning, covering-tuple selection, and single-explorer schedules.
 
-The pipeline: partition a timeline prefix into rho epochs (a delta-step
+The pipeline: lay out rho epochs left to right (each a delta-step
 repositioning window followed by enough deficient snapshots to run the
-roundabout for its step budget), then run the epochs one at a time in
-`assemble_schedule`. Each epoch picks one surviving agent, and a single
-explorer repositions to that agent's start and replays its moves; the run
-stops after the first epoch by whose end every vertex has been visited. The
-first pass picks the draws of the first attempt of the Las Vegas
-covering-tuple search, so when that attempt covers the tour the schedule is
-the full-plan schedule cut at an epoch end. When a vertex is still unvisited
-after epoch rho, the search picks a tuple whose visited arcs jointly cover
-the whole tour, and the same loop replays it, again stopping at cover.
+roundabout for its step budget), each one only when the run reaches it, and
+run them one at a time in `assemble_schedule`. Each epoch picks one
+surviving agent, and a single explorer repositions to that agent's start and
+replays its moves; the run stops after the first epoch by whose end every
+vertex has been visited. The first pass picks the draws of the first attempt
+of the Las Vegas covering-tuple search, so when that attempt covers the tour
+the schedule is the full-plan schedule cut at an epoch end. When a vertex is
+still unvisited after epoch rho, the search picks a tuple whose visited arcs
+jointly cover the whole tour, and the same loop replays it, again stopping
+at cover.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence, TypeVar
+from dataclasses import dataclass, field
+from itertools import count
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 from .core import (
     ParseError,
@@ -40,11 +42,13 @@ MAX_ATTEMPTS = 10_000  # covering-tuple draws before the search gives up
 
 
 class InsufficientSnapshots(Exception):
-    """The timeline ran out before the epoch plan was complete.
+    """The run needed epoch `epoch` and the timeline ended before it fit.
 
     Epoch 0 is the tree-recovery prefix, which needs `needed` snapshots of
     any kind; epochs 1.. need `needed` k-deficient snapshots after their
-    repositioning window. `last_step` is the step where the timeline ends.
+    repositioning window, and are laid out only when the run reaches them, so
+    a timeline too short for rho epochs fails only if the run gets that far.
+    `last_step` is the step where the timeline ends.
     """
 
     def __init__(self, epoch: int, found: int, needed: int, last_step: int) -> None:
@@ -111,31 +115,50 @@ class Epoch:
     roundabout_times: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass
 class EpochPlan:
+    """A plan of `rho` epochs at deficiency `k`, laid out left to right as a
+    run reaches them.
+
+    `epochs` holds the epochs laid out so far, and `rest` lays out the others
+    in order; a plan made from its epochs alone has no others. Iterating the
+    plan yields every epoch, laying each one out when the iteration reaches
+    it, so a run that stops early reads no step after its last epoch.
+    """
+
     epochs: tuple[Epoch, ...]
     rho: int
     k: int
+    rest: Iterator[Epoch] = field(default=iter(()), repr=False, compare=False)
+
+    def __iter__(self) -> Iterator[Epoch]:
+        for j in count():
+            if j == len(self.epochs):
+                epoch = next(self.rest, None)
+                if epoch is None:
+                    return
+                self.epochs += (epoch,)
+            yield self.epochs[j]
 
 
-def partition_epochs(
+def _lay_out_epochs(
     graph: TemporalGraph,
     tree: SpanningTree,
     k: int,
     delta: int,
     rho: int,
     budget: int,
-) -> EpochPlan:
-    """Greedy left-to-right epoch layout.
+) -> Iterator[Epoch]:
+    """Greedy left-to-right epoch layout, one epoch per step of the iteration.
 
     Each epoch reserves delta steps for repositioning, then extends until
     `budget` snapshots k-deficient with respect to the tree have accumulated;
-    only the steps an epoch lays out after its window are read. Greedy is
-    prefix-optimal: it succeeds whenever any partition does.
+    only the steps an epoch lays out after its window are read. Raises
+    InsufficientSnapshots when the timeline ends before the next epoch fits.
+    Greedy is prefix-optimal: it succeeds whenever any partition does.
     """
     if delta < 1 or rho < 1 or budget < 0 or k < 0:
         raise ValueError("bad epoch parameters")
-    epochs: list[Epoch] = []
     cursor = 1
     for e in range(1, rho + 1):
         reposition_end = cursor + delta - 1
@@ -152,9 +175,20 @@ def partition_epochs(
         if len(times) < budget:
             raise InsufficientSnapshots(e, len(times), budget, graph.lifetime)
         end = times[-1] if times else reposition_end
-        epochs.append(Epoch(cursor, reposition_end, end, tuple(times)))
+        yield Epoch(cursor, reposition_end, end, tuple(times))
         cursor = end + 1
-    return EpochPlan(tuple(epochs), rho, k)
+
+
+def partition_epochs(
+    graph: TemporalGraph,
+    tree: SpanningTree,
+    k: int,
+    delta: int,
+    rho: int,
+    budget: int,
+) -> EpochPlan:
+    """All rho epochs of :func:`_lay_out_epochs` at once."""
+    return EpochPlan(tuple(_lay_out_epochs(graph, tree, k, delta, rho, budget)), rho, k)
 
 
 @dataclass(frozen=True)
@@ -289,9 +323,10 @@ def assemble_schedule(
 ) -> tuple[Schedule, tuple[int, ...], Optional[int]]:
     """Run the plan's epochs in order until the explorer has visited every vertex.
 
-    Epoch j (from 0) runs its roundabout unless `traces` already holds that
-    run, and appends the run otherwise; the explorer then repositions to the
-    start of agent `choose(j, trace)` and replays its moves. Returns the
+    Epoch j (from 0) is laid out when the loop reaches it, unless the plan
+    already holds it, and runs its roundabout unless `traces` already holds
+    that run, appending the run otherwise; the explorer then repositions to
+    the start of agent `choose(j, trace)` and replays its moves. Returns the
     schedule through the end of the last epoch run, the agents replayed, and
     the step at which the last unvisited vertex is entered: None when a
     vertex is still unvisited after the plan's last epoch.
@@ -300,7 +335,7 @@ def assemble_schedule(
     choice: list[int] = []
     at, seen = start, {start}
     cover: Optional[int] = None
-    for j, epoch in enumerate(plan.epochs):
+    for j, epoch in enumerate(plan):
         if j == len(traces):
             traces.append(run_roundabout(graph, tour, epoch.roundabout_times))
         agent = choose(j, traces[j])
@@ -424,13 +459,17 @@ def explore_detailed(
 
     With a witness tree the pipeline runs at deficiency k; without one it
     first recovers a tree from the absence counts of a timeline prefix and
-    runs at deficiency 2k. Epochs run one at a time until the explorer has
-    visited every vertex (see assemble_schedule), each replaying the agent
-    that attempt 1 of find_covering_tuple draws. If a vertex is still
-    unvisited after all rho epochs, the Las Vegas search picks a covering
-    tuple over them and the same loop replays it. Raises InsufficientSnapshots
-    when the timeline cannot hold rho epochs, and RepositionFailed when an
-    epoch run cannot reach its agent's start.
+    runs at deficiency 2k. Epochs are laid out and run one at a time until
+    the explorer has visited every vertex (see assemble_schedule), each
+    replaying the agent that attempt 1 of find_covering_tuple draws; the run
+    reads no step after its last epoch, so on a graph that
+    parse_temporal_graph reads on demand, the rest of the text is never
+    read or checked. If a vertex is still unvisited after all rho epochs,
+    the Las Vegas search picks a covering tuple over them and the same loop
+    replays it. Raises InsufficientSnapshots when the timeline ends before an
+    epoch the run needs (every epoch up to rho, when the run falls back to
+    the search, and the whole tree-recovery prefix without a tree), and
+    RepositionFailed when an epoch run cannot reach its agent's start.
     """
     if not (0 <= start < graph.n):
         raise ValueError(f"start {start} out of range")
@@ -463,7 +502,7 @@ def explore_detailed(
     rho = rho_for(effective_k)
     budget = step_budget(graph.n, effective_k)
     tour = build_dfs_tour(tree)
-    plan = partition_epochs(graph, tree, effective_k, delta, rho, budget)
+    plan = EpochPlan((), rho, effective_k, _lay_out_epochs(graph, tree, effective_k, delta, rho, budget))
     traces: list[RoundaboutTrace] = []
     rng = SplitMix64(strategy.seed)
     schedule, choice, cover = assemble_schedule(
@@ -477,8 +516,9 @@ def explore_detailed(
         schedule, choice, cover = assemble_schedule(
             graph, tour, plan, traces, lambda j, trace: covering[j], start
         )
-    plan = replace(plan, epochs=plan.epochs[: len(choice)])
-    traces = traces[: len(choice)]
+        # the replay can cover before epoch rho: keep the epochs it replayed
+        plan = EpochPlan(plan.epochs[: len(choice)], rho, effective_k)
+        del traces[len(choice):]
     stats = ExploreStats(
         rho,
         budget,

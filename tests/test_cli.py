@@ -8,7 +8,7 @@ import pytest
 from cliutil import run_cli
 from reference import full_plan_schedule, per_source_delta_check
 from tempex.core import parse_spanning_tree, parse_temporal_graph
-from tempex.scheduler import LasVegas, parse_schedule
+from tempex.scheduler import LasVegas, parse_schedule, verify_schedule
 
 
 @pytest.fixture
@@ -26,6 +26,16 @@ def gen_instance(tmp_path: Path, n: int, lifetime: int, k: int, seed: int) -> tu
     )
     assert proc.returncode == 0, proc.stderr
     return tmp_path / "inst.tg", tmp_path / "inst.tg.tree"
+
+
+@pytest.fixture
+def stray_last_line(tmp_path: Path) -> tuple[Path, Path, str]:
+    """A generated graph file with a stray line after its last step, far
+    beyond the steps `explore` reads; its tree file; the clean text."""
+    graph, tree = gen_instance(tmp_path, 12, 2000, 1, 7)
+    clean = graph.read_text()
+    graph.write_text(clean + "stray\n")
+    return graph, tree, clean
 
 
 class TestPipeline:
@@ -209,6 +219,30 @@ class TestSubcommands:
 
 
 class TestExitCodes:
+    def test_explore_reads_only_the_steps_it_uses(self, stray_last_line, tmp_path):
+        graph, tree, clean = stray_last_line
+        sched = tmp_path / "s.txt"
+        proc = run_cli("explore", "--graph", str(graph), "--tree", str(tree), "--k", "1", "--out", str(sched))
+        assert proc.returncode == 0, proc.stderr
+        assert verify_schedule(parse_temporal_graph(clean), 0, parse_schedule(sched.read_text())).ok
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--schedule", "{schedule}"),
+        ("check-delta", "--delta", "11"),
+        ("tree", "--k", "1", "--q", "10", "--out", "{out}"),
+        ("oracle", "--start", "0"),
+        ("explore", "--k", "1", "--tree", "{tree}", "--check-delta"),
+    ], ids=["verify", "check-delta", "tree", "oracle", "explore-check-delta"])
+    def test_other_commands_read_the_whole_file(self, stray_last_line, tmp_path, args):
+        graph, tree, clean = stray_last_line
+        schedule = tmp_path / "s.txt"
+        schedule.write_text("start 0\n1 wait\n")
+        files = {"schedule": schedule, "out": tmp_path / "found.tree", "tree": tree}
+        proc = run_cli(args[0], "--graph", str(graph), *(a.format(**files) for a in args[1:]))
+        assert proc.returncode == 2
+        line = clean.count("\n") + 1
+        assert proc.stderr.endswith(f"format error: line {line}: unexpected trailing content 'stray'\n")
+
     def test_unknown_subcommand_is_usage_error(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2

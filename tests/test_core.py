@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from reference import chosen_starts, per_source_delta_check
 from strategies import near_static_snapshots, repeating_snapshots, spanning_trees, temporal_graphs
+from tempex import core
 from tempex.core import (
     ConnectivityReport,
     ParseError,
@@ -22,10 +23,12 @@ from tempex.core import (
     serialize_temporal_graph,
     verify_delta_connectivity,
     write_temporal_graph,
+    _BlockReader,
     _parse_lines,
-    _parse_regular,
+    _tg1_chunks,
 )
 from tempex.gen import GenSpec, gen_random_deficient
+from tempex.scheduler import explore_detailed, paper_budget, serialize_schedule
 from tempex.oracle import foremost_arrival_oracle
 from tempex.treefind import absence_weights
 
@@ -86,6 +89,13 @@ def perturb_tg1(text, n, data, start=0):
     else:
         lines.append(data.draw(st.sampled_from(["0 1", "1", "# end", "", "x"])))
     return "\n".join(lines) + "\n"
+
+
+def read_regular(text):
+    """The graph the fast path reads from the whole text, or None where it
+    finds the text irregular."""
+    reader = _BlockReader(text)
+    return TemporalGraph._reading(reader) if reader.read(reader.lifetime) else None
 
 
 def parse_outcome(parse, text):
@@ -201,7 +211,7 @@ class TestParse:
 
     @given(temporal_graphs(), st.data())
     def test_fast_parser_matches_line_parser(self, graph, data):
-        assert _parse_regular(serialize_temporal_graph(graph)) == graph
+        assert read_regular(serialize_temporal_graph(graph)) == graph
         text = perturb_tg1(serialize_temporal_graph(graph), graph.n, data)
         assert parse_outcome(parse_temporal_graph, text) == parse_outcome(_parse_lines, text)
 
@@ -235,16 +245,16 @@ class TestParse:
         written = f"{n} {len(snapshots)}\n" + "".join(
             f"{len(snap)}\n" + "".join(f"{u} {v}\n" for u, v in snap) for snap in snapshots
         )
-        assert _parse_regular(written) == graph
+        assert read_regular(written) == graph
         text = serialize_temporal_graph(graph)
-        assert _parse_regular(text) == graph
+        assert read_regular(text) == graph
         last_block = text.count("\n") - 1 - len(snapshots[-1])  # its count line
         text = perturb_tg1(text, n, data, start=last_block)
         assert parse_outcome(parse_temporal_graph, text) == parse_outcome(_parse_lines, text)
 
     def test_fast_parser_without_final_newline(self):
         for text in ("3 2\n2\n0 1\n1 2\n1\n0 1", "3 2\n2\n0 1\n1 2\n0", "2 1\n0"):
-            assert _parse_regular(text) == _parse_lines(text)
+            assert read_regular(text) == _parse_lines(text)
 
     def test_fast_parser_empty_blocks_and_first_block_repeated(self):
         for text in (
@@ -252,7 +262,7 @@ class TestParse:
             "3 4\n0\n1\n0 1\n0\n1\n0 1\n",
             "3 5\n2\n1 2\n0 1\n0\n2\n1 2\n0 1\n1\n1 2\n2\n1 2\n0 1\n",
         ):
-            assert _parse_regular(text) == _parse_lines(text)
+            assert read_regular(text) == _parse_lines(text)
 
     def test_fast_parser_blocks_longer_or_shorter_than_guessed(self):
         """A block's end is guessed from the previous block's mean line length;
@@ -262,7 +272,7 @@ class TestParse:
             "12 3\n1\n0 1\n1\n10 11\n1\n0 2\n",  # longer lines: the guess falls short
             "12 3\n3\n0 1\n0 2\n10 11\n1\n10 11\n2\n0 1\n1 2\n",  # the count falls, then rises
         ):
-            assert _parse_regular(text) == _parse_lines(text)
+            assert read_regular(text) == _parse_lines(text)
 
     def test_fast_parser_peak_memory_stays_near_the_text(self):
         """The fast path walks the text without splitting it into lines."""
@@ -327,6 +337,106 @@ class TestParse:
     def test_tree_file_wrong_count(self):
         with pytest.raises(ValueError):
             parse_spanning_tree("0 1\n", 3)
+
+
+class TestLazyRead:
+    """A parsed graph reads its steps past the first READ_CHUNK only when asked."""
+
+    @given(near_static_snapshots(max_lifetime=24), st.integers(1, 4), st.data())
+    def test_answers_as_the_whole_text_in_any_order(self, drawn, chunk, data):
+        n, tree, ref = drawn
+        graph = TemporalGraph.build(n, ref)
+        text = serialize_temporal_graph(graph)
+        step = st.integers(1, len(ref))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", chunk)
+            lazy = parse_temporal_graph(text)
+            for _ in range(data.draw(st.integers(1, 6))):
+                op = data.draw(st.sampled_from(
+                    ["edge_set", "has_edge", "missing", "absences", "snapshots", "eq", "hash"]
+                ))
+                if op == "edge_set":
+                    t = data.draw(step)
+                    assert lazy.edge_set(t) == graph.edge_set(t)
+                elif op == "has_edge":
+                    t, e = data.draw(step), data.draw(st.sampled_from(pairs))
+                    assert lazy.has_edge(t, e) == graph.has_edge(t, e)
+                elif op == "absences":
+                    prefix = data.draw(step)
+                    assert lazy.absences(prefix) == graph.absences(prefix)
+                elif op in ("missing", "snapshots"):
+                    # a step read in the middle of the iteration may be the
+                    # last one, which re-bases the graph under the iterator
+                    if op == "missing":
+                        steps = data.draw(st.lists(step, min_size=1, max_size=2 * len(ref)))
+                        got, want = lazy.missing(tree.edges, steps), list(graph.missing(tree.edges, steps))
+                    else:
+                        got, want = lazy.snapshots, list(graph.snapshots)
+                    head = [next(got) for _ in range(data.draw(st.integers(0, len(want))))]
+                    lazy.edge_set(data.draw(step))
+                    assert head + list(got) == want
+                elif op == "eq":
+                    assert lazy == graph
+                else:
+                    assert hash(lazy) == hash(graph)
+            assert lazy == graph
+            assert (lazy.base, lazy.removed, lazy.added) == (graph.base, graph.removed, graph.added)
+
+    def test_garbage_past_the_steps_the_run_reads_changes_nothing(self):
+        n, k, delta = 100, 2, 99
+        spec = GenSpec(n=n, lifetime=paper_budget(n, k, delta), k=k, seed=7000, tree_shape="random")
+        result = gen_random_deficient(spec)
+        text = serialize_temporal_graph(result.graph)
+
+        def outputs(graph):
+            run = explore_detailed(graph, k, delta, 0, result.tree)
+            return serialize_schedule(run.schedule), run.stats
+
+        clean = parse_temporal_graph(text)
+        schedule, stats = outputs(clean)
+        read = stats.span + core.READ_CHUNK
+        assert read < result.graph.lifetime
+        prefix = "".join(next(_tg1_chunks(result.graph, read)))
+        garbage = parse_temporal_graph(prefix + "garbage\n" + text[len(prefix):])
+        assert outputs(garbage) == (schedule, stats)
+        with pytest.raises(ParseError, match="edge count: expected integer, got 'garbage'") as exc:
+            garbage.read_all()
+        assert exc.value.line == prefix.count("\n") + 1
+
+    @given(temporal_graphs(min_lifetime=4, max_lifetime=10), st.integers(1, 3), st.data())
+    def test_text_irregular_after_the_first_chunk_reads_as_the_line_parser(self, graph, chunk, data):
+        text = serialize_temporal_graph(graph)
+        first = "".join(next(_tg1_chunks(graph, chunk)))
+        kind = data.draw(st.sampled_from(["perturb", "comment", "crlf"]))
+        if kind == "perturb":
+            text = perturb_tg1(text, graph.n, data, start=first.count("\n"))
+        elif kind == "comment":
+            text = first + "# a comment\n" + text[len(first):]
+        else:
+            text = first + text[len(first):].replace("\n", "\r\n")
+
+        def read_lazily(text):
+            lazy = parse_temporal_graph(text)
+            lazy.read_all()
+            return lazy
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", chunk)
+            assert parse_outcome(read_lazily, text) == parse_outcome(_parse_lines, text)
+
+    def test_a_malformed_line_is_reported_only_once_read(self, monkeypatch):
+        monkeypatch.setattr(core, "READ_CHUNK", 2)
+        text = "3 5\n1\n0 1\n1\n0 1\n1\n0 1\n1\n0 1\n1\n0 3\n"
+        graph = parse_temporal_graph(text)
+        assert graph.edge_set(4) == {(0, 1)}
+        for _ in range(2):  # the error stays, and is raised again
+            with pytest.raises(ParseError, match="vertex id out of range") as exc:
+                graph.edge_set(5)
+            assert exc.value.line == 11
+        assert graph.edge_set(2) == {(0, 1)}
+        with pytest.raises(ParseError, match="unexpected trailing content"):
+            parse_temporal_graph(text.replace("0 3\n", "1 2\n") + "x\n").read_all()
 
 
 class TestSpanningTree:

@@ -508,9 +508,13 @@ class TestExplore:
             f"epoch 0: found 8 of {needed} snapshots for tree recovery by step 8 (timeline ends)"
         )
 
-    def test_short_lifetime_fails_typed_with_tree(self, path3_full, path3_tree):
-        with pytest.raises(InsufficientSnapshots):
-            explore(path3_full, 1, 2, 0, tree=path3_tree)
+    def test_short_lifetime_fails_typed_with_tree(self, path3_tree):
+        # path3_full covers at step 7, in epoch 2; one step fewer cannot hold epoch 2
+        graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * 7)
+        with pytest.raises(InsufficientSnapshots) as exc:
+            explore(graph, 1, 2, 0, tree=path3_tree)
+        assert (exc.value.epoch, exc.value.found, exc.value.needed, exc.value.last_step) == (2, 1, 2, 7)
+        assert str(exc.value) == "epoch 2: found 1 of 2 k-deficient snapshots by step 7 (timeline ends)"
 
     def test_two_vertices_first_draw_covers(self):
         # two vertices: every epoch ends with one survivor whose arc covers
@@ -697,13 +701,23 @@ class TestStopAtCover:
         assert (exc.value.epoch, exc.value.target) == (3, 2)
 
     def test_timeline_one_step_short_of_rho_epochs(self, path3_tree):
-        # the first epoch already covers the path, but the plan still needs
-        # all rho epochs to fit into the timeline
+        # the first epoch already covers the path, so the run lays out no
+        # other epoch and does not need the timeline to hold all rho of them
         rho = rho_for(1)
-        graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * (rho * 4 - 1))
-        with pytest.raises(InsufficientSnapshots) as exc:
-            explore(graph, 1, 2, 0, tree=path3_tree)
-        assert (exc.value.epoch, exc.value.found, exc.value.needed) == (rho, 1, 2)
+        short = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * (rho * 4 - 1))
         graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * (rho * 4))
         run = explore_detailed(graph, 1, 2, 0, tree=path3_tree)
         assert len(run.plan.epochs) < rho
+        assert explore_detailed(short, 1, 2, 0, tree=path3_tree).schedule == run.schedule
+
+    def test_fallback_needs_all_rho_epochs_to_fit(self, zero_first_draws):
+        # the first pass never covers, so it runs into epoch rho, which one
+        # step fewer than rho epochs cannot hold
+        rho = rho_for(1)
+        tree, graph = chord_path()
+        short = TemporalGraph.build(3, list(graph.snapshots)[:-1])
+        zero_first_draws(rho)
+        with pytest.raises(InsufficientSnapshots) as exc:
+            explore_detailed(short, 1, 2, 0, tree=tree, strategy=LasVegas(seed=4))
+        assert (exc.value.epoch, exc.value.found, exc.value.needed) == (rho, 1, 2)
+        assert exc.value.last_step == rho * 4 - 1
