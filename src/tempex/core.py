@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain
-from operator import and_, lt
+from operator import and_, eq, lt
 from typing import AbstractSet, Iterable, Iterator, Optional, TextIO
 
 from .rng import SplitMix64
@@ -110,27 +110,26 @@ class TemporalGraph:
 
     Snapshot t (1-indexed) is ``base - removed[t-1] | added[t-1]``. Each
     ``removed[i]`` and ``added[i]`` is a strictly sorted tuple of canonical
-    edges, with ``removed[i]`` inside ``base`` and ``added[i]`` outside it.
-    The constructor re-bases the graph onto its majority graph, the edges
-    present in more than half the snapshots: that base minimises the total
-    diff and makes the representation unique, so two graphs are equal iff
-    their snapshot sequences are. Use :meth:`build` to construct from
-    arbitrary snapshot edge lists. Restrictions to a window are represented as
-    (graph, window) pairs by the callers; snapshots are never copied.
+    edges, with ``removed[i]`` inside ``base`` and ``added[i]`` outside it,
+    and every base edge is in some snapshot. The base is fixed when the graph
+    is made: the generator's is its tree, and :meth:`build`'s and
+    :func:`parse_temporal_graph`'s is the first snapshot. Two graphs are
+    equal iff their snapshot sequences are, whatever their bases. Use
+    :meth:`build` to construct from arbitrary snapshot edge lists.
+    Restrictions to a window are represented as (graph, window) pairs by the
+    callers; snapshots are never copied.
 
     A graph that :func:`parse_temporal_graph` returns may hold only its first
     steps. Each later step is read from the text, `READ_CHUNK` steps at a
     time, the first time an accessor asks for it or for a later step; until
     then no line after the steps read is checked, and reading a step can
-    raise the :class:`ParseError` of a malformed line. Until its last step is
-    read the graph is based on its first snapshot; reading the last step
-    re-bases it onto its majority graph, so that it then equals, field for
-    field, the graph that reading the whole text at once builds. The
-    per-step accessors take the base afresh after each step they read.
-    ``base``, ``removed``, ``added``, :meth:`underlying`, :meth:`absences`,
-    equality and hashing read every step first, as :meth:`read_all` does.
-    Reading is not synchronised: call :meth:`read_all` before sharing such a
-    graph between threads.
+    raise the :class:`ParseError` of a malformed line. Reading leaves the
+    base as it is and only adds steps, so the graph equals, field for field,
+    the one that reading the whole text at once builds. ``removed``,
+    ``added``, :meth:`underlying` and :meth:`absences` read every step
+    first, as :meth:`read_all` does, and equality may; ``base`` and hashing
+    read no further step. Reading is not synchronised: call :meth:`read_all`
+    before sharing such a graph between threads.
     """
 
     __slots__ = ("n", "lifetime", "_base", "_removed", "_added", "_reader")
@@ -155,15 +154,16 @@ class TemporalGraph:
             if type(diff) is not tuple or (len(diff) > 1 and not all(map(lt, diff, diff[1:]))):
                 raise ValueError("removed and added edges must be strictly sorted tuples")
         lacking = Counter(chain.from_iterable(removed))
-        having = Counter(chain.from_iterable(added))
+        having = set(chain.from_iterable(added))
         if not base.issuperset(lacking):
             raise ValueError("a removed edge is not in the base")
         if not base.isdisjoint(having):
             raise ValueError("an added edge is already in the base")
+        if len(removed) in lacking.values():
+            raise ValueError("a base edge is in no snapshot")
         _check_edges(n, having, "snapshot")
         self.n, self.lifetime, self._reader = n, len(removed), None
         self._base, self._removed, self._added = base, tuple(removed), tuple(added)
-        self._rebase_onto_majority(lacking, having)
 
     @classmethod
     def _reading(cls, reader: _BlockReader) -> "TemporalGraph":
@@ -171,59 +171,24 @@ class TemporalGraph:
         graph = cls.__new__(cls)
         graph.n, graph.lifetime, graph._reader = reader.n, reader.lifetime, reader
         graph._base, graph._removed, graph._added = reader.base, reader.removed, reader.added
-        if len(reader.removed) == reader.lifetime:
-            graph._settle()
+        graph._read_through(0)  # drops a reader that has already read every step
         return graph
 
-    def _rebase_onto_majority(self, lacking: Counter[Edge], having: Counter[Edge]) -> None:
-        """Move the base to the edges present in more than half the snapshots.
-
-        `lacking` counts the steps that remove each base edge and `having`
-        the steps that add each other edge. Costs O(|base| + total diff).
-        Each distinct (removed, added) pair is rewritten once, and the steps
-        that repeat it share the new tuples.
-        """
-        lifetime = self.lifetime
-        demoted = frozenset(e for e, c in lacking.items() if 2 * c >= lifetime)
-        promoted = frozenset(e for e, c in having.items() if 2 * c > lifetime)
-        if not demoted and not promoted:
-            return
-        rebased: dict[tuple[tuple[Edge, ...], tuple[Edge, ...]], tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
-        steps = []
-        for pair in zip(self._removed, self._added):
-            new = rebased.get(pair)
-            if new is None:
-                r, a = pair
-                new = rebased[pair] = (
-                    tuple(sorted([e for e in r if e not in demoted] + list(promoted.difference(a)))),
-                    tuple(sorted(list(demoted.difference(r)) + [e for e in a if e not in promoted])),
-                )
-            steps.append(new)
-        removed, added = zip(*steps)
-        self._base, self._removed, self._added = self._base.difference(demoted).union(promoted), removed, added
-
-    def _settle(self) -> None:
-        """Drop the reader, which has read the last step, then re-base the
-        graph; dropping it first lets its memo go before the re-base copies."""
-        self._reader = None
-        self._removed, self._added = tuple(self._removed), tuple(self._added)
-        lacking = Counter(chain.from_iterable(self._removed))
-        self._rebase_onto_majority(lacking, Counter(chain.from_iterable(self._added)))
-
     def _read_through(self, t: int) -> None:
-        """Read the text's steps up to step t, a chunk at a time.
+        """Read the text's steps up to step t, a chunk at a time, and drop
+        the reader once the last step is read.
 
         Text that turns irregular is read whole by the line-by-line parser,
-        which raises its first error or gives the graph to adopt.
+        which raises its first error or gives the steps to adopt: its base,
+        the first snapshot, equals this graph's.
         """
         while len(self._removed) < t:
             if not self._reader.read(READ_CHUNK):
                 graph = _parse_lines(self._reader.text)
-                self._reader = None
-                self._base, self._removed, self._added = graph._base, graph._removed, graph._added
-                return
+                self._removed, self._added = graph._removed, graph._added
         if len(self._removed) == self.lifetime:
-            self._settle()
+            self._reader = None
+            self._removed, self._added = tuple(self._removed), tuple(self._added)
 
     def read_all(self) -> None:
         """Read every step not read yet; raises the ParseError of a malformed line."""
@@ -232,7 +197,6 @@ class TemporalGraph:
 
     @property
     def base(self) -> frozenset[Edge]:
-        self.read_all()
         return self._base
 
     @property
@@ -248,10 +212,14 @@ class TemporalGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TemporalGraph):
             return NotImplemented
-        return (self.n, self.base, self.removed, self.added) == (other.n, other.base, other.removed, other.added)
+        if (self.n, self.lifetime) != (other.n, other.lifetime):
+            return False
+        if self.base == other.base:  # then equal snapshots have equal diffs
+            return (self.removed, self.added) == (other.removed, other.added)
+        return all(map(eq, self.snapshots, other.snapshots))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.base, self.removed, self.added))
+        return hash((self.n, self.lifetime, self.edge_set(1)))
 
     def __repr__(self) -> str:
         read = "" if self._reader is None else f", steps read={len(self._removed)} of {self.lifetime}"
@@ -259,10 +227,18 @@ class TemporalGraph:
 
     @classmethod
     def build(cls, n: int, snapshots: Iterable[Iterable[Edge]]) -> "TemporalGraph":
-        added = tuple(
-            tuple(sorted({canonical_edge(u, v) for u, v in snap})) for snap in snapshots
-        )
-        return cls(n, frozenset(), ((),) * len(added), added)
+        """The graph of the given edge lists, based on the first snapshot;
+        holds one snapshot's edge set at a time besides the base."""
+        base: Optional[frozenset[Edge]] = None
+        removed: list[tuple[Edge, ...]] = []
+        added: list[tuple[Edge, ...]] = []
+        for snap in snapshots:
+            edges = frozenset(canonical_edge(u, v) for u, v in snap)
+            if base is None:
+                base = edges
+            removed.append(tuple(sorted(base.difference(edges))))
+            added.append(tuple(sorted(edges.difference(base))))
+        return cls(n, base or frozenset(), tuple(removed), tuple(added))
 
     def _diff(self, t: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
         """Step t's (removed, added), read from the text first if need be."""
@@ -300,13 +276,9 @@ class TemporalGraph:
         base holds the whole tree, its `removed` tuple is returned as is.
         """
         tree = frozenset(tree_edges)
-        base: Optional[frozenset[Edge]] = None
-        outside: frozenset[Edge] = frozenset()
+        outside = tree.difference(self._base)
         for t in steps:
             r, a = self._diff(t)
-            if self._base is not base:  # the first step, or reading t re-based the graph
-                base = self._base
-                outside = tree.difference(base)
             lacked = r if tree.issuperset(r) else tuple(e for e in r if e in tree)
             if outside:
                 lacked = tuple(sorted(chain(lacked, outside.difference(a))))
@@ -380,9 +352,10 @@ def parse_temporal_graph(text: str) -> TemporalGraph:
     snapshot block against the first one once. Anything else (comments, blank
     lines, other whitespace, non-canonical numbers or edges, and every error)
     goes through the line-by-line parser, which reads the whole text and
-    produces every ParseError. So the graph, and the error of a text that is
-    malformed within the steps read, are those of reading the whole text at
-    once.
+    produces every ParseError. Either way the graph is based on its first
+    snapshot, as :meth:`TemporalGraph.build` bases it, so the graph, and the
+    error of a text that is malformed within the steps read, are those of
+    reading the whole text at once.
     """
     reader = _BlockReader(text)
     if not reader.read(READ_CHUNK):

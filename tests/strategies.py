@@ -37,10 +37,13 @@ def temporal_graphs(
 
 @st.composite
 def near_static_snapshots(draw, max_n: int = 7, max_lifetime: int = 8):
-    """(n, tree, snapshots): each snapshot a base edge set with some pairs flipped.
+    """(n, tree, snapshots): each snapshot one drawn edge set with some pairs
+    flipped, so the snapshots differ from each other and from the first one
+    by those flips.
 
-    Half the draws put the tree inside the base, so that small flips leave it
-    in the majority graph; the other half draw the base freely.
+    Half the draws put the tree inside that edge set, so that a snapshot
+    lacks only the tree edges its flips remove; the other half draw it
+    freely.
     """
     tree = draw(spanning_trees(max_n=max_n))
     n = tree.n

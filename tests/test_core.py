@@ -186,14 +186,18 @@ class TestParse:
         assert serialize_temporal_graph(graph) == sorted_lines_tg1(graph)
 
     def test_writer_splices_added_lines_where_they_sort(self):
-        graph = TemporalGraph.build(4, [
-            [(0, 1), (0, 2), (1, 2)],  # adds an edge before the first base edge
-            [(0, 2), (1, 2), (2, 3)],  # adds one after the last
-            [(0, 2), (0, 3)],  # adds (0, 3) where it removes (1, 2)
-            [(0, 2), (1, 2)],  # no diff
-            [(0, 1), (1, 2)],  # adds (0, 1) where it removes (0, 2)
-        ])
-        assert graph.base == {(0, 2), (1, 2)}
+        graph = TemporalGraph(
+            4,
+            frozenset({(0, 2), (1, 2)}),
+            ((), (), ((1, 2),), (), ((0, 2),)),
+            (
+                ((0, 1),),  # adds an edge before the first base edge
+                ((2, 3),),  # adds one after the last
+                ((0, 3),),  # adds (0, 3) where it removes (1, 2)
+                (),  # no diff
+                ((0, 1),),  # adds (0, 1) where it removes (0, 2)
+            ),
+        )
         text = serialize_temporal_graph(graph)
         assert text == (
             "4 5\n3\n0 1\n0 2\n1 2\n3\n0 2\n1 2\n2 3\n2\n0 2\n0 3\n"
@@ -366,8 +370,8 @@ class TestLazyRead:
                     prefix = data.draw(step)
                     assert lazy.absences(prefix) == graph.absences(prefix)
                 elif op in ("missing", "snapshots"):
-                    # a step read in the middle of the iteration may be the
-                    # last one, which re-bases the graph under the iterator
+                    # reading more steps, up to the last one, in the middle
+                    # of the iteration must not change what it yields
                     if op == "missing":
                         steps = data.draw(st.lists(step, min_size=1, max_size=2 * len(ref)))
                         got, want = lazy.missing(tree.edges, steps), list(graph.missing(tree.edges, steps))
@@ -424,6 +428,46 @@ class TestLazyRead:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "READ_CHUNK", chunk)
             assert parse_outcome(read_lazily, text) == parse_outcome(_parse_lines, text)
+
+    @given(temporal_graphs(min_lifetime=2, max_lifetime=10), st.integers(1, 3), st.booleans())
+    def test_reading_keeps_the_base(self, graph, chunk, irregular):
+        """The base is the first snapshot's edges from the first read on, also
+        when the text turns irregular after the first chunk."""
+        text = serialize_temporal_graph(graph)
+        if irregular:
+            first = "".join(next(_tg1_chunks(graph, chunk)))
+            text = first + text[len(first):].replace("\n", "\r\n")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", chunk)
+            lazy = parse_temporal_graph(text)
+            base = lazy.base
+            lazy.read_all()
+        assert lazy.base is base
+        assert base == graph.edge_set(1)
+        assert lazy == graph
+
+    def test_a_generated_graph_equals_its_parsed_text(self):
+        """Generated on its tree, parsed on its first snapshot: the same graph."""
+        result = gen_random_deficient(GenSpec(n=12, lifetime=300, k=2, seed=2, tree_shape="random"))
+        graph = result.graph
+        assert graph.base == result.tree.edges != graph.edge_set(1)
+        text = serialize_temporal_graph(graph)
+        parsed = parse_temporal_graph(text)
+        assert parsed.base == graph.edge_set(1)
+        assert hash(parsed) == hash(graph)
+        assert parsed == graph and graph == parsed
+        emptied = TemporalGraph.build(graph.n, [*graph.snapshots][:-1] + [[]])  # differs at the last step only
+        assert graph != emptied and parsed != emptied
+
+    def test_hash_reads_only_the_first_chunk(self, monkeypatch):
+        monkeypatch.setattr(core, "READ_CHUNK", 2)
+        graph = TemporalGraph.build(3, [[(0, 1)], [(1, 2)], [(0, 1)], [(0, 2)], [(0, 1)]])
+        text = serialize_temporal_graph(graph)
+        lazy = parse_temporal_graph(text.replace("0 2\n", "0 3\n"))  # step 4 is malformed
+        assert hash(lazy) == hash(graph)
+        assert repr(lazy).endswith("steps read=2 of 5)")
+        with pytest.raises(ParseError, match="vertex id out of range"):
+            lazy.read_all()
 
     def test_a_malformed_line_is_reported_only_once_read(self, monkeypatch):
         monkeypatch.setattr(core, "READ_CHUNK", 2)
@@ -525,31 +569,22 @@ class TestDeltaForm:
             e: sum(e not in snap for snap in ref[:prefix]) for e in g.underlying()
         }
 
-    def test_rebase_shares_each_distinct_diff(self):
-        a = [(0, 1)]
-        b = [(0, 1), (0, 3), (1, 2), (2, 3)]
-        c = [(0, 1), (0, 2), (1, 2), (2, 3)]
-        ref = [a, b, c, b, c, b, c]  # the majority graph is 0-1-2-3, not the first block
-        text = "4 7\n" + "".join(f"{len(s)}\n" + "".join(f"{u} {v}\n" for u, v in s) for s in ref)
-        built = TemporalGraph.build(4, ref)
-        for g in (parse_temporal_graph(text), built):
-            assert g.base == frozenset({(0, 1), (1, 2), (2, 3)})
-            assert g.removed[0] == ((1, 2), (2, 3))
-            assert g.added[1] == ((0, 3),) and g.added[2] == ((0, 2),)
-            for t in (3, 5):
-                assert g.added[t] is g.added[1] and g.removed[t] is g.removed[1]
-                assert g.added[t + 1] is g.added[2] and g.removed[t + 1] is g.removed[2]
-            assert g == built
-
-    @given(near_static_snapshots())
-    def test_base_is_the_majority_graph(self, drawn):
-        n, _, ref = drawn
-        g = TemporalGraph.build(n, ref)
-        presence = {e: sum(e in snap for snap in ref) for e in frozenset().union(*ref)}
-        assert g.base == frozenset(e for e, c in presence.items() if 2 * c > len(ref))
-        for r, a in zip(g.removed, g.added):
-            assert list(r) == sorted(set(r)) and set(r) <= g.base
-            assert list(a) == sorted(set(a)) and g.base.isdisjoint(a)
+    @given(repeating_snapshots(), st.integers(1, 3))
+    def test_parse_and_build_agree_field_for_field(self, drawn, chunk):
+        """Both are based on the first snapshot, also when the line parser
+        takes over after the first chunk."""
+        n, snapshots = drawn
+        built = TemporalGraph.build(n, snapshots)
+        text = serialize_temporal_graph(built)
+        first = "".join(next(_tg1_chunks(built, chunk)))
+        commented = first + "# c\n" + text[len(first):]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", chunk)
+            for parsed in (parse_temporal_graph(text), parse_temporal_graph(commented), _parse_lines(text)):
+                parsed.read_all()
+                assert (parsed.n, parsed.lifetime) == (built.n, built.lifetime)
+                assert (parsed.base, parsed.removed, parsed.added) == (built.base, built.removed, built.added)
+        assert built.base == frozenset(canonical_edge(u, v) for u, v in snapshots[0])
 
     @given(near_static_snapshots(), st.data())
     def test_any_base_gives_the_same_graph(self, drawn, data):
@@ -576,6 +611,9 @@ class TestDeltaForm:
             TemporalGraph(3, base, ((), ()), ((),))
         with pytest.raises(ValueError, match="bad edge"):
             TemporalGraph(3, base, ((),), (((0, 3),),))
+        with pytest.raises(ValueError, match="in no snapshot"):
+            TemporalGraph(3, base, (((0, 1),), ((0, 1), (1, 2))), ((), ()))
+        TemporalGraph(3, base, (((0, 1),), ((1, 2),)), ((), ()))
 
     def test_missing_inside_and_outside_the_base(self):
         g = TemporalGraph.build(3, [[(0, 1), (1, 2)], [(0, 1), (0, 2)], [(0, 1), (1, 2)], [(1, 2)]])
