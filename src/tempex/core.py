@@ -13,6 +13,7 @@ operation is a pure function.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
@@ -123,13 +124,15 @@ class TemporalGraph:
     steps. Each later step is read from the text, `READ_CHUNK` steps at a
     time, the first time an accessor asks for it or for a later step; until
     then no line after the steps read is checked, and reading a step can
-    raise the :class:`ParseError` of a malformed line. Reading leaves the
-    base as it is and only adds steps, so the graph equals, field for field,
-    the one that reading the whole text at once builds. ``removed``,
-    ``added``, :meth:`underlying` and :meth:`absences` read every step
-    first, as :meth:`read_all` does, and equality may; ``base`` and hashing
-    read no further step. Reading is not synchronised: call :meth:`read_all`
-    before sharing such a graph between threads.
+    raise the :class:`ParseError` of a malformed line, or of content after
+    the last step: the steps before it stay read, and each later read raises
+    it again. Reading leaves the base as it is and only adds steps, so the
+    graph equals, field for field, the one that reading the whole text at
+    once builds. ``removed``, ``added``, :meth:`underlying` and
+    :meth:`absences` read every step first, as :meth:`read_all` does, and
+    equality may; ``base`` and hashing read no further step. Reading is not
+    synchronised: call :meth:`read_all` before sharing such a graph between
+    threads.
     """
 
     __slots__ = ("n", "lifetime", "_base", "_removed", "_added", "_reader")
@@ -166,8 +169,10 @@ class TemporalGraph:
         self._base, self._removed, self._added = base, tuple(removed), tuple(added)
 
     @classmethod
-    def _reading(cls, reader: _BlockReader) -> "TemporalGraph":
-        """The graph of the steps `reader` has read, reading the rest on demand."""
+    def _reading(cls, reader: _Reader) -> "TemporalGraph":
+        """The graph of the text `reader` reads: its first `READ_CHUNK` steps
+        now, and the rest on demand."""
+        reader.read(READ_CHUNK)
         graph = cls.__new__(cls)
         graph.n, graph.lifetime, graph._reader = reader.n, reader.lifetime, reader
         graph._base, graph._removed, graph._added = reader.base, reader.removed, reader.added
@@ -176,16 +181,10 @@ class TemporalGraph:
 
     def _read_through(self, t: int) -> None:
         """Read the text's steps up to step t, a chunk at a time, and drop
-        the reader once the last step is read.
-
-        Text that turns irregular is read whole by the line-by-line parser,
-        which raises its first error or gives the steps to adopt: its base,
-        the first snapshot, equals this graph's.
-        """
+        the reader once the last step is read; the steps read before a
+        malformed line are kept, and the next read raises its error again."""
         while len(self._removed) < t:
-            if not self._reader.read(READ_CHUNK):
-                graph = _parse_lines(self._reader.text)
-                self._removed, self._added = graph._removed, graph._added
+            self._reader.read(READ_CHUNK)
         if len(self._removed) == self.lifetime:
             self._reader = None
             self._removed, self._added = tuple(self._removed), tuple(self._added)
@@ -309,12 +308,22 @@ class TemporalGraph:
 
 # --- wire format (TG1) ------------------------------------------------------
 
-def _content_lines(text: str) -> Iterator[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped.split()
+_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
+_LINE = re.compile(f"([^{_BREAK}]*)(?:\r\n|[{_BREAK}])?")
+_COUNT = re.compile(r"(0|[1-9][0-9]*)\n")  # an edge count as the writer writes it
+
+
+def _content_lines(text: str, pos: int = 0, lineno: int = 0) -> Iterator[tuple[int, list[str], int]]:
+    """(line number, tokens, position after the line) of each line of `text`
+    from `pos` on that is neither blank nor a '#' comment. Lines and their
+    numbers are those of ``text.splitlines()``; `lineno` is the number of
+    the line before `pos`."""
+    while pos < len(text):
+        line = _LINE.match(text, pos)
+        pos, lineno = line.end(), lineno + 1
+        stripped = line[1].strip()
+        if stripped and not stripped.startswith("#"):
+            yield lineno, stripped.split(), pos
 
 
 def _parse_int(token: str, lineno: int, what: str) -> int:
@@ -346,21 +355,14 @@ def parse_temporal_graph(text: str) -> TemporalGraph:
 
     Reads the header and the first `READ_CHUNK` steps now, and each later
     step when the graph is first asked for it (see :class:`TemporalGraph`);
-    a text of at most `READ_CHUNK` steps is read whole. Text in the form
-    :func:`serialize_temporal_graph` writes (edges in any order) takes a fast
-    path that validates each distinct line once and diffs each distinct
-    snapshot block against the first one once. Anything else (comments, blank
-    lines, other whitespace, non-canonical numbers or edges, and every error)
-    goes through the line-by-line parser, which reads the whole text and
-    produces every ParseError. Either way the graph is based on its first
-    snapshot, as :meth:`TemporalGraph.build` bases it, so the graph, and the
-    error of a text that is malformed within the steps read, are those of
-    reading the whole text at once.
+    a text of at most `READ_CHUNK` steps is read whole. Any text is read step
+    by step, so comments, blank lines and other line breaks cost only the
+    steps they are in. Each ParseError is raised where its line is read, and
+    the graph is based on its first snapshot, as :meth:`TemporalGraph.build`
+    bases it: the graph and the errors are those of reading the whole text at
+    once.
     """
-    reader = _BlockReader(text)
-    if not reader.read(READ_CHUNK):
-        return _parse_lines(text)
-    return TemporalGraph._reading(reader)
+    return TemporalGraph._reading(_Reader(text))
 
 
 def _regular_pair(line: str) -> Optional[tuple[int, int]]:
@@ -393,132 +395,128 @@ def _block_end(text: str, start: int, m: int, guess: int) -> Optional[int]:
     return end + 1
 
 
-class _BlockReader:
-    """The fast path of parse_temporal_graph, resumable: reads the text's
-    steps a given number at a time.
+class _Reader:
+    """Reads a TG1 text's steps in order, a given number at a time, from the
+    position and physical line number where the last read stopped.
 
-    Walks the text one snapshot block (the lines after a count) at a time and
-    never splits the whole text. Each distinct block is split, validated and
-    diffed against the first block once; a repeated block, read now or in an
-    earlier read, costs one hash and one dict lookup. `removed` and `added`
-    grow by each read's steps, as diffs against `base`, the first block's
-    edges.
+    A step whose block (its count line and edge lines) is in the form the
+    writer writes, with edges in any order, is read without splitting the
+    text: the block's end is found by counting newlines, each distinct block
+    is split, validated and diffed against the first snapshot once, and each
+    distinct edge line is validated once; a repeated block costs one hash and
+    one dict lookup. The first step, and any step with a comment, a blank
+    line, another line break or whitespace, a non-canonical number or edge,
+    or an error, is read line by line as ``str.splitlines`` numbers the
+    lines. `removed` and `added` grow by each step as soon as it is read, as
+    diffs against `base`, the first snapshot's edges.
     """
 
     def __init__(self, text: str) -> None:
-        if not text.endswith("\n"):
-            text += "\n"  # so that every line, the last one too, ends in a newline
-        self.text = text
-        self.pos = text.index("\n") + 1
-        header = _regular_pair(text[: self.pos - 1])
-        self.n, self.lifetime = header if header is not None and min(header) >= 1 else (0, 0)
+        lines = _content_lines(text)
+        try:
+            lineno, parts, pos = next(lines)
+        except StopIteration:
+            raise ParseError("malformed header: empty input", 1) from None
+        if len(parts) != 2:
+            raise ParseError(f"malformed header: expected 'n L', got {' '.join(parts)!r}", lineno)
+        n = _parse_int(parts[0], lineno, "header n")
+        lifetime = _parse_int(parts[1], lineno, "header L")
+        if n < 1 or lifetime < 1:
+            raise ParseError(f"malformed header: need n >= 1 and L >= 1, got n={n} L={lifetime}", lineno)
+        self.text, self.n, self.lifetime = text, n, lifetime
+        self.pos, self.line = pos, lineno  # where the next step starts, and the number of the line before it
         self.edge_of: dict[str, Edge] = {}
-        self.first: frozenset[str] = frozenset()
+        self.first: frozenset[str] = frozenset()  # the first snapshot's edges as the writer writes them
         self.base: frozenset[Edge] = frozenset()
         self.diff_of: dict[str, tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
         self.removed: list[tuple[Edge, ...]] = []
         self.added: list[tuple[Edge, ...]] = []
         self.size, self.prev_m = 0, 0  # the previous block's length and line count
 
-    def read(self, steps: int) -> bool:
-        """Read up to `steps` more steps; False on any irregularity (after the
-        last step, on anything that follows it), keeping none of this read's
-        steps, so that a later read meets the same irregularity."""
-        if not self.lifetime:  # an irregular header
-            return False
-        text, pos, n = self.text, self.pos, self.n
-        edge_of, diff_of, first = self.edge_of, self.diff_of, self.first
-        size, prev_m = self.size, self.prev_m
-        removed: list[tuple[Edge, ...]] = []
-        added: list[tuple[Edge, ...]] = []
-        done = len(self.removed)
-        for t in range(done, min(done + steps, self.lifetime)):
-            eol = text.find("\n", pos)
-            count = text[pos:eol] if eol >= 0 else ""
-            if not (count.isascii() and count.isdigit()) or (count[0] == "0" and count != "0"):
-                return False
-            m = int(count)
-            start = eol + 1
+    def read(self, steps: int) -> None:
+        """Read up to `steps` more steps; raises the ParseError of the first
+        malformed line, or of content after the last step, keeping the steps
+        before it, so that the next read raises it again."""
+        stop = min(len(self.removed) + steps, self.lifetime)
+        while len(self.removed) < stop:
+            if self.removed:
+                self._blocks(stop)
+            if len(self.removed) < stop:
+                self._lines()
+
+    def _blocks(self, stop: int) -> None:
+        """Read the steps up to step `stop` while their blocks are in the
+        writer's form; the last step only when nothing follows it."""
+        text, diff_of, removed, added = self.text, self.diff_of, self.removed, self.added
+        pos, lineno, size, prev_m = self.pos, self.line, self.size, self.prev_m
+        for t in range(len(removed), stop):
+            count = _COUNT.match(text, pos)
+            if count is None:
+                break
+            m, start = int(count[1]), count.end()
             # Guess m lines at the previous block's mean line length: exact when
             # a block repeats, close when only the count changes.
             end = _block_end(text, start, m, start + size * m // max(prev_m, 1))
-            if end is None:
-                return False
+            if end is None or (t + 1 == self.lifetime and end != len(text)):
+                break
             block = text[start:end]
-            size, prev_m, pos = end - start, m, end
-            diff = diff_of.get(block)
+            diff = diff_of.get(block) or self._diff(block, m)
             if diff is None:
-                lines = block.split("\n")
-                lines.pop()
-                lineset = frozenset(lines)
-                if len(lineset) != m:  # a repeated line
-                    return False
-                new = lineset.difference(first)
-                for line in new:  # every line not yet validated
-                    if line not in edge_of:
-                        pair = _regular_pair(line)
-                        if pair is None or not (0 <= pair[0] < pair[1] < n):
-                            return False
-                        edge_of[line] = pair
-                if t == 0:
-                    first, new = lineset, ()
-                    self.first = first
-                    self.base = frozenset(map(edge_of.__getitem__, first))
-                gone = first.difference(lineset)
-                diff = diff_of[block] = (
-                    tuple(sorted(map(edge_of.__getitem__, gone))),
-                    tuple(sorted(map(edge_of.__getitem__, new))),
-                )
+                break
             removed.append(diff[0])
             added.append(diff[1])
-        if done + len(removed) == self.lifetime and pos != len(text):
-            return False
-        self.removed.extend(removed)
-        self.added.extend(added)
-        self.pos, self.size, self.prev_m = pos, size, prev_m
-        return True
+            pos, lineno, size, prev_m = end, lineno + m + 1, end - start, m
+        self.pos, self.line, self.size, self.prev_m = pos, lineno, size, prev_m
 
+    def _diff(self, block: str, m: int) -> Optional[tuple[tuple[Edge, ...], tuple[Edge, ...]]]:
+        """The (removed, added) of a block of m lines read for the first time,
+        or None if it is not in the writer's form."""
+        lines = block.split("\n")
+        lines.pop()
+        lineset = frozenset(lines)
+        if len(lineset) != m:  # a repeated line
+            return None
+        edge_of, first, n = self.edge_of, self.first, self.n
+        new = lineset.difference(first)
+        for line in new:  # every line not yet validated
+            if line not in edge_of:
+                pair = _regular_pair(line)
+                if pair is None or not (0 <= pair[0] < pair[1] < n):
+                    return None
+                edge_of[line] = pair
+        diff = self.diff_of[block] = (
+            tuple(sorted(map(edge_of.__getitem__, first.difference(lineset)))),
+            tuple(sorted(map(edge_of.__getitem__, new))),
+        )
+        return diff
 
-def _parse_lines(text: str) -> TemporalGraph:
-    """Line-by-line TG1 parser: tolerates comments and blank lines, and
-    reports each error with its physical line number."""
-    lines = _content_lines(text)
-    try:
-        lineno, parts = next(lines)
-    except StopIteration:
-        raise ParseError("malformed header: empty input", 1) from None
-    if len(parts) != 2:
-        raise ParseError(f"malformed header: expected 'n L', got {' '.join(parts)!r}", lineno)
-    n = _parse_int(parts[0], lineno, "header n")
-    lifetime = _parse_int(parts[1], lineno, "header L")
-    if n < 1 or lifetime < 1:
-        raise ParseError(f"malformed header: need n >= 1 and L >= 1, got n={n} L={lifetime}", lineno)
-
-    snapshots: list[set[Edge]] = []
-    last_line = lineno
-    for _ in range(lifetime):
+    def _lines(self) -> None:
+        """Read the next step line by line; the first step read fixes the base."""
+        lines = _content_lines(self.text, self.pos, self.line)
         try:
-            lineno, parts = next(lines)
+            lineno, parts, pos = next(lines)
         except StopIteration:
-            raise ParseError("unexpected end of input: missing snapshot edge count", last_line + 1) from None
+            raise ParseError("unexpected end of input: missing snapshot edge count", self.line + 1) from None
         if len(parts) != 1:
             raise ParseError(f"expected edge count, got {' '.join(parts)!r}", lineno)
         m = _parse_int(parts[0], lineno, "edge count")
         if m < 0:
             raise ParseError(f"negative edge count {m}", lineno)
-        seen: set[Edge] = set()
-        last_line = lineno
-        for _ in range(m):
-            try:
-                lineno, parts = next(lines)
-            except StopIteration:
-                raise ParseError("unexpected end of input: missing edge line", last_line + 1) from None
-            _parse_edge_line(parts, lineno, n, seen)
-            last_line = lineno
-        snapshots.append(seen)
-    for lineno, parts in lines:
-        raise ParseError(f"unexpected trailing content {' '.join(parts)!r}", lineno)
-    return TemporalGraph.build(n, snapshots)
+        edges: set[Edge] = set()
+        for _, (lineno, parts, pos) in zip(range(m), lines):
+            _parse_edge_line(parts, lineno, self.n, edges)
+        if len(edges) < m:
+            raise ParseError("unexpected end of input: missing edge line", lineno + 1)
+        if len(self.removed) + 1 == self.lifetime:
+            for trailing, parts, _ in lines:
+                raise ParseError(f"unexpected trailing content {' '.join(parts)!r}", trailing)
+        if not self.removed:
+            self.base = frozenset(edges)
+            self.edge_of = {f"{u} {v}": (u, v) for u, v in edges}
+            self.first = frozenset(self.edge_of)
+        self.removed.append(tuple(sorted(self.base.difference(edges))))
+        self.added.append(tuple(sorted(edges.difference(self.base))))
+        self.pos, self.line = pos, lineno
 
 
 def serialize_temporal_graph(graph: TemporalGraph) -> str:
@@ -585,7 +583,7 @@ def _tg1_chunks(graph: TemporalGraph, chunk_steps: int) -> Iterator[list[str]]:
 def parse_spanning_tree(text: str, n: int) -> SpanningTree:
     """Parse a tree file: n-1 lines 'u v' (comments allowed)."""
     seen: set[Edge] = set()
-    for lineno, parts in _content_lines(text):
+    for lineno, parts, _ in _content_lines(text):
         _parse_edge_line(parts, lineno, n, seen)
     return SpanningTree(n, frozenset(seen))
 

@@ -266,7 +266,7 @@ def parse_schedule(text: str) -> Schedule:
     '<t> wait' or '<t> move <u> <v>' (comments allowed)."""
     lines = _content_lines(text)
     try:
-        no, parts = next(lines)
+        no, parts, _ = next(lines)
     except StopIteration:
         raise ParseError("empty schedule", 1) from None
     if len(parts) != 2 or parts[0] != "start":
@@ -274,7 +274,7 @@ def parse_schedule(text: str) -> Schedule:
     start = _parse_int(parts[1], no, "start vertex")
     actions: list[Action] = []
     first_step: Optional[int] = None
-    for no, parts in lines:
+    for no, parts, _ in lines:
         t = _parse_int(parts[0], no, "step")
         if first_step is None:
             first_step = t

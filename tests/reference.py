@@ -14,6 +14,10 @@ on a recorded trace rather than inside the pipeline's step loop.
 
 The delta check done the slow way: one foremost walk per source in every
 window, for the shared sweep of ``verify_delta_connectivity`` to equal.
+
+The TG1 parser done the slow way: the whole text split with
+``str.splitlines`` and every snapshot built as a set, for the resumable
+reader behind ``parse_temporal_graph`` to equal, graph or error.
 """
 
 from __future__ import annotations
@@ -22,7 +26,16 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from tempex.core import ConnectivityReport, SpanningTree, TemporalGraph, foremost_walk
+from tempex.core import (
+    ConnectivityReport,
+    Edge,
+    ParseError,
+    SpanningTree,
+    TemporalGraph,
+    _parse_edge_line,
+    _parse_int,
+    foremost_walk,
+)
 from tempex.rng import SplitMix64
 from tempex.roundabout import RoundaboutState, RoundaboutTrace, run_roundabout
 from tempex.scheduler import (
@@ -212,3 +225,49 @@ def per_source_delta_check(graph, delta, mode, samples, seed):
                 if result.arrival[target] is None:
                     return ConnectivityReport(False, (w, (source, target)), checked, mode)
     return ConnectivityReport(True, None, checked, mode)
+
+
+def parse_lines(text: str) -> TemporalGraph:
+    """Line-by-line TG1 parser: tolerates comments and blank lines, and
+    reports each error with its physical line number."""
+    lines = (
+        (lineno, stripped.split())
+        for lineno, stripped in enumerate(map(str.strip, text.splitlines()), start=1)
+        if stripped and not stripped.startswith("#")
+    )
+    try:
+        lineno, parts = next(lines)
+    except StopIteration:
+        raise ParseError("malformed header: empty input", 1) from None
+    if len(parts) != 2:
+        raise ParseError(f"malformed header: expected 'n L', got {' '.join(parts)!r}", lineno)
+    n = _parse_int(parts[0], lineno, "header n")
+    lifetime = _parse_int(parts[1], lineno, "header L")
+    if n < 1 or lifetime < 1:
+        raise ParseError(f"malformed header: need n >= 1 and L >= 1, got n={n} L={lifetime}", lineno)
+
+    snapshots: list[set[Edge]] = []
+    last_line = lineno
+    for _ in range(lifetime):
+        try:
+            lineno, parts = next(lines)
+        except StopIteration:
+            raise ParseError("unexpected end of input: missing snapshot edge count", last_line + 1) from None
+        if len(parts) != 1:
+            raise ParseError(f"expected edge count, got {' '.join(parts)!r}", lineno)
+        m = _parse_int(parts[0], lineno, "edge count")
+        if m < 0:
+            raise ParseError(f"negative edge count {m}", lineno)
+        seen: set[Edge] = set()
+        last_line = lineno
+        for _ in range(m):
+            try:
+                lineno, parts = next(lines)
+            except StopIteration:
+                raise ParseError("unexpected end of input: missing edge line", last_line + 1) from None
+            _parse_edge_line(parts, lineno, n, seen)
+            last_line = lineno
+        snapshots.append(seen)
+    for lineno, parts in lines:
+        raise ParseError(f"unexpected trailing content {' '.join(parts)!r}", lineno)
+    return TemporalGraph.build(n, snapshots)

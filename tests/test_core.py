@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import chosen_starts, per_source_delta_check
+from reference import chosen_starts, parse_lines, per_source_delta_check
 from strategies import near_static_snapshots, repeating_snapshots, spanning_trees, temporal_graphs
 from tempex import core
 from tempex.core import (
@@ -23,8 +23,6 @@ from tempex.core import (
     serialize_temporal_graph,
     verify_delta_connectivity,
     write_temporal_graph,
-    _BlockReader,
-    _parse_lines,
     _tg1_chunks,
 )
 from tempex.gen import GenSpec, gen_random_deficient
@@ -43,16 +41,19 @@ def sorted_lines_tg1(graph):
     return "\n".join(out) + "\n"
 
 
+SEPARATORS = ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r\r\n"]
+
+
 def perturb_tg1(text, n, data, start=0):
     """One random irregularity applied to TG1 text, at line `start` or later:
-    the kinds of input the fast parser must hand to the line-by-line parser."""
+    the kinds of input the parser reads line by line, or rejects."""
     lines = text.split("\n")[:-1]
     i = data.draw(st.integers(start, len(lines) - 1))
     line = lines[i]
     first = line.split(" ")[0]
     kind = data.draw(st.sampled_from([
         "comment", "blank", "spaces", "crlf", "swap", "duplicate", "duplicate-counted",
-        "out-of-range", "self-loop", "non-integer", "leading-zero", "truncate", "trailing",
+        "out-of-range", "self-loop", "non-integer", "leading-zero", "truncate", "trailing", "separator",
     ]))
     if kind == "comment":
         lines.insert(i, "# note")
@@ -84,6 +85,13 @@ def perturb_tg1(text, n, data, start=0):
         lines[i] = line.replace(first, data.draw(st.sampled_from(["x", "1.5", "-", "\u0661"])), 1)
     elif kind == "leading-zero":
         lines[i] = "0" + line
+    elif kind == "separator":  # another str.splitlines break, in place of a newline or inside a line
+        sep = data.draw(st.sampled_from(SEPARATORS))
+        if i + 1 < len(lines) and data.draw(st.booleans()):
+            lines[i:i + 2] = [line + sep + lines[i + 1]]
+        else:
+            j = data.draw(st.integers(0, len(line)))
+            lines[i] = line[:j] + sep + line[j:]
     elif kind == "truncate":
         return text[: data.draw(st.integers(sum(len(x) + 1 for x in lines[:start]), len(text) - 1))]
     else:
@@ -91,19 +99,38 @@ def perturb_tg1(text, n, data, start=0):
     return "\n".join(lines) + "\n"
 
 
-def read_regular(text):
-    """The graph the fast path reads from the whole text, or None where it
-    finds the text irregular."""
-    reader = _BlockReader(text)
-    return TemporalGraph._reading(reader) if reader.read(reader.lifetime) else None
+def read_whole(text):
+    """The graph of the text with every step read."""
+    graph = parse_temporal_graph(text)
+    graph.read_all()
+    return graph
+
+
+def steps_read_line_by_line(text):
+    """How many of the text's steps the reader reads line by line, not as a block."""
+    read = core._Reader._lines
+    calls = 0
+
+    def counted(reader):
+        nonlocal calls
+        calls += 1
+        return read(reader)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core._Reader, "_lines", counted)
+        read_whole(text)
+    return calls
 
 
 def parse_outcome(parse, text):
-    """The graph a parser returns, or the message and line of its ParseError."""
+    """The fields of the graph a parser returns, with every step read, or
+    the message and line of its ParseError."""
     try:
-        return parse(text)
+        graph = parse(text)
+        graph.read_all()
     except ParseError as exc:
         return (str(exc), exc.line)
+    return graph.n, graph.lifetime, graph.base, graph.removed, graph.added
 
 
 class TestParse:
@@ -215,9 +242,11 @@ class TestParse:
 
     @given(temporal_graphs(), st.data())
     def test_fast_parser_matches_line_parser(self, graph, data):
-        assert read_regular(serialize_temporal_graph(graph)) == graph
-        text = perturb_tg1(serialize_temporal_graph(graph), graph.n, data)
-        assert parse_outcome(parse_temporal_graph, text) == parse_outcome(_parse_lines, text)
+        written = serialize_temporal_graph(graph)
+        assert read_whole(written) == graph
+        assert steps_read_line_by_line(written) == 1
+        text = perturb_tg1(written, graph.n, data)
+        assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
 
     def test_fast_parser_falls_back_on_each_irregularity(self):
         regular = "3 2\n2\n0 1\n1 2\n1\n0 1\n"
@@ -241,6 +270,25 @@ class TestParse:
             with pytest.raises(ParseError) as exc:
                 parse_temporal_graph(variant)
             assert exc.value.line == line
+        # each break of str.splitlines in place of every newline, of any one
+        # newline, or inside any line gives the reference's graph or error
+        for text in ("3 3\n2\n0 1\n1 2\n1\n0 1\n2\n0 2\n1 2\n", "3 3\n2\n0 1\n1 2\n1\n0 3\n0\n", regular + "0\n"):
+            for sep in SEPARATORS:
+                variants = [text.replace("\n", sep)]
+                variants += (text[:i] + sep + text[i + (c == "\n"):] for i, c in enumerate(text))
+                for variant in variants:
+                    assert parse_outcome(parse_temporal_graph, variant) == parse_outcome(parse_lines, variant)
+
+    def test_an_irregular_line_costs_only_its_step(self):
+        """A comment or a blank line sends the one step it is in through the
+        line-by-line read, besides the first step."""
+        graph = gen_random_deficient(GenSpec(n=12, lifetime=400, k=1, seed=3, tree_shape="random")).graph
+        text = serialize_temporal_graph(graph)
+        middle = "".join(next(_tg1_chunks(graph, 200)))
+        for irregular in ("# c\n", "\n", "  \n"):
+            variant = middle + irregular + text[len(middle):]
+            assert steps_read_line_by_line(variant) == 2
+            assert read_whole(variant) == graph
 
     @given(repeating_snapshots(), st.data())
     def test_fast_parser_on_repeated_blocks(self, drawn, data):
@@ -249,16 +297,19 @@ class TestParse:
         written = f"{n} {len(snapshots)}\n" + "".join(
             f"{len(snap)}\n" + "".join(f"{u} {v}\n" for u, v in snap) for snap in snapshots
         )
-        assert read_regular(written) == graph
+        assert read_whole(written) == graph
         text = serialize_temporal_graph(graph)
-        assert read_regular(text) == graph
+        assert read_whole(text) == graph
+        assert steps_read_line_by_line(written) == steps_read_line_by_line(text) == 1
         last_block = text.count("\n") - 1 - len(snapshots[-1])  # its count line
         text = perturb_tg1(text, n, data, start=last_block)
-        assert parse_outcome(parse_temporal_graph, text) == parse_outcome(_parse_lines, text)
+        assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
 
     def test_fast_parser_without_final_newline(self):
-        for text in ("3 2\n2\n0 1\n1 2\n1\n0 1", "3 2\n2\n0 1\n1 2\n0", "2 1\n0"):
-            assert read_regular(text) == _parse_lines(text)
+        """Only the first step and the unterminated last one are read line by line."""
+        for text, line_by_line in (("3 2\n2\n0 1\n1 2\n1\n0 1", 2), ("3 2\n2\n0 1\n1 2\n0", 2), ("2 1\n0", 1)):
+            assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
+            assert steps_read_line_by_line(text) == line_by_line
 
     def test_fast_parser_empty_blocks_and_first_block_repeated(self):
         for text in (
@@ -266,7 +317,8 @@ class TestParse:
             "3 4\n0\n1\n0 1\n0\n1\n0 1\n",
             "3 5\n2\n1 2\n0 1\n0\n2\n1 2\n0 1\n1\n1 2\n2\n1 2\n0 1\n",
         ):
-            assert read_regular(text) == _parse_lines(text)
+            assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
+            assert steps_read_line_by_line(text) == 1
 
     def test_fast_parser_blocks_longer_or_shorter_than_guessed(self):
         """A block's end is guessed from the previous block's mean line length;
@@ -276,20 +328,24 @@ class TestParse:
             "12 3\n1\n0 1\n1\n10 11\n1\n0 2\n",  # longer lines: the guess falls short
             "12 3\n3\n0 1\n0 2\n10 11\n1\n10 11\n2\n0 1\n1 2\n",  # the count falls, then rises
         ):
-            assert read_regular(text) == _parse_lines(text)
+            assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
+            assert steps_read_line_by_line(text) == 1
 
     def test_fast_parser_peak_memory_stays_near_the_text(self):
-        """The fast path walks the text without splitting it into lines."""
+        """The reader walks the text without splitting it into lines, also
+        when a comment follows the header."""
         graph = gen_random_deficient(GenSpec(n=40, lifetime=3000, k=1, seed=5, tree_shape="random")).graph
         text = serialize_temporal_graph(graph)
-        tracemalloc.start()
-        try:
-            parsed = parse_temporal_graph(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert parsed == graph
-        assert peak < 3 * len(text)
+        header = text.index("\n") + 1
+        for variant in (text, text[:header] + "# c\n" + text[header:]):
+            tracemalloc.start()
+            try:
+                parsed = parse_temporal_graph(variant)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert parsed == graph
+            assert peak < 3 * len(text)
 
     def test_writer_peak_memory_stays_near_the_text(self):
         """The writer joins slices of the base text and never lists every line."""
@@ -402,11 +458,18 @@ class TestLazyRead:
         read = stats.span + core.READ_CHUNK
         assert read < result.graph.lifetime
         prefix = "".join(next(_tg1_chunks(result.graph, read)))
-        garbage = parse_temporal_graph(prefix + "garbage\n" + text[len(prefix):])
-        assert outputs(garbage) == (schedule, stats)
-        with pytest.raises(ParseError, match="edge count: expected integer, got 'garbage'") as exc:
-            garbage.read_all()
-        assert exc.value.line == prefix.count("\n") + 1
+        rest = "garbage\n" + text[len(prefix):]
+        header = text.index("\n") + 1
+        for before, after in (
+            (prefix, rest),
+            (prefix[:header] + "# c\n" + prefix[header:], rest),  # a comment after the header
+            (prefix.replace("\n", "\r\n"), rest.replace("\n", "\r\n")),
+        ):
+            garbage = parse_temporal_graph(before + after)
+            assert outputs(garbage) == (schedule, stats)
+            with pytest.raises(ParseError, match="edge count: expected integer, got 'garbage'") as exc:
+                garbage.read_all()
+            assert exc.value.line == before.count("\n") + 1
 
     @given(temporal_graphs(min_lifetime=4, max_lifetime=10), st.integers(1, 3), st.data())
     def test_text_irregular_after_the_first_chunk_reads_as_the_line_parser(self, graph, chunk, data):
@@ -420,14 +483,9 @@ class TestLazyRead:
         else:
             text = first + text[len(first):].replace("\n", "\r\n")
 
-        def read_lazily(text):
-            lazy = parse_temporal_graph(text)
-            lazy.read_all()
-            return lazy
-
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "READ_CHUNK", chunk)
-            assert parse_outcome(read_lazily, text) == parse_outcome(_parse_lines, text)
+            assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
 
     @given(temporal_graphs(min_lifetime=2, max_lifetime=10), st.integers(1, 3), st.booleans())
     def test_reading_keeps_the_base(self, graph, chunk, irregular):
@@ -479,8 +537,12 @@ class TestLazyRead:
                 graph.edge_set(5)
             assert exc.value.line == 11
         assert graph.edge_set(2) == {(0, 1)}
-        with pytest.raises(ParseError, match="unexpected trailing content"):
-            parse_temporal_graph(text.replace("0 3\n", "1 2\n") + "x\n").read_all()
+        trailing = parse_temporal_graph(text.replace("0 3\n", "1 2\n") + "x\n")
+        for _ in range(2):  # content after the last step is raised again too
+            with pytest.raises(ParseError, match="unexpected trailing content 'x'") as exc:
+                trailing.read_all()
+            assert exc.value.line == 12
+        assert repr(trailing).endswith("steps read=4 of 5)")
 
 
 class TestSpanningTree:
@@ -571,8 +633,8 @@ class TestDeltaForm:
 
     @given(repeating_snapshots(), st.integers(1, 3))
     def test_parse_and_build_agree_field_for_field(self, drawn, chunk):
-        """Both are based on the first snapshot, also when the line parser
-        takes over after the first chunk."""
+        """Both are based on the first snapshot, also when a step after the
+        first chunk is read line by line."""
         n, snapshots = drawn
         built = TemporalGraph.build(n, snapshots)
         text = serialize_temporal_graph(built)
@@ -580,7 +642,7 @@ class TestDeltaForm:
         commented = first + "# c\n" + text[len(first):]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "READ_CHUNK", chunk)
-            for parsed in (parse_temporal_graph(text), parse_temporal_graph(commented), _parse_lines(text)):
+            for parsed in (parse_temporal_graph(text), parse_temporal_graph(commented), parse_lines(text)):
                 parsed.read_all()
                 assert (parsed.n, parsed.lifetime) == (built.n, built.lifetime)
                 assert (parsed.base, parsed.removed, parsed.added) == (built.base, built.removed, built.added)
