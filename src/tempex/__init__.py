@@ -29,7 +29,7 @@ from .core import (
     write_temporal_graph,
 )
 from .gen import GenResult, GenSpec, gen_blocking_front, gen_random_deficient
-from .oracle import OracleResult, foremost_arrival_oracle, optimal_exploration_time
+from .oracle import OracleResult, optimal_exploration_time
 from .roundabout import (
     RoundaboutState,
     RoundaboutTrace,

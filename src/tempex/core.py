@@ -310,7 +310,7 @@ class TemporalGraph:
 
 _BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
 _LINE = re.compile(f"([^{_BREAK}]*)(?:\r\n|[{_BREAK}])?")
-_COUNT = re.compile(r"(0|[1-9][0-9]*)\n")  # an edge count as the writer writes it
+_COUNT = re.compile(r"(0|[1-9][0-9]*)\r?\n")  # an edge count as the writer writes it, or with \r\n
 
 
 def _content_lines(text: str, pos: int = 0, lineno: int = 0) -> Iterator[tuple[int, list[str], int]]:
@@ -400,15 +400,16 @@ class _Reader:
     position and physical line number where the last read stopped.
 
     A step whose block (its count line and edge lines) is in the form the
-    writer writes, with edges in any order, is read without splitting the
-    text: the block's end is found by counting newlines, each distinct block
-    is split, validated and diffed against the first snapshot once, and each
-    distinct edge line is validated once; a repeated block costs one hash and
-    one dict lookup. The first step, and any step with a comment, a blank
-    line, another line break or whitespace, a non-canonical number or edge,
-    or an error, is read line by line as ``str.splitlines`` numbers the
-    lines. `removed` and `added` grow by each step as soon as it is read, as
-    diffs against `base`, the first snapshot's edges.
+    writer writes, with edges in any order and LF or CRLF line ends, is
+    read without splitting the text: the block's end is found by counting
+    newlines, each distinct block is split, validated and diffed against the
+    first snapshot once, and each distinct edge line is validated once; a
+    repeated block costs one hash and one dict lookup. The first step, and
+    any step with a comment, a blank line, another line break or whitespace,
+    a non-canonical number or edge, or an error, is read line by line as
+    ``str.splitlines`` numbers the lines. `removed` and `added` grow by each
+    step as soon as it is read, as diffs against `base`, the first
+    snapshot's edges.
     """
 
     def __init__(self, text: str) -> None:
@@ -471,10 +472,9 @@ class _Reader:
     def _diff(self, block: str, m: int) -> Optional[tuple[tuple[Edge, ...], tuple[Edge, ...]]]:
         """The (removed, added) of a block of m lines read for the first time,
         or None if it is not in the writer's form."""
-        lines = block.split("\n")
-        lines.pop()
+        lines = block.splitlines()
         lineset = frozenset(lines)
-        if len(lineset) != m:  # a repeated line
+        if len(lines) != m or len(lineset) != m:  # another line break, or a repeated line
             return None
         edge_of, first, n = self.edge_of, self.first, self.n
         new = lineset.difference(first)

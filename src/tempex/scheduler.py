@@ -1,25 +1,26 @@
 """Epoch planning, covering-tuple selection, and single-explorer schedules.
 
-The pipeline: lay out rho epochs left to right (each a delta-step
+The pipeline: lay out rho epochs left to right, each a delta-step
 repositioning window followed by enough deficient snapshots to run the
-roundabout for its step budget), each one only when the run reaches it, and
-run them one at a time in `assemble_schedule`. Each epoch picks one
-surviving agent, and a single explorer repositions to that agent's start and
-replays its moves; the run stops after the first epoch by whose end every
-vertex has been visited. The first pass picks the draws of the first attempt
-of the Las Vegas covering-tuple search, so when that attempt covers the tour
-the schedule is the full-plan schedule cut at an epoch end. When a vertex is
-still unvisited after epoch rho, the search picks a tuple whose visited arcs
-jointly cover the whole tour, and the same loop replays it, again stopping
-at cover.
+roundabout for its step budget. `explore_detailed` makes them one stream:
+each epoch is laid out and its roundabout run only when the loop in
+`assemble_schedule` asks for the next one. Each epoch picks one surviving
+agent, and a single explorer repositions to that agent's start and replays
+its moves; the loop stops after the first epoch by whose end every vertex
+has been visited, and reads no further from the stream. The first pass picks
+the draws of the first attempt of the Las Vegas covering-tuple search, so
+when that attempt covers the tour the schedule is the full-plan schedule cut
+at an epoch end. When a vertex is still unvisited after epoch rho, the
+search picks a tuple whose visited arcs jointly cover the whole tour, and
+the same loop replays the rho runs it already made with that tuple, again
+stopping at cover.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import count
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from .core import (
     ParseError,
@@ -115,30 +116,15 @@ class Epoch:
     roundabout_times: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpochPlan:
-    """A plan of `rho` epochs at deficiency `k`, laid out left to right as a
-    run reaches them.
-
-    `epochs` holds the epochs laid out so far, and `rest` lays out the others
-    in order; a plan made from its epochs alone has no others. Iterating the
-    plan yields every epoch, laying each one out when the iteration reaches
-    it, so a run that stops early reads no step after its last epoch.
-    """
+    """Epochs of a plan of `rho` epochs at deficiency `k`, laid out left to
+    right: all rho of them from `partition_epochs`, the ones a run replayed
+    in `PipelineRun.plan`."""
 
     epochs: tuple[Epoch, ...]
     rho: int
     k: int
-    rest: Iterator[Epoch] = field(default=iter(()), repr=False, compare=False)
-
-    def __iter__(self) -> Iterator[Epoch]:
-        for j in count():
-            if j == len(self.epochs):
-                epoch = next(self.rest, None)
-                if epoch is None:
-                    return
-                self.epochs += (epoch,)
-            yield self.epochs[j]
 
 
 def _lay_out_epochs(
@@ -316,31 +302,28 @@ def _reposition_and_replay(
 def assemble_schedule(
     graph: TemporalGraph,
     tour: DfsTour,
-    plan: EpochPlan,
-    traces: list[RoundaboutTrace],
+    runs: Iterable[tuple[Epoch, RoundaboutTrace]],
     choose: Callable[[int, RoundaboutTrace], int],
     start: int,
-) -> tuple[Schedule, tuple[int, ...], Optional[int]]:
-    """Run the plan's epochs in order until the explorer has visited every vertex.
+) -> tuple[Schedule, tuple[tuple[Epoch, RoundaboutTrace, int], ...], Optional[int]]:
+    """Run epochs in order until the explorer has visited every vertex.
 
-    Epoch j (from 0) is laid out when the loop reaches it, unless the plan
-    already holds it, and runs its roundabout unless `traces` already holds
-    that run, appending the run otherwise; the explorer then repositions to
-    the start of agent `choose(j, trace)` and replays its moves. Returns the
-    schedule through the end of the last epoch run, the agents replayed, and
-    the step at which the last unvisited vertex is entered: None when a
-    vertex is still unvisited after the plan's last epoch.
+    `runs` yields each epoch with its roundabout run, and is advanced no
+    further than the epoch that completes the visit. In epoch j (from 0) the
+    explorer repositions to the start of agent `choose(j, trace)` and
+    replays its moves. Returns the schedule through the end of the last
+    epoch run, the (epoch, trace, agent) of each epoch replayed, and the step
+    at which the last unvisited vertex is entered: None when a vertex is
+    still unvisited after the last of `runs`.
     """
     actions: list[Action] = []
-    choice: list[int] = []
+    replayed: list[tuple[Epoch, RoundaboutTrace, int]] = []
     at, seen = start, {start}
     cover: Optional[int] = None
-    for j, epoch in enumerate(plan):
-        if j == len(traces):
-            traces.append(run_roundabout(graph, tour, epoch.roundabout_times))
-        agent = choose(j, traces[j])
-        route, at = _reposition_and_replay(graph, tour, j + 1, epoch, traces[j], agent, at)
-        choice.append(agent)
+    for j, (epoch, trace) in enumerate(runs):
+        agent = choose(j, trace)
+        route, at = _reposition_and_replay(graph, tour, j + 1, epoch, trace, agent, at)
+        replayed.append((epoch, trace, agent))
         actions.extend([None] * (epoch.end - len(actions)))
         for t, move in route:
             actions[t - 1] = move
@@ -350,7 +333,7 @@ def assemble_schedule(
                     cover = t
         if cover is not None:
             break
-    return Schedule(start, 1, tuple(actions)), tuple(choice), cover
+    return Schedule(start, 1, tuple(actions)), tuple(replayed), cover
 
 
 @dataclass(frozen=True)
@@ -502,23 +485,22 @@ def explore_detailed(
     rho = rho_for(effective_k)
     budget = step_budget(graph.n, effective_k)
     tour = build_dfs_tour(tree)
-    plan = EpochPlan((), rho, effective_k, _lay_out_epochs(graph, tree, effective_k, delta, rho, budget))
-    traces: list[RoundaboutTrace] = []
+    laid_out = _lay_out_epochs(graph, tree, effective_k, delta, rho, budget)
+    runs = ((epoch, run_roundabout(graph, tour, epoch.roundabout_times)) for epoch in laid_out)
     rng = SplitMix64(strategy.seed)
-    schedule, choice, cover = assemble_schedule(
-        graph, tour, plan, traces, lambda j, trace: _draw(rng, trace.final.agents), start
+    schedule, replayed, cover = assemble_schedule(
+        graph, tour, runs, lambda j, trace: _draw(rng, trace.final.agents), start
     )
     attempts = 1
     if cover is None:
-        # The epochs ran attempt 1's draws and did not cover the tour; the
-        # search draws attempt 1 again, rejects it and goes on.
+        # All rho epochs ran on attempt 1's draws and did not cover the tour;
+        # the search draws attempt 1 again, rejects it and goes on.
+        epochs, traces, _ = zip(*replayed)
         covering, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
-        schedule, choice, cover = assemble_schedule(
-            graph, tour, plan, traces, lambda j, trace: covering[j], start
+        schedule, replayed, cover = assemble_schedule(
+            graph, tour, zip(epochs, traces), lambda j, trace: covering[j], start
         )
-        # the replay can cover before epoch rho: keep the epochs it replayed
-        plan = EpochPlan(plan.epochs[: len(choice)], rho, effective_k)
-        del traces[len(choice):]
+    epochs, traces, choice = zip(*replayed)
     stats = ExploreStats(
         rho,
         budget,
@@ -529,7 +511,7 @@ def explore_detailed(
         paper_budget(graph.n, effective_k, delta),
         cover,
     )
-    return PipelineRun(schedule, stats, tree, plan, tuple(traces), tuple(choice))
+    return PipelineRun(schedule, stats, tree, EpochPlan(epochs, rho, effective_k), traces, choice)
 
 
 def explore(

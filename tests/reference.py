@@ -15,6 +15,9 @@ on a recorded trace rather than inside the pipeline's step loop.
 The delta check done the slow way: one foremost walk per source in every
 window, for the shared sweep of ``verify_delta_connectivity`` to equal.
 
+Earliest arrivals done the slow way: a breadth-first search over an explicit
+time-expanded graph, for ``foremost_walk``'s sweep to equal.
+
 The TG1 parser done the slow way: the whole text split with
 ``str.splitlines`` and every snapshot built as a set, for the resumable
 reader behind ``parse_temporal_graph`` to equal, graph or error.
@@ -22,6 +25,7 @@ reader behind ``parse_temporal_graph`` to equal, graph or error.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -225,6 +229,49 @@ def per_source_delta_check(graph, delta, mode, samples, seed):
                 if result.arrival[target] is None:
                     return ConnectivityReport(False, (w, (source, target)), checked, mode)
     return ConnectivityReport(True, None, checked, mode)
+
+
+def foremost_arrival_oracle(
+    graph: TemporalGraph, window: tuple[int, int], source: int
+) -> tuple[Optional[int], ...]:
+    """Earliest arrivals via an explicit time-expanded layered graph.
+
+    Nodes are (vertex, time) for time in [t0-1, t1]; waiting arcs go to the
+    next layer, and each snapshot edge contributes arcs between consecutive
+    layers in both directions. Must agree exactly with the sweep in core.
+    """
+    t0, t1 = window
+    if not (1 <= t0 <= t1 <= graph.lifetime):
+        raise ValueError(f"window [{t0}, {t1}] outside lifetime {graph.lifetime}")
+    if not (0 <= source < graph.n):
+        raise ValueError(f"source {source} out of range")
+    arcs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for t in range(t0 - 1, t1 + 1):
+        for v in range(graph.n):
+            arcs[(v, t)] = []
+    for t in range(t0 - 1, t1):
+        for v in range(graph.n):
+            arcs[(v, t)].append((v, t + 1))
+    for t in range(t0, t1 + 1):
+        for u, v in graph.edge_set(t):
+            arcs[(u, t - 1)].append((v, t))
+            arcs[(v, t - 1)].append((u, t))
+
+    earliest: list[Optional[int]] = [None] * graph.n
+    earliest[source] = t0 - 1
+    seen = {(source, t0 - 1)}
+    queue = deque([(source, t0 - 1)])
+    while queue:
+        node = queue.popleft()
+        for nxt in arcs[node]:
+            if nxt in seen:
+                continue
+            seen.add(nxt)
+            v, t = nxt
+            if earliest[v] is None or t < earliest[v]:
+                earliest[v] = t
+            queue.append(nxt)
+    return tuple(earliest)
 
 
 def parse_lines(text: str) -> TemporalGraph:

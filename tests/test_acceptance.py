@@ -13,11 +13,12 @@ from reference import (
     assert_cut_of_full_plan,
     checked_roundabout,
     exhaustive_covering_fraction,
+    foremost_arrival_oracle,
     run_epoch_traces,
 )
 from tempex.core import SpanningTree, TemporalGraph, foremost_walk
 from tempex.gen import GenSpec, GenResult, gen_blocking_front, gen_random_deficient
-from tempex.oracle import foremost_arrival_oracle, optimal_exploration_time
+from tempex.oracle import optimal_exploration_time
 from tempex.rng import SplitMix64
 from tempex.scheduler import (
     LasVegas,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import chosen_starts, parse_lines, per_source_delta_check
+from reference import chosen_starts, foremost_arrival_oracle, parse_lines, per_source_delta_check
 from strategies import near_static_snapshots, repeating_snapshots, spanning_trees, temporal_graphs
 from tempex import core
 from tempex.core import (
@@ -27,7 +27,6 @@ from tempex.core import (
 )
 from tempex.gen import GenSpec, gen_random_deficient
 from tempex.scheduler import explore_detailed, paper_budget, serialize_schedule
-from tempex.oracle import foremost_arrival_oracle
 from tempex.treefind import absence_weights
 
 
@@ -245,6 +244,9 @@ class TestParse:
         written = serialize_temporal_graph(graph)
         assert read_whole(written) == graph
         assert steps_read_line_by_line(written) == 1
+        crlf = written.replace("\n", "\r\n")
+        assert read_whole(crlf) == graph
+        assert steps_read_line_by_line(crlf) == 1
         text = perturb_tg1(written, graph.n, data)
         assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
 
@@ -278,6 +280,15 @@ class TestParse:
                 variants += (text[:i] + sep + text[i + (c == "\n"):] for i, c in enumerate(text))
                 for variant in variants:
                     assert parse_outcome(parse_temporal_graph, variant) == parse_outcome(parse_lines, variant)
+
+    def test_a_block_of_m_newlines_with_another_break_is_read_line_by_line(self):
+        # step 2 has exactly m = 2 newlines, and a vertical tab between them
+        # hides a duplicate edge line
+        text = "5 2\n1\n0 1\n2\n1 2\x0b1 2\n3 4\n"
+        assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
+        with pytest.raises(ParseError, match="duplicate edge 1 2") as exc:
+            parse_temporal_graph(text)
+        assert exc.value.line == 6
 
     def test_an_irregular_line_costs_only_its_step(self):
         """A comment or a blank line sends the one step it is in through the
@@ -494,7 +505,7 @@ class TestLazyRead:
         text = serialize_temporal_graph(graph)
         if irregular:
             first = "".join(next(_tg1_chunks(graph, chunk)))
-            text = first + text[len(first):].replace("\n", "\r\n")
+            text = first + text[len(first):].replace("\n", "\r")
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "READ_CHUNK", chunk)
             lazy = parse_temporal_graph(text)

@@ -2,9 +2,10 @@ from __future__ import annotations
 
 import pytest
 
+from reference import foremost_arrival_oracle
 from tempex.core import TemporalGraph, foremost_walk
 from tempex.gen import GenSpec, gen_random_deficient
-from tempex.oracle import foremost_arrival_oracle, optimal_exploration_time
+from tempex.oracle import optimal_exploration_time
 from tempex.rng import SplitMix64
 
 

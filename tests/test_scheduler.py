@@ -28,9 +28,9 @@ from tempex.core import (
 )
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.rng import SplitMix64
+from tempex.roundabout import run_roundabout
 from tempex.scheduler import (
     Epoch,
-    EpochPlan,
     InsufficientSnapshots,
     LasVegas,
     RepositionFailed,
@@ -67,6 +67,11 @@ def two_epoch_run(path3_full, path3_tree, path3_tour):
 def replaying(choice):
     """assemble_schedule's `choose` for a fixed tuple: entry j in epoch j."""
     return lambda j, trace: choice[j]
+
+
+def agents(replayed):
+    """The agents of assemble_schedule's (epoch, trace, agent) triples."""
+    return tuple(agent for _, _, agent in replayed)
 
 
 @pytest.fixture
@@ -251,30 +256,41 @@ class TestCoveringTuples:
 class TestAssembleAndVerify:
     def test_end_to_end_small_path(self, path3_full, path3_tree, path3_tour, two_epoch_run):
         plan, traces = two_epoch_run
-        schedule, choice, _ = assemble_schedule(
-            path3_full, path3_tour, plan, list(traces), replaying((4, 2)), 0
+        schedule, replayed, _ = assemble_schedule(
+            path3_full, path3_tour, zip(plan.epochs, traces), replaying((4, 2)), 0
         )
-        assert (schedule.span, choice) == (8, (4, 2))
+        assert schedule.span == 8
+        assert replayed == ((plan.epochs[0], traces[0], 4), (plan.epochs[1], traces[1], 2))
         report = verify_schedule(path3_full, 0, schedule)
         assert report.ok, report.describe()
 
-    def test_runs_only_the_roundabouts_the_traces_lack(self, path3_full, path3_tour, two_epoch_run):
+    def test_advances_the_runs_no_further_than_the_epoch_that_covers(
+        self, path3_full, path3_tour, two_epoch_run
+    ):
         plan, traces = two_epoch_run
-        held = traces[:1]
-        assemble_schedule(path3_full, path3_tour, plan, held, replaying((4, 2)), 0)
-        assert held[0] is traces[0]
-        assert held == traces
-        # a run that stops at cover runs no roundabout past its last epoch
-        held = []
-        assemble_schedule(path3_full, path3_tour, plan, held, replaying((2, 4)), 0)
-        assert held == traces[:1]
+        advanced = []
+
+        def runs():
+            for j, run in enumerate(zip(plan.epochs, traces), start=1):
+                advanced.append(j)
+                yield run
+
+        # from 0, agent 2 covers the path in epoch 1; agent 4 leaves vertex 2
+        # to epoch 2
+        for choice, j in (((2, 4), 1), ((4, 2), 2)):
+            advanced.clear()
+            _, replayed, cover = assemble_schedule(path3_full, path3_tour, runs(), replaying(choice), 0)
+            assert cover is not None
+            assert advanced == list(range(1, j + 1))
+            assert agents(replayed) == choice[:j]
 
     def test_reposition_failure_is_typed(self, path3_tree, path3_tour):
         full = [(0, 1), (1, 2)]
         graph = TemporalGraph.build(3, [[], [], full, full])
-        plan = EpochPlan((Epoch(1, 2, 4, (3, 4)),), 1, 1)
+        epoch = Epoch(1, 2, 4, (3, 4))
+        runs = [(epoch, run_roundabout(graph, path3_tour, epoch.roundabout_times))]
         with pytest.raises(RepositionFailed) as exc:
-            assemble_schedule(graph, path3_tour, plan, [], replaying((2,)), 2)
+            assemble_schedule(graph, path3_tour, runs, replaying((2,)), 2)
         assert exc.value.epoch == 1
 
     def test_forged_move_rejected(self, path3_full):
@@ -320,21 +336,21 @@ class TestCoverStep:
     def test_step_of_the_last_new_vertex(self, path3_full, path3_tour, two_epoch_run):
         # from 0: 0 -> 1 repositions, agent 2 replays 1 -> 2 at step 3 and
         # 2 -> 1 at step 4; the run stops at the end of epoch 1
-        plan, _ = two_epoch_run
-        schedule, choice, cover = assemble_schedule(
-            path3_full, path3_tour, plan, [], replaying((2, 4)), 0
+        plan, traces = two_epoch_run
+        schedule, replayed, cover = assemble_schedule(
+            path3_full, path3_tour, zip(plan.epochs, traces), replaying((2, 4)), 0
         )
         assert schedule.actions == ((0, 1), None, (1, 2), (2, 1))
-        assert (choice, cover) == ((2,), 3)
+        assert (agents(replayed), cover) == ((2,), 3)
 
     def test_counts_from_the_first_step(self, path3_full, path3_tour, two_epoch_run):
         # from 1, agent 4 returns to 1 in epoch 1 and agent 2 enters 2 at
         # step 7: a timeline step, not an offset into epoch 2 (steps 5-8)
-        plan, _ = two_epoch_run
-        schedule, choice, cover = assemble_schedule(
-            path3_full, path3_tour, plan, [], replaying((4, 2)), 1
+        plan, traces = two_epoch_run
+        schedule, replayed, cover = assemble_schedule(
+            path3_full, path3_tour, zip(plan.epochs, traces), replaying((4, 2)), 1
         )
-        assert (schedule.span, choice, cover) == (8, (4, 2), 7)
+        assert (schedule.span, agents(replayed), cover) == (8, (4, 2), 7)
 
     def test_lone_start_covers_at_zero(self):
         _, stats = explore(TemporalGraph.build(1, [[]]), 1, 1, 0)
@@ -342,18 +358,18 @@ class TestCoverStep:
 
     def test_never_covering(self, path3_full, path3_tour, two_epoch_run):
         # agent 2 in both epochs never enters vertex 0: every epoch runs
-        plan, _ = two_epoch_run
-        schedule, choice, cover = assemble_schedule(
-            path3_full, path3_tour, plan, [], replaying((2, 2)), 1
+        plan, traces = two_epoch_run
+        schedule, replayed, cover = assemble_schedule(
+            path3_full, path3_tour, zip(plan.epochs, traces), replaying((2, 2)), 1
         )
-        assert (schedule.span, choice, cover) == (8, (2, 2), None)
+        assert (schedule.span, agents(replayed), cover) == (8, (2, 2), None)
 
 
 class TestScheduleWireFormat:
     def test_round_trip(self, path3_full, path3_tree, path3_tour, two_epoch_run):
         plan, traces = two_epoch_run
         schedule, _, _ = assemble_schedule(
-            path3_full, path3_tour, plan, list(traces), replaying((4, 2)), 0
+            path3_full, path3_tour, zip(plan.epochs, traces), replaying((4, 2)), 0
         )
         text = serialize_schedule(schedule)
         parsed = parse_schedule(text)
