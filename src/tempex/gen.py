@@ -17,7 +17,6 @@ of the graph it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator, Optional
 
 from .core import Edge, SpanningTree, TemporalGraph, canonical_edge
@@ -79,10 +78,10 @@ def _build_tree(shape: str, n: int, rng: SplitMix64) -> SpanningTree:
     return SpanningTree(n, frozenset(edges))
 
 
-def _sides(tree: SpanningTree, removed: Iterable[Edge]) -> Iterator[tuple[Edge, list[int], list[int]]]:
+def _sides(tree: SpanningTree, removed: Iterable[Edge]) -> Iterator[tuple[Edge, tuple[int, ...], tuple[int, ...]]]:
     """Per removed tree edge (u, v), in sorted order: the vertices of the
-    components holding u and v once every removed edge is gone, each list in
-    ascending vertex order.
+    components holding u and v once every removed edge is gone, each in
+    preorder.
 
     A component is the preorder slice of its top vertex (the root or the
     child end of a removed edge) minus the slices of the cuts nested directly
@@ -100,19 +99,14 @@ def _sides(tree: SpanningTree, removed: Iterable[Edge]) -> Iterator[tuple[Edge, 
         inner[stack[-1]].append(c)
         inner[c] = []
         stack.append(c)
-    members: dict[int, list[int]] = {}
 
-    def component(top: int) -> list[int]:
-        got = members.get(top)
-        if got is None:
-            pieces = []
-            start = pre[top]
-            for c in inner[top]:
-                pieces.append(order[start:pre[c]])
-                start = end[c]
-            pieces.append(order[start:end[top]])
-            got = members[top] = sorted(chain.from_iterable(pieces))
-        return got
+    def component(top: int) -> tuple[int, ...]:
+        got: tuple[int, ...] = ()
+        start = pre[top]
+        for c in inner[top]:
+            got += order[start:pre[c]]
+            start = end[c]
+        return got + order[start:end[top]]
 
     for e in sorted(cut_of):
         c = cut_of[e]
@@ -120,7 +114,7 @@ def _sides(tree: SpanningTree, removed: Iterable[Edge]) -> Iterator[tuple[Edge, 
         yield (e, below, above) if e[0] == c else (e, above, below)
 
 
-def _bridge(left: list[int], right: list[int], removed: set[Edge], rng: SplitMix64) -> Optional[Edge]:
+def _bridge(left: tuple[int, ...], right: tuple[int, ...], removed: set[Edge], rng: SplitMix64) -> Optional[Edge]:
     """One edge joining a vertex of `left` to one of `right` that is not in
     `removed`; None if impossible."""
     for _ in range(_BRIDGE_RETRIES):
@@ -197,27 +191,19 @@ class _Steps:
         return TemporalGraph(self.tree.n, self.tree.edges, tuple(self.removed), tuple(self.added))
 
 
-def _bridged_positions(spec: GenSpec) -> Optional[set[int]]:
-    """Snapshot indices that must be connected, or None for all of them.
+def _bridged(spec: GenSpec, t: int) -> bool:
+    """Whether snapshot t is reconnected after its removals.
 
-    In delta-only mode runs of n-1 consecutive connected snapshots are placed
-    so that every window of `delta` steps contains one whole run, which makes
-    the instance delta-temporally connected while leaving the other snapshots
-    free to be disconnected.
+    In delta-only mode a run of n-1 consecutive connected snapshots starts
+    every delta-n+2 steps from step 1, so every window of `delta` steps holds
+    one whole run, which makes the instance delta-temporally connected while
+    leaving the other snapshots free to be disconnected. The rule reads only
+    t, so a shorter instance is a prefix of a longer one.
     """
-    if spec.connectivity == "per-snapshot":
-        return None
-    if spec.connectivity == "none":
-        return set()
-    assert spec.delta is not None
-    run = spec.n - 1
-    stride = spec.delta - run + 1
-    positions: set[int] = set()
-    start = 1
-    while start + run - 1 <= spec.lifetime:
-        positions.update(range(start, start + run))
-        start += stride
-    return positions
+    if spec.connectivity == "delta-only":
+        assert spec.delta is not None
+        return (t - 1) % (spec.delta - spec.n + 2) < spec.n - 1
+    return spec.connectivity == "per-snapshot"
 
 
 def gen_random_deficient(spec: GenSpec) -> GenResult:
@@ -230,17 +216,17 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
         for v in range(u + 1, spec.n)
         if (u, v) not in tree.edges
     ] if spec.extra_edge_rate > 0.0 else []
-    bridged = _bridged_positions(spec)
     fallbacks = 0
     steps = _Steps(tree)
     for t in range(1, spec.lifetime + 1):
         rng = stream(spec.seed, t)
         removed = set(_draw_removal(rng, tree_edges, spec.k))
         present: set[Edge] = set()  # extra, bridging and kept edges
-        for pair in non_tree:
-            if rng.chance(spec.extra_edge_rate):
-                present.add(pair)
-        if removed and (bridged is None or t in bridged):
+        i = rng.gap(spec.extra_edge_rate) if non_tree else 0
+        while i < len(non_tree):  # each pair is an extra edge with chance extra_edge_rate
+            present.add(non_tree[i])
+            i += 1 + rng.gap(spec.extra_edge_rate)
+        if removed and _bridged(spec, t):
             added, kept = _reconnect(tree, removed, rng)
             present.update(added)
             fallbacks += kept

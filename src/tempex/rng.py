@@ -4,9 +4,15 @@ Everything seeded in this package goes through splitmix64 so that instances
 and schedules reproduce bit-for-bit across runs and across implementations.
 Child streams are derived additively: stream i of seed s is splitmix64
 seeded with (s + i * GOLDEN) mod 2^64.
+
+Integer draws are exact. `SplitMix64.gap`, which spaces a generator's extra
+edges, also rests on libm's `log1p`, as `scheduler.rho_for` rests on
+`math.log`: instances with extra edges reproduce wherever those agree.
 """
 
 from __future__ import annotations
+
+import math
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -33,13 +39,13 @@ class SplitMix64:
             raise ValueError("bound must be positive")
         return self.next_u64() % bound
 
-    def chance(self, rate: float) -> bool:
-        """True with probability `rate`. Consumes no draw for rate 0 or 1."""
-        if rate <= 0.0:
-            return False
+    def gap(self, rate: float) -> int:
+        """Failures before the first success in trials that each succeed
+        with probability `rate` in (0, 1], by inversion; no draw for rate 1."""
         if rate >= 1.0:
-            return True
-        return self.next_u64() < int(rate * 2.0**64)
+            return 0
+        u = (self.next_u64() >> 11) / 2.0**53
+        return int(math.log1p(-u) / math.log1p(-rate))
 
 
 def stream(seed: int, index: int) -> SplitMix64:

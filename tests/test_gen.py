@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import tracemalloc
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reference import checked_roundabout
@@ -72,9 +73,9 @@ def assert_sides_match_bfs(tree, removed):
         members.setdefault(c, []).append(v)
     sides = list(_sides(tree, removed))
     assert [e for e, _, _ in sides] == sorted(removed)
-    for e, left, right in sides:
-        assert left == members[label[e[0]]]
-        assert right == members[label[e[1]]]
+    for e, left, right in sides:  # each side in preorder, so compared as a set
+        assert sorted(left) == members[label[e[0]]]
+        assert sorted(right) == members[label[e[1]]]
 
 
 @st.composite
@@ -103,6 +104,23 @@ class TestComponents:
     @given(relabelled_trees_and_cuts())
     def test_random_trees_match_bfs(self, drawn):
         assert_sides_match_bfs(*drawn)
+
+
+@st.composite
+def delta_only_specs(draw):
+    """A delta-only spec with delta from n-1 (stride 1) to 3n and a lifetime
+    of at least delta that often ends inside a run."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    delta = draw(st.integers(min_value=n - 1, max_value=3 * n))
+    return GenSpec(
+        n=n,
+        lifetime=delta + draw(st.integers(min_value=0, max_value=2 * delta)),
+        k=draw(st.integers(min_value=0, max_value=n - 1)),
+        seed=draw(st.integers(min_value=0, max_value=2**32)),
+        tree_shape=draw(st.sampled_from(["path", "star", "random"])),
+        connectivity="delta-only",
+        delta=delta,
+    )
 
 
 class TestGenSpec:
@@ -160,6 +178,16 @@ class TestRandomDeficient:
         for t in range(1, result.graph.lifetime + 1):
             assert deficiency_count(result.graph.edge_set(t), result.tree) <= 2
 
+    def test_each_non_tree_pair_is_an_extra_edge_at_the_rate(self):
+        # extra edges are drawn by geometric skips over the non-tree pairs;
+        # over 4 000 steps each of the 45 pairs should appear at about the rate
+        spec = GenSpec(n=11, lifetime=4000, k=0, seed=5, tree_shape="random", connectivity="none",
+                       extra_edge_rate=0.2)
+        graph = gen_random_deficient(spec).graph
+        counts = Counter(chain.from_iterable(graph.added))
+        assert len(counts) == 45
+        assert 0.16 < min(counts.values()) / 4000 and max(counts.values()) / 4000 < 0.24
+
     def test_witness_tree_spans_underlying_graph(self):
         spec = GenSpec(n=7, lifetime=25, k=2, seed=5, tree_shape="random")
         result = gen_random_deficient(spec)
@@ -185,11 +213,13 @@ class TestRandomDeficient:
         assert all(snap == frozenset({(0, 1)}) for snap in result.graph.snapshots)
         assert result.fallbacks > 0
 
-    def test_delta_only_mode_is_delta_connected(self):
-        spec = GenSpec(n=5, lifetime=30, k=1, seed=3, connectivity="delta-only",
-                       delta=8)
+    @given(delta_only_specs())
+    @example(GenSpec(n=5, lifetime=30, k=1, seed=3, connectivity="delta-only", delta=8))
+    @example(GenSpec(n=5, lifetime=28, k=2, seed=3, tree_shape="random", connectivity="delta-only", delta=8))
+    @example(GenSpec(n=6, lifetime=23, k=3, seed=0, tree_shape="random", connectivity="delta-only", delta=5))
+    def test_delta_only_mode_is_delta_connected(self, spec):
         result = gen_random_deficient(spec)
-        assert verify_delta_connectivity(result.graph, 8).ok
+        assert verify_delta_connectivity(result.graph, spec.delta).ok
 
     def test_none_mode_skips_bridging(self):
         spec = GenSpec(n=6, lifetime=30, k=2, seed=1, connectivity="none")
@@ -225,12 +255,15 @@ PREFIX_LIFETIME = 40
     lambda L: gen_blocking_front(10, 2, L, 3),
     # both snapshots of the 2-step instance lack both tree edges
     lambda L: gen_random_deficient(GenSpec(n=3, lifetime=L, k=2, seed=19, connectivity="none")),
-], ids=["per-snapshot", "none", "extra-edges", "blocking-front", "patched-at-step-2"])
+    # runs of n-1 = 29 bridged steps every 12 steps, cut off at any lifetime
+    lambda L: gen_random_deficient(GenSpec(n=30, lifetime=L, k=2, seed=11, tree_shape="random",
+                                           connectivity="delta-only", delta=40)),
+], ids=["per-snapshot", "none", "extra-edges", "blocking-front", "patched-at-step-2", "delta-only"])
 @pytest.mark.parametrize("P", [1, 2, 17, PREFIX_LIFETIME - 1])
 def test_a_shorter_instance_is_a_prefix_of_a_longer_one(make, P):
     # each step draws from its own stream, so a P-step instance is the first P
-    # snapshots of a longer one, except for the tree edges the last-step patch
-    # of _delta_graph adds back to snapshot P
+    # snapshots of a longer one, except for the tree edges that _Steps.graph
+    # adds back to snapshot P because no snapshot of the shorter one has them
     prefix, full = make(P), make(PREFIX_LIFETIME)
     assert prefix.tree == full.tree
     for t in range(1, P):

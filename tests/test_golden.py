@@ -85,7 +85,7 @@ GOLDEN = {
         '739d6cde791c9cc86b98c9d8566aac6d6e637be4f9ca41e7690fc1de85d07ae4',
     ),
     'delta-only-k1': (
-        '5bd0845f55aa6eefbcfdb6df0e6002e08a7d23b97603cc48bf0c07fc1d0ce144',
+        '075bc8c63156545d66ec980a61211df25730184c28220badf86b9121288dd552',
         '743e65c6799f0b61c4e8c65cea4593ae97b17ef0c32160f88414b8dee64fcd85',
         '83ee34d4cbac150ea4f00624ccfaeb5f7da0bebbb74904068f3ee98a30a6f9fc',
         'f0cd2711a48d38cbc1e7eec5fcc6dc19811673c71f66becac33bb4fdf86e0a08',
@@ -103,19 +103,19 @@ GOLDEN = {
         '15d58348243abc9f6f626f2321ee427f17a557801dc5cbce7a41effbef41c79f',
     ),
     'random-k1': (
-        'f8c5c644bf65d22add329b80ae3c5d5d13c8d8f82d0be7ab5b754aa5b309d5f6',
-        '27a5c7b8ee1bcd3d3bf5104fc838156f4da03be2f60e986acefbd88b0bb4f4e3',
-        'aa2e127f984ddf1e364a09b6cc541c8d54b006fdfe1c112eb566a962a39ecfbe',
+        'c0963fa625b0668e8b448758d0ac32de32e5213ecdfd96707cfef4b3432ff3e6',
+        '3ee340d00dd8c1cc3dd912164d74af0d0349aa9a1042e6dced0d0f80ebc2210e',
+        '89675ef36d4909116bf675e70a3cbd5b72b9f33b46efdccc8b11c1ae4443a5c1',
         '1cb4068c7c1bed1fa8a44342d350d9c21eedb2ada25e16a6461db3dbe75e728e',
     ),
     'random-k3': (
-        '5d687757a9e0b0f53578b270cf2bdd2058d194acbb99943fac0b6f74f242e68c',
-        '66b8ccf8974cb685ef04d3fa6dc53a5cf08c54587bfbc4798e454d5e4d7c6482',
-        'cb20701911a38829b59fbbafb9b61c196e7f3814a529ccb7c0a982b79e3b1aca',
+        '3a2cb7c2f6c0512fbbe760996bcd69d775350e388e476e208a227870f9628f23',
+        '788222da6f2c475b342867336c4aadc9192f22b27f5b67e910dcb2ca8f1d5b8b',
+        'cde72c933b4cdad28a27b821d385cafb9b53a7119bb557da0aab082a7cc3daa7',
         '24740005257aa0dbfa7cdfa78d52057b0ea42d95590ab5b1c955b4e9c6742a69',
     ),
     'recovery-random-k1': (
-        '56ea456a00d5072624b3da73214335627db6510755c8264f9340c851d2cf769f',
+        'c75441cae26423e3b9b3e06cd6a1895de07ee35734f407af1f85c7e4c8e80900',
         '94a6b84ec4914c83847e06c3d25fe18f99c3ef29287cfd8becc6cc16c6eb28be',
         '6acdd78df4cb13a54250b6b4c293d3a87d1aeda6000103cbcbcf353819762072',
         'd1887e4b011468cce64c2b1778cbd8f0c94abd3b53785f97b017a81bc04af944',
@@ -127,7 +127,7 @@ GOLDEN = {
         '19557cdeef6714025a88dfacc0a0777ca5c47029b7bd473e0b4419bb0e892c3f',
     ),
     'star-k2': (
-        '879b9cbff48908bd7895fb0a9f8f9fd3e1567eecf9f9251c6a12f0f2eb560aa1',
+        '095f8507116ba23cd271a4f3f995136e4de6ba11d99d32a4d94e9e1867ddf8be',
         '550472f0affe1dafbf9b35a7065791f1b3184a1e64f0c3c3e6136c1944b5ec7b',
         '751189a9191f3d92a44fac62d9fb50eddd00c46019d72f6347230681fd1919b3',
         'b2ee85ab63a50ad6763891bed02d9c229a8280867ab2929ce3210c2a4bb4281f',
@@ -148,11 +148,11 @@ FULL_PLAN_SCHEDULE = {
     'delta-only-k1': '6a3ae9e474c033ab8a09273cab2181b154fd1564d917d3d878841823629fd39b',
     'path-k1': 'b2ccb9bb717570fd4b35ae35d46a9fd704327065cb46c742fb7b73c2ff6f5665',
     'path-k2': '9832b3f0832bae5b8465db1159e831e6332f25aa80dd907dd17886a04280c0ec',
-    'random-k1': '1150de0d6e70ec504c9266f1938d9cf41eca18a8cbdd651281cf529910585226',
-    'random-k3': 'ed9ed41657ec1ee933297b697137ab37bb06eb4ce8b2bec3047f27bf97edb146',
-    'recovery-random-k1': '95577deffcf21696bb2e97b93737c188404cf12376fb5a4fc3cce99b1eeed715',
+    'random-k1': 'a6f646b4064d9a970a7c465633314d459cbd7350b19a357a88e7450ccdb7543d',
+    'random-k3': 'ab1615915b16d111fdd029e29d59636ebd19296a93e0853cc13615c5681638a0',
+    'recovery-random-k1': '361498625a8beef48eba91e46ebd65e3b4880c5bd1e0b39f11af98a63a01fdd7',
     'recovery-star-k1': '1ebb676624f3225c009b53be047e9d5d7b6f6909e5fdb5c3a3760afbaed73f41',
-    'star-k2': 'c8ea83a6e623dab189f1989710bc8f2f9746eabbde72ccb6f36cf0b283e0dc49',
+    'star-k2': 'a15a6eb62b4f298dc715c2a1150528035bdeba30e5187966f067c215e4188761',
     'two-vertex-k1': '2362168866138d172941bfdd4950713207b1b2afd6cf23edccac5bfd5108c542',
 }
 

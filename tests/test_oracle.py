@@ -9,6 +9,11 @@ from tempex.oracle import optimal_exploration_time
 from tempex.rng import SplitMix64
 
 
+def chance(rng: SplitMix64, rate: float) -> bool:
+    """True with probability `rate` in (0, 1), from one draw of `rng`."""
+    return rng.next_u64() < int(rate * 2.0**64)
+
+
 class TestOptimalExploration:
     def test_path_needs_three_moves_from_middle(self):
         g = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * 4)
@@ -53,10 +58,10 @@ class TestOptimalExploration:
         lifetime = 4 + rng.below(6)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         base = [
-            [p for p in pairs if rng.chance(0.3)] for _ in range(lifetime)
+            [p for p in pairs if chance(rng, 0.3)] for _ in range(lifetime)
         ]
         richer = [
-            snap + [p for p in pairs if p not in snap and rng.chance(0.3)]
+            snap + [p for p in pairs if p not in snap and chance(rng, 0.3)]
             for snap in base
         ]
         g1 = TemporalGraph.build(n, base)
@@ -91,7 +96,7 @@ class TestForemostOracle:
             lifetime = 1 + rng.below(10)
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             snapshots = [
-                [p for p in pairs if rng.chance(0.4)] for _ in range(lifetime)
+                [p for p in pairs if chance(rng, 0.4)] for _ in range(lifetime)
             ]
             graph = TemporalGraph.build(n, snapshots)
             t0 = 1 + rng.below(lifetime)
