@@ -58,6 +58,6 @@ from .scheduler import (
     verify_schedule,
 )
 from .tour import DfsTour, arc_mask, build_dfs_tour
-from .treefind import EdgeWeights, TreeStats, absence_weights, find_good_tree
+from .treefind import EdgeWeights, TreeStats, absence_weights, find_good_tree, tree_stats
 
 __all__ = [name for name in dir() if not name.startswith("_")]

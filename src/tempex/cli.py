@@ -41,7 +41,7 @@ from .scheduler import (
     serialize_schedule,
     verify_schedule,
 )
-from .treefind import DisconnectedGraph, find_good_tree
+from .treefind import DisconnectedGraph, find_good_tree, tree_stats
 
 ALGORITHMIC_FAILURES = (
     InsufficientSnapshots,
@@ -203,7 +203,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     graph = _load_graph(args.graph)
-    tree, stats = find_good_tree(graph, args.k, args.q)
+    tree = find_good_tree(graph, args.q)
+    stats = tree_stats(graph, tree, args.k, args.q)
     out = Path(args.out)
     with _writing():
         out.parent.mkdir(parents=True, exist_ok=True)

@@ -401,15 +401,19 @@ class _Reader:
 
     A step whose block (its count line and edge lines) is in the form the
     writer writes, with edges in any order and LF or CRLF line ends, is
-    read without splitting the text: the block's end is found by counting
-    newlines, each distinct block is split, validated and diffed against the
-    first snapshot once, and each distinct edge line is validated once; a
-    repeated block costs one hash and one dict lookup. The first step, and
-    any step with a comment, a blank line, another line break or whitespace,
-    a non-canonical number or edge, or an error, is read line by line as
-    ``str.splitlines`` numbers the lines. `removed` and `added` grow by each
-    step as soon as it is read, as diffs against `base`, the first
-    snapshot's edges.
+    read without splitting the text, from a memo of the blocks read so far
+    with their line counts. A step with the previous step's count is first
+    looked up by the slice of the previous block's length, and a hit is the
+    step only if its line count is the step's: a block that repeats one as
+    long as the previous block costs one slice, one hash and one dict
+    lookup. On a miss the block's end is found by counting newlines, each
+    distinct block is split, validated and diffed against the first
+    snapshot once, and each distinct edge line is validated once. The first
+    step, and any step with a comment, a blank line, another line break or
+    whitespace, a non-canonical number or edge, or an error, is read line
+    by line as ``str.splitlines`` numbers the lines. `removed` and `added`
+    grow by each step as soon as it is read, as diffs against `base`, the
+    first snapshot's edges.
     """
 
     def __init__(self, text: str) -> None:
@@ -429,7 +433,7 @@ class _Reader:
         self.edge_of: dict[str, Edge] = {}
         self.first: frozenset[str] = frozenset()  # the first snapshot's edges as the writer writes them
         self.base: frozenset[Edge] = frozenset()
-        self.diff_of: dict[str, tuple[tuple[Edge, ...], tuple[Edge, ...]]] = {}
+        self.diff_of: dict[str, tuple[tuple[Edge, ...], tuple[Edge, ...], int]] = {}  # block -> (removed, added, m)
         self.removed: list[tuple[Edge, ...]] = []
         self.added: list[tuple[Edge, ...]] = []
         self.size, self.prev_m = 0, 0  # the previous block's length and line count
@@ -455,23 +459,31 @@ class _Reader:
             if count is None:
                 break
             m, start = int(count[1]), count.end()
-            # Guess m lines at the previous block's mean line length: exact when
-            # a block repeats, close when only the count changes.
-            end = _block_end(text, start, m, start + size * m // max(prev_m, 1))
-            if end is None or (t + 1 == self.lifetime and end != len(text)):
+            # A step with the previous step's count most often repeats a block
+            # of the previous block's length; a remembered block is the step
+            # only if it has the step's m lines.
+            end = min(start + size, len(text))
+            entry = diff_of.get(text[start:end]) if m == prev_m else None
+            if entry is None or entry[2] != m:
+                # Guess m lines at the previous block's mean line length: exact
+                # when a block repeats, close when only the count changes.
+                end = _block_end(text, start, m, start + size * m // max(prev_m, 1))
+                if end is None:
+                    break
+                block = text[start:end]
+                entry = diff_of.get(block) or self._diff(block, m)
+                if entry is None:
+                    break
+            if t + 1 == self.lifetime and end != len(text):
                 break
-            block = text[start:end]
-            diff = diff_of.get(block) or self._diff(block, m)
-            if diff is None:
-                break
-            removed.append(diff[0])
-            added.append(diff[1])
+            removed.append(entry[0])
+            added.append(entry[1])
             pos, lineno, size, prev_m = end, lineno + m + 1, end - start, m
         self.pos, self.line, self.size, self.prev_m = pos, lineno, size, prev_m
 
-    def _diff(self, block: str, m: int) -> Optional[tuple[tuple[Edge, ...], tuple[Edge, ...]]]:
-        """The (removed, added) of a block of m lines read for the first time,
-        or None if it is not in the writer's form."""
+    def _diff(self, block: str, m: int) -> Optional[tuple[tuple[Edge, ...], tuple[Edge, ...], int]]:
+        """The (removed, added, m) of a block of m lines read for the first
+        time, or None if it is not in the writer's form."""
         lines = block.splitlines()
         lineset = frozenset(lines)
         if len(lines) != m or len(lineset) != m:  # another line break, or a repeated line
@@ -484,11 +496,12 @@ class _Reader:
                 if pair is None or not (0 <= pair[0] < pair[1] < n):
                     return None
                 edge_of[line] = pair
-        diff = self.diff_of[block] = (
+        entry = self.diff_of[block] = (
             tuple(sorted(map(edge_of.__getitem__, first.difference(lineset)))),
             tuple(sorted(map(edge_of.__getitem__, new))),
+            m,
         )
-        return diff
+        return entry
 
     def _lines(self) -> None:
         """Read the next step line by line; the first step read fixes the base."""

@@ -477,7 +477,7 @@ def explore_detailed(
         q = recovery_prefix(graph.n, k, delta)
         if 2 * q > graph.lifetime:
             raise InsufficientSnapshots(0, graph.lifetime, 2 * q, graph.lifetime)
-        tree, _ = find_good_tree(graph, k, q)
+        tree = find_good_tree(graph, q)
         effective_k = 2 * k
     else:
         effective_k = k

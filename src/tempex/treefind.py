@@ -81,19 +81,29 @@ def minimum_weight_spanning_tree(n: int, weights: dict[Edge, int]) -> SpanningTr
     return SpanningTree(n, frozenset(chosen))
 
 
-def find_good_tree(graph: TemporalGraph, k: int, q: int) -> tuple[SpanningTree, TreeStats]:
-    """Minimum-absence-weight spanning tree over the first 2q snapshots.
-
-    The returned statistics report the deficiency of each scanned snapshot
-    with respect to the tree; whenever the input really is k-edge-deficient,
-    at least q of them are at most 2k-deficient.
-    """
+def _check_prefix(graph: TemporalGraph, q: int) -> None:
     if 2 * q > graph.lifetime:
         raise ValueError(f"prefix 2q={2 * q} exceeds lifetime {graph.lifetime}")
     if q < 1:
         raise ValueError("q must be positive")
+
+
+def find_good_tree(graph: TemporalGraph, q: int) -> SpanningTree:
+    """Minimum-absence-weight spanning tree over the first 2q snapshots.
+
+    Whenever the input really is k-edge-deficient, at least q of those
+    snapshots are at most 2k-deficient with respect to it. tree_stats
+    counts them; a run needs only the tree and does not call it.
+    """
+    _check_prefix(graph, q)
+    return minimum_weight_spanning_tree(graph.n, absence_weights(graph, 2 * q).weights)
+
+
+def tree_stats(graph: TemporalGraph, tree: SpanningTree, k: int, q: int) -> TreeStats:
+    """The deficiency of each of the first 2q snapshots with respect to `tree`,
+    against the threshold 2k."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    tree = minimum_weight_spanning_tree(graph.n, absence_weights(graph, 2 * q).weights)
+    _check_prefix(graph, q)
     deficiencies = tuple(map(len, graph.missing(tree.edges, range(1, 2 * q + 1))))
-    return tree, TreeStats(q, 2 * k, deficiencies)
+    return TreeStats(q, 2 * k, deficiencies)

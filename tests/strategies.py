@@ -70,3 +70,16 @@ def repeating_snapshots(draw, max_n: int = 6, max_lifetime: int = 10):
     picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=max_lifetime - 1))
     picks.append(draw(st.sampled_from(picks)))
     return n, [pool[i] for i in picks]
+
+
+@st.composite
+def distinct_snapshots(draw, max_n: int = 12, max_lifetime: int = 10):
+    """(n, snapshots): edge lists that differ pairwise as sets, each in its
+    drawn order and of a size drawn anywhere from no pair to every pair, so
+    that no block repeats and block sizes vary widely from step to step."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    snapshot = st.integers(0, len(pairs)).flatmap(
+        lambda size: st.permutations(pairs).map(lambda drawn: drawn[:size])
+    )
+    return n, draw(st.lists(snapshot, min_size=1, max_size=max_lifetime, unique_by=frozenset))

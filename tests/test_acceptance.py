@@ -186,7 +186,7 @@ def test_criterion_5_end_to_end_without_witness_tree():
 
 def test_criterion_6_q_of_2q_guarantee():
     """50 deficient instances: at least q of the first 2q snapshots are 2k-deficient."""
-    from tempex.treefind import find_good_tree
+    from tempex.treefind import find_good_tree, tree_stats
 
     for i in range(50):
         k = 1 + i % 3
@@ -197,7 +197,7 @@ def test_criterion_6_q_of_2q_guarantee():
                        connectivity=("per-snapshot", "none")[i % 2],
                        extra_edge_rate=0.2 if i % 4 == 0 else 0.0)
         result = gen_random_deficient(spec)
-        _, stats = find_good_tree(result.graph, k, q)
+        stats = tree_stats(result.graph, find_good_tree(result.graph, q), k, q)
         assert stats.good_count >= q
     _passed(6, "50 instances; recovered tree always 2k-deficient on >= q of 2q")
 

@@ -7,7 +7,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from reference import chosen_starts, foremost_arrival_oracle, parse_lines, per_source_delta_check
-from strategies import near_static_snapshots, repeating_snapshots, spanning_trees, temporal_graphs
+from strategies import (
+    distinct_snapshots,
+    near_static_snapshots,
+    repeating_snapshots,
+    spanning_trees,
+    temporal_graphs,
+)
 from tempex import core
 from tempex.core import (
     ConnectivityReport,
@@ -316,6 +322,22 @@ class TestParse:
         text = perturb_tg1(text, n, data, start=last_block)
         assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
 
+    @given(distinct_snapshots(), st.data())
+    def test_fast_parser_on_distinct_blocks_of_varying_size(self, drawn, data):
+        # no block repeats, so every block step misses the memo and finds
+        # its end by counting newlines from a guess that is mostly wrong
+        n, snapshots = drawn
+        graph = TemporalGraph.build(n, snapshots)
+        written = f"{n} {len(snapshots)}\n" + "".join(
+            f"{len(snap)}\n" + "".join(f"{u} {v}\n" for u, v in snap) for snap in snapshots
+        )
+        text = serialize_temporal_graph(graph)
+        for variant in (written, text):
+            assert read_whole(variant) == graph
+            assert steps_read_line_by_line(variant) == 1
+        text = perturb_tg1(text, n, data)
+        assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
+
     def test_fast_parser_without_final_newline(self):
         """Only the first step and the unterminated last one are read line by line."""
         for text, line_by_line in (("3 2\n2\n0 1\n1 2\n1\n0 1", 2), ("3 2\n2\n0 1\n1 2\n0", 2), ("2 1\n0", 1)):
@@ -332,12 +354,19 @@ class TestParse:
             assert steps_read_line_by_line(text) == 1
 
     def test_fast_parser_blocks_longer_or_shorter_than_guessed(self):
-        """A block's end is guessed from the previous block's mean line length;
-        lines shorter or longer than that must not move the end."""
+        """A block's end is guessed from the previous block's mean line length,
+        and a step with the previous step's count is first looked up in the
+        memo by the previous block's length; lines shorter or longer than that
+        must not move the end."""
         for text in (
             "12 3\n1\n10 11\n1\n0 1\n1\n0 2\n",  # shorter lines: the guess overshoots
             "12 3\n1\n0 1\n1\n10 11\n1\n0 2\n",  # longer lines: the guess falls short
             "12 3\n3\n0 1\n0 2\n10 11\n1\n10 11\n2\n0 1\n1 2\n",  # the count falls, then rises
+            # step 4 has step 3's count, 2, and its first 8 bytes are step 2's
+            # remembered 1-line block: a memo hit with another line count
+            "102 5\n2\n0 1\n2 3\n1\n100 101\n2\n0 1\n2 3\n2\n100 101\n0 1\n1\n0 1\n",
+            # the last step repeats step 2's block, shorter than step 3's
+            "12 4\n1\n0 2\n1\n0 1\n1\n10 11\n1\n0 1\n",
         ):
             assert parse_outcome(parse_temporal_graph, text) == parse_outcome(parse_lines, text)
             assert steps_read_line_by_line(text) == 1

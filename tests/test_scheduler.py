@@ -468,6 +468,31 @@ class TestExplore:
         assert stats.paper_budget == rho_for(2 * k) * (delta + step_budget(n, 2 * k))
         assert verify_schedule(result.graph, 2, schedule).ok
 
+    def test_without_tree_reads_no_deficiency_after_the_last_epoch(self, monkeypatch):
+        # tree recovery counts absences over the whole 2q prefix, but only the
+        # epochs ask for deficiencies, and none after the last one run
+        n, k = 6, 1
+        delta = n - 1
+        q = recovery_prefix(n, k, delta)
+        spec = GenSpec(n=n, lifetime=2 * q, k=k, seed=11, tree_shape="random",
+                       connectivity="per-snapshot", extra_edge_rate=0.15)
+        result = gen_random_deficient(spec)
+        asked = []
+        missing = TemporalGraph.missing
+
+        def counting(graph, tree_edges, steps):
+            def record():
+                for t in steps:
+                    asked.append(t)
+                    yield t
+            return missing(graph, tree_edges, record())
+
+        monkeypatch.setattr(TemporalGraph, "missing", counting)
+        run = explore_detailed(result.graph, k, delta, 2, strategy=LasVegas(seed=7))
+        last_end = run.plan.epochs[-1].end
+        assert last_end < 2 * q
+        assert asked and max(asked) <= last_end
+
     def test_deterministic_output(self):
         spec = GenSpec(n=7, lifetime=rho_for(2) * (6 + 3), k=2, seed=1,
                        connectivity="per-snapshot", extra_edge_rate=0.2)

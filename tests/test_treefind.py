@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from strategies import temporal_graphs
+from strategies import spanning_trees, temporal_graphs
 from tempex.core import SpanningTree, TemporalGraph, canonical_edge, deficiency_count
 from tempex.gen import GenSpec, gen_random_deficient
 from tempex.treefind import (
@@ -14,6 +14,7 @@ from tempex.treefind import (
     absence_weights,
     find_good_tree,
     minimum_weight_spanning_tree,
+    tree_stats,
 )
 
 
@@ -65,7 +66,8 @@ class TestAbsenceWeights:
 
 class TestFindGoodTree:
     def test_triangle_lexicographic_tie_break(self, triangle):
-        tree, stats = find_good_tree(triangle, 1, 1)
+        tree = find_good_tree(triangle, 1)
+        stats = tree_stats(triangle, tree, 1, 1)
         assert tree.edges == frozenset({(0, 1), (0, 2)})
         assert stats.deficiencies == (0, 1)
         assert stats.good_count == 2  # both snapshots are at most 2-deficient
@@ -74,14 +76,15 @@ class TestFindGoodTree:
         spec = GenSpec(n=6, lifetime=10, k=0, seed=3, tree_shape="random",
                        extra_edge_rate=0.3)
         result = gen_random_deficient(spec)
-        tree, stats = find_good_tree(result.graph, 1, 5)
+        tree = find_good_tree(result.graph, 5)
+        stats = tree_stats(result.graph, tree, 1, 5)
         assert stats.total_weight == 0
         assert all(d == 0 for d in stats.deficiencies)
         assert tree.edges == result.tree.edges
 
     def test_rotating_missing_edge_counting(self):
         graph, witness = rotating_missing_edge_instance(6, 6)
-        tree, stats = find_good_tree(graph, 1, 3)
+        stats = tree_stats(graph, find_good_tree(graph, 3), 1, 3)
         assert sum(stats.deficiencies) <= 2 * 3 * 1
         assert stats.good_count >= 3
 
@@ -90,11 +93,11 @@ class TestFindGoodTree:
         with pytest.raises(DisconnectedGraph):
             minimum_weight_spanning_tree(4, {(0, 1): 0, (2, 3): 0})
         with pytest.raises(ValueError):
-            find_good_tree(g, 1, 1)
+            find_good_tree(g, 1)
 
     def test_negative_k_rejected(self, triangle):
         with pytest.raises(ValueError, match="k must be non-negative"):
-            find_good_tree(triangle, -1, 1)
+            tree_stats(triangle, find_good_tree(triangle, 1), -1, 1)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_q_of_2q_guarantee_on_deficient_instances(self, seed):
@@ -104,7 +107,7 @@ class TestFindGoodTree:
         spec = GenSpec(n=n, lifetime=2 * q, k=k, seed=seed, tree_shape="random",
                        connectivity="per-snapshot", extra_edge_rate=0.25)
         result = gen_random_deficient(spec)
-        _, stats = find_good_tree(result.graph, k, q)
+        stats = tree_stats(result.graph, find_good_tree(result.graph, q), k, q)
         assert stats.good_count >= q
 
     @given(temporal_graphs(min_n=3, max_n=7, min_lifetime=2, max_lifetime=8))
@@ -130,11 +133,24 @@ class TestFindGoodTree:
         spec = GenSpec(n=7, lifetime=12, k=2, seed=seed, tree_shape="star",
                        connectivity="per-snapshot", extra_edge_rate=0.2)
         result = gen_random_deficient(spec)
-        tree, stats = find_good_tree(result.graph, 2, 6)
+        tree = find_good_tree(result.graph, 6)
+        stats = tree_stats(result.graph, tree, 2, 6)
         weights = absence_weights(result.graph, 12).weights
         assert sum(stats.deficiencies) == sum(weights[e] for e in tree.edges)
         assert stats.deficiencies == tuple(
             deficiency_count(result.graph.edge_set(t), tree) for t in range(1, 13)
+        )
+
+    @given(temporal_graphs(min_n=2, max_n=7, min_lifetime=2, max_lifetime=8), st.data())
+    def test_tree_stats_are_each_snapshots_deficiency(self, graph, data):
+        # any spanning tree on the graph's vertices, also one with edges in no snapshot
+        tree = data.draw(spanning_trees(min_n=graph.n, max_n=graph.n))
+        q = data.draw(st.integers(1, graph.lifetime // 2))
+        k = data.draw(st.integers(0, 3))
+        stats = tree_stats(graph, tree, k, q)
+        assert (stats.q, stats.threshold) == (q, 2 * k)
+        assert stats.deficiencies == tuple(
+            deficiency_count(graph.edge_set(t), tree) for t in range(1, 2 * q + 1)
         )
 
     @given(
@@ -154,7 +170,8 @@ class TestFindGoodTree:
                        extra_edge_rate=extra_edge_rate)
         result = gen_random_deficient(spec)
         weights = result.graph.absences(2 * q)
-        tree, stats = find_good_tree(result.graph, k, q)
+        tree = find_good_tree(result.graph, q)
+        stats = tree_stats(result.graph, tree, k, q)
         assert stats.total_weight == sum(weights[e] for e in tree.edges)
         if result.tree.edges <= weights.keys():  # else a witness edge is in no snapshot
             lacked = result.graph.missing(result.tree.edges, range(1, 2 * q + 1))
