@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Optional
 
@@ -89,41 +90,29 @@ def _load_graph(path: str, whole: bool = True) -> TemporalGraph:
     return graph
 
 
-# The only values gen_blocking_front builds with; it takes none of these flags.
-_BLOCKING_FRONT_BUILDS = {"tree_shape": "path", "connectivity": "per-snapshot", "delta": None, "extra_edge_rate": 0.0}
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
+    if args.family == "blocking-front":  # it builds with GenSpec's defaults and takes none of these flags
+        for field in fields(GenSpec):
+            if field.default is not MISSING and getattr(args, field.name) != field.default:
+                flag = "--" + field.name.replace("_", "-")
+                raise ValueError(f"{flag} {getattr(args, field.name)} does not apply to --family blocking-front")
+    spec = GenSpec(n=args.n, lifetime=args.L, k=args.k, seed=args.seed, tree_shape=args.tree_shape,
+                   connectivity=args.connectivity, delta=args.delta, extra_edge_rate=args.extra_edge_rate)
     if args.family == "blocking-front":
-        for name, value in _BLOCKING_FRONT_BUILDS.items():
-            if getattr(args, name) != value:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"{flag} {getattr(args, name)} does not apply to --family blocking-front")
-        result = gen_blocking_front(args.n, args.k, args.L, args.seed)
-        parameters = {"family": "blocking-front", "n": args.n, "L": args.L, "k": args.k, "seed": args.seed}
+        result = gen_blocking_front(spec.n, spec.k, spec.lifetime, spec.seed)
     else:
-        spec = GenSpec(
-            n=args.n,
-            lifetime=args.L,
-            k=args.k,
-            seed=args.seed,
-            tree_shape=args.tree_shape,
-            connectivity=args.connectivity,
-            delta=args.delta,
-            extra_edge_rate=args.extra_edge_rate,
-        )
         result = gen_random_deficient(spec)
-        parameters = {
-            "family": "random",
-            "n": spec.n,
-            "L": spec.lifetime,
-            "k": spec.k,
-            "seed": spec.seed,
-            "treeShape": spec.tree_shape,
-            "connectivity": spec.connectivity,
-            "delta": spec.delta,
-            "extraEdgeRate": spec.extra_edge_rate,
-        }
+    parameters = {
+        "family": args.family,
+        "n": spec.n,
+        "L": spec.lifetime,
+        "k": spec.k,
+        "seed": spec.seed,
+        "treeShape": spec.tree_shape,
+        "connectivity": spec.connectivity,
+        "delta": spec.delta,
+        "extraEdgeRate": spec.extra_edge_rate,
+    }
     out = Path(args.out)
     graph_path = out.with_suffix(".tg") if out.suffix == "" else out
     tree_path = Path(str(graph_path) + ".tree")

@@ -128,11 +128,11 @@ class TemporalGraph:
     the last step: the steps before it stay read, and each later read raises
     it again. Reading leaves the base as it is and only adds steps, so the
     graph equals, field for field, the one that reading the whole text at
-    once builds. ``removed``, ``added``, :meth:`underlying` and
-    :meth:`absences` read every step first, as :meth:`read_all` does, and
-    equality may; ``base`` and hashing read no further step. Reading is not
-    synchronised: call :meth:`read_all` before sharing such a graph between
-    threads.
+    once builds. ``removed``, ``added`` and :meth:`underlying` read every
+    step first, as :meth:`read_all` does, and equality may;
+    :meth:`absences` reads only its prefix, and ``base`` and hashing read
+    no further step. Reading is not synchronised: call :meth:`read_all`
+    before sharing such a graph between threads.
     """
 
     __slots__ = ("n", "lifetime", "_base", "_removed", "_added", "_reader")
@@ -284,21 +284,24 @@ class TemporalGraph:
             yield lacked
 
     def absences(self, prefix_length: int) -> dict[Edge, int]:
-        """Per underlying edge, how many of the first `prefix_length` snapshots lack it.
+        """Per base edge and per edge some of the first `prefix_length`
+        snapshots have, how many of those snapshots lack it.
 
-        O(|underlying| + prefix diff): a base edge is absent where a step
-        removes it, any other edge wherever a step does not add it.
+        O(|base| + prefix diff), and reads no later step: a base edge is
+        absent where a step removes it, any other edge wherever a step does
+        not add it. An edge only later snapshots have is absent from the
+        whole prefix and is not counted.
         """
         if prefix_length > self.lifetime:
             raise ValueError(f"prefix {prefix_length} exceeds lifetime {self.lifetime}")
         if prefix_length < 1:
             raise ValueError("prefix must be positive")
-        self.read_all()
+        if prefix_length > len(self._removed):
+            self._read_through(prefix_length)
         removals = Counter(chain.from_iterable(self._removed[:prefix_length]))
         additions = Counter(chain.from_iterable(self._added[:prefix_length]))
         counts = {e: removals[e] for e in self._base}
-        for e in self.underlying().difference(self._base):
-            counts[e] = prefix_length - additions[e]
+        counts.update((e, prefix_length - added) for e, added in additions.items())
         return counts
 
     def underlying(self) -> frozenset[Edge]:

@@ -9,15 +9,16 @@ Randomness is splitmix64 throughout: the tree structure uses child stream 0
 of the seed and snapshot t uses child stream t, so outputs are a pure
 function of (spec, seed).
 
-Each step is reduced to its final diff against the tree (sorted removed and
-added tuples) as soon as it is drawn, so generating costs about the memory
-of the graph it returns.
+Both families draw their steps in one loop, `_generate`, and differ only in
+the rule that picks each step's removed tree edges. Each step is reduced to
+its final diff against the tree (sorted removed and added tuples) as soon as
+it is drawn, so generating costs about the memory of the graph it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .core import Edge, SpanningTree, TemporalGraph, canonical_edge
 from .rng import SplitMix64, stream
@@ -42,8 +43,10 @@ class GenSpec:
     extra_edge_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.lifetime < 1:
-            raise ValueError("need n >= 1 and lifetime >= 1")
+        if self.n < 1:
+            raise ValueError("n must be at least 1")
+        if self.lifetime < 1:
+            raise ValueError("lifetime must be at least 1")
         if not (0 <= self.k <= self.n - 1):
             raise ValueError(f"k must be in [0, {self.n - 1}]")
         if self.tree_shape not in TREE_SHAPES:
@@ -150,16 +153,6 @@ def _reconnect(tree: SpanningTree, removed: set[Edge], rng: SplitMix64) -> tuple
     return added, fallbacks
 
 
-def _draw_removal(rng: SplitMix64, tree_edges: list[Edge], k: int) -> list[Edge]:
-    if k == 0:
-        return []
-    count = rng.below(k + 1)
-    chosen: set[int] = set()
-    while len(chosen) < count:
-        chosen.add(rng.below(len(tree_edges)))
-    return [tree_edges[i] for i in sorted(chosen)]
-
-
 class _Steps:
     """The diffs of a graph whose snapshot t is the tree minus the t-th
     step's removed edges plus its present edges, collected step by step.
@@ -206,10 +199,49 @@ def _bridged(spec: GenSpec, t: int) -> bool:
     return spec.connectivity == "per-snapshot"
 
 
-def gen_random_deficient(spec: GenSpec) -> GenResult:
-    """Random instance whose every snapshot is k-deficient w.r.t. the witness tree."""
-    tree = _build_tree(spec.tree_shape, spec.n, stream(spec.seed, 0))
+# A removal rule gives a step's removed tree edges from its stream and the steps made so far.
+Removals = Callable[[SplitMix64, _Steps], Collection[Edge]]
+
+
+def _random_removals(tree: SpanningTree, k: int) -> Removals:
+    """A uniform count in [0, k] of distinct tree edges, chosen uniformly."""
     tree_edges = sorted(tree.edges)
+
+    def draw(rng: SplitMix64, steps: _Steps) -> list[Edge]:
+        count = rng.below(k + 1) if k else 0
+        chosen: set[int] = set()
+        while len(chosen) < count:
+            chosen.add(rng.below(len(tree_edges)))
+        return [tree_edges[i] for i in sorted(chosen)]
+    return draw
+
+
+def _lead_removals(tree: SpanningTree, k: int) -> Removals:
+    """The tree edges ahead of the k active agents with the longest arcs
+    (ties to the smaller start) of one roundabout run on the tree's tour,
+    from step 1 over the steps made so far; draws nothing."""
+    tour = build_dfs_tour(tree)
+    state = RoundaboutState.initial(tour.n_positions)
+
+    def block(rng: SplitMix64, steps: _Steps) -> set[Edge]:
+        nonlocal state
+        if steps.removed:  # the tree edges the previous snapshot lacks
+            state = eliminate_redundant(movement_step(state, steps.removed[-1], tour))
+        states = state.states
+        removed: set[Edge] = set()
+        for i in sorted(range(len(states)), key=lambda i: (-state.arc_length(i), state.agents[i])):
+            removed.add(tour.tour_edge(states[i]))
+            if len(removed) == k:
+                break
+        return removed
+    return block
+
+
+def _generate(spec: GenSpec, rule: Callable[[SpanningTree, int], Removals]) -> GenResult:
+    """The instance of `spec` whose step t lacks the tree edges `rule` removes,
+    plus extra edges and, where `_bridged` says so, a bridge per removed edge."""
+    tree = _build_tree(spec.tree_shape, spec.n, stream(spec.seed, 0))
+    removals = rule(tree, spec.k)
     non_tree = [
         (u, v)
         for u in range(spec.n)
@@ -220,7 +252,7 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
     steps = _Steps(tree)
     for t in range(1, spec.lifetime + 1):
         rng = stream(spec.seed, t)
-        removed = set(_draw_removal(rng, tree_edges, spec.k))
+        removed = set(removals(rng, steps))
         present: set[Edge] = set()  # extra, bridging and kept edges
         i = rng.gap(spec.extra_edge_rate) if non_tree else 0
         while i < len(non_tree):  # each pair is an extra edge with chance extra_edge_rate
@@ -234,48 +266,24 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
     return GenResult(steps.graph(), tree, fallbacks)
 
 
+def gen_random_deficient(spec: GenSpec) -> GenResult:
+    """Random instance whose every snapshot is k-deficient w.r.t. the witness tree."""
+    return _generate(spec, _random_removals)
+
+
 def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
-    """Adversarial instance on a path tree that keeps blocking the lead agents.
+    """Adversarial instance on a path tree that blocks the leads of one roundabout run.
 
-    The generator simulates the roundabout process itself and, for each
-    snapshot, removes the tree edges directly ahead of the k most advanced
-    active agents, so those agents are blocked when the same process later
-    runs on the instance. Each removed edge gets a bridging chord, keeping
-    each snapshot connected; when no chord can bridge the two components,
-    the removed edge is kept instead (counted in ``fallbacks``) and that lead
-    agent is not blocked at that step. So over the roundabout's step budget,
-    the steps with every lead blocked number at least the budget minus the
-    fallbacks: for example n=8, k=2, seed 0 blocks both leads in 2 of 3
-    steps, with 1 fallback.
+    It is the instance of ``GenSpec(n, lifetime, k, seed)`` whose rule
+    removes the tree edges ahead of the k most advanced agents of one
+    roundabout run on the path's tour, from step 1 over the snapshots made
+    so far; with k = 0 the random rule gives the same static path. Each
+    removed edge gets a bridging chord; when none exists, the edge is kept
+    instead (counted in ``fallbacks``) and that lead is not blocked at that
+    step. So over that run's step budget, the steps with every lead blocked
+    number at least the budget minus the fallbacks: n=8, k=2, seed 0 blocks
+    both leads in 2 of 3 steps, with 1 fallback. That run never restarts,
+    while the pipeline starts a fresh one in each epoch, after a delta-step
+    window, whose leads are seldom blocked.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if not (0 <= k <= n - 1):
-        raise ValueError(f"k must be in [0, {n - 1}]")
-    if lifetime < 1:
-        raise ValueError("lifetime must be at least 1")
-    tree = _build_tree("path", n, stream(seed, 0))
-    if n == 1 or k == 0:
-        return GenResult(TemporalGraph(n, tree.edges, ((),) * lifetime, ((),) * lifetime), tree, 0)
-
-    tour = build_dfs_tour(tree)
-    state = RoundaboutState.initial(tour.n_positions)
-    fallbacks = 0
-    steps = _Steps(tree)
-    for t in range(1, lifetime + 1):
-        rng = stream(seed, t)
-        order = sorted(
-            range(len(state.agents)),
-            key=lambda i: (-state.arc_length(i), state.agents[i]),
-        )
-        states = state.states
-        removed: set[Edge] = set()
-        for i in order:
-            removed.add(tour.tour_edge(states[i]))
-            if len(removed) == k:
-                break
-        added, kept = _reconnect(tree, removed, rng)
-        fallbacks += kept
-        steps.add(removed, set(added))
-        state = eliminate_redundant(movement_step(state, removed.difference(added), tour))
-    return GenResult(steps.graph(), tree, fallbacks)
+    return _generate(GenSpec(n, lifetime, k, seed), _lead_removals if k else _random_removals)

@@ -94,9 +94,19 @@ def find_good_tree(graph: TemporalGraph, q: int) -> SpanningTree:
     Whenever the input really is k-edge-deficient, at least q of those
     snapshots are at most 2k-deficient with respect to it. tree_stats
     counts them; a run needs only the tree and does not call it.
+
+    Kruskal takes every edge some prefix snapshot has (weight < 2q) before
+    any edge none has, so when the former connect the graph the tree is
+    theirs, and no step after the prefix is read. Only otherwise is every
+    step read, for the underlying edges absent from the whole prefix.
     """
     _check_prefix(graph, q)
-    return minimum_weight_spanning_tree(graph.n, absence_weights(graph, 2 * q).weights)
+    weights = absence_weights(graph, 2 * q).weights
+    try:
+        return minimum_weight_spanning_tree(graph.n, {e: w for e, w in weights.items() if w < 2 * q})
+    except DisconnectedGraph:
+        weights.update(dict.fromkeys(graph.underlying().difference(weights), 2 * q))
+        return minimum_weight_spanning_tree(graph.n, weights)
 
 
 def tree_stats(graph: TemporalGraph, tree: SpanningTree, k: int, q: int) -> TreeStats:

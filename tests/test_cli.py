@@ -8,6 +8,7 @@ import pytest
 from cliutil import run_cli
 from reference import full_plan_schedule, per_source_delta_check
 from tempex.core import parse_spanning_tree, parse_temporal_graph
+from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.scheduler import LasVegas, parse_schedule, verify_schedule
 
 
@@ -228,6 +229,17 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert verify_schedule(parse_temporal_graph(clean), 0, parse_schedule(sched.read_text())).ok
 
+    def test_explore_without_a_tree_reads_only_the_recovery_prefix(self, tmp_path):
+        # at n=12, k=1 tree recovery reads 2q = 3060 steps, far before the stray line
+        graph, _ = gen_instance(tmp_path, 12, 4000, 1, 7)
+        clean = tmp_path / "clean.tg"
+        clean.write_text(graph.read_text())
+        graph.write_text(clean.read_text() + "stray\n")
+        for path in (clean, graph):
+            proc = run_cli("explore", "--graph", str(path), "--k", "1", "--out", str(path) + ".s")
+            assert proc.returncode == 0, proc.stderr
+        assert Path(str(graph) + ".s").read_text() == Path(str(clean) + ".s").read_text()
+
     @pytest.mark.parametrize("args", [
         ("verify", "--schedule", "{schedule}"),
         ("check-delta", "--delta", "11"),
@@ -415,6 +427,28 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("n, lifetime, k, message", [
+        (0, 10, 0, "n must be at least 1"),
+        (4, 0, 1, "lifetime must be at least 1"),
+        (4, 10, 4, "k must be in [0, 3]"),
+    ], ids=["n", "L", "k"])
+    @pytest.mark.parametrize("family", ["random", "blocking-front"])
+    def test_both_families_reject_bad_sizes_with_one_message(self, tmp_path, family, n, lifetime, k, message):
+        generate = {
+            "random": lambda: gen_random_deficient(GenSpec(n=n, lifetime=lifetime, k=k, seed=0)),
+            "blocking-front": lambda: gen_blocking_front(n, k, lifetime, 0),
+        }[family]
+        with pytest.raises(ValueError) as exc:
+            generate()
+        assert str(exc.value) == message
+        proc = run_cli(
+            "gen", "--n", str(n), "--L", str(lifetime), "--k", str(k), "--family", family,
+            "--out", str(tmp_path / "g"),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"bad input: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("connectivity", ["per-snapshot", "none"])
     def test_random_family_rejects_delta_outside_delta_only(self, tmp_path, connectivity):
         out = tmp_path / "g"
@@ -436,6 +470,11 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert parse_spanning_tree((tmp_path / "bf.tg.tree").read_text(), 6).edges == {
             (i, i + 1) for i in range(5)
+        }
+        manifest = json.loads((tmp_path / "bf.tg.manifest.json").read_text())
+        assert manifest["parameters"] == {  # GenSpec's defaults, which it builds with
+            "family": "blocking-front", "n": 6, "L": 50, "k": 1, "seed": 0, "treeShape": "path",
+            "connectivity": "per-snapshot", "delta": None, "extraEdgeRate": 0.0,
         }
 
     def test_check_delta_zero_samples_is_usage_error(self, e1_graph_file):

@@ -7,7 +7,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strategies import spanning_trees, temporal_graphs
-from tempex.core import SpanningTree, TemporalGraph, canonical_edge, deficiency_count
+from tempex import core
+from tempex.core import (
+    ParseError,
+    SpanningTree,
+    TemporalGraph,
+    canonical_edge,
+    deficiency_count,
+    parse_temporal_graph,
+    _tg1_chunks,
+)
 from tempex.gen import GenSpec, gen_random_deficient
 from tempex.treefind import (
     DisconnectedGraph,
@@ -21,6 +30,11 @@ from tempex.treefind import (
 @pytest.fixture
 def triangle():
     return TemporalGraph.build(3, [[(0, 1), (0, 2)], [(0, 1), (1, 2)]])
+
+
+def prefix_absences(graph: TemporalGraph, prefix: int) -> dict:
+    """Per underlying edge, how many of the first `prefix` snapshots lack it."""
+    return {e: sum(e not in graph.edge_set(t) for t in range(1, prefix + 1)) for e in graph.underlying()}
 
 
 def rotating_missing_edge_instance(n: int, lifetime: int) -> tuple[TemporalGraph, SpanningTree]:
@@ -46,9 +60,11 @@ class TestAbsenceWeights:
         assert absence_weights(triangle, 2).weights[(0, 1)] == 0
 
     def test_edge_only_after_prefix(self):
+        # an edge only later snapshots have is absent from the whole prefix,
+        # and is not counted
         g = TemporalGraph.build(3, [[(0, 1), (1, 2)], [(0, 1), (1, 2)], [(0, 2)]])
         ew = absence_weights(g, 2)
-        assert ew.weights[(0, 2)] == 2
+        assert ew.weights == {(0, 1): 0, (1, 2): 0}
 
     def test_prefix_beyond_lifetime(self, triangle):
         with pytest.raises(ValueError):
@@ -57,9 +73,10 @@ class TestAbsenceWeights:
     @given(temporal_graphs(min_n=2, max_n=7, max_lifetime=8), st.data())
     def test_matches_per_edge_probe(self, graph, data):
         prefix = data.draw(st.integers(1, graph.lifetime))
+        prefix_edges = graph.base.union(*map(graph.edge_set, range(1, prefix + 1)))
         probe = {
             e: sum(e not in graph.edge_set(t) for t in range(1, prefix + 1))
-            for e in graph.underlying()
+            for e in prefix_edges
         }
         assert absence_weights(graph, prefix).weights == probe
 
@@ -113,20 +130,62 @@ class TestFindGoodTree:
     @given(temporal_graphs(min_n=3, max_n=7, min_lifetime=2, max_lifetime=8))
     def test_minimality_against_exhaustive_enumeration(self, graph):
         prefix = graph.lifetime - graph.lifetime % 2
-        if prefix == 0:
-            return
-        ew = absence_weights(graph, prefix)
+        weights = prefix_absences(graph, prefix)
         totals = [
-            sum(ew.weights[e] for e in combo)
+            sum(weights[e] for e in combo)
             for combo in itertools.combinations(sorted(graph.underlying()), graph.n - 1)
             if _is_spanning_tree(graph.n, combo)
         ]
         if not totals:  # the underlying graph is disconnected
             with pytest.raises(DisconnectedGraph):
-                minimum_weight_spanning_tree(graph.n, ew.weights)
+                find_good_tree(graph, prefix // 2)
             return
-        tree = minimum_weight_spanning_tree(graph.n, ew.weights)
-        assert sum(ew.weights[e] for e in tree.edges) == min(totals)
+        tree = find_good_tree(graph, prefix // 2)
+        assert sum(weights[e] for e in tree.edges) == min(totals)
+
+    @given(temporal_graphs(min_n=2, max_n=7, min_lifetime=2, max_lifetime=8), st.data())
+    def test_tree_is_kruskals_over_every_underlying_edge(self, graph, data):
+        # Kruskal over the prefix's edges first, and over every underlying
+        # edge only when those do not connect, gives the same tree
+        q = data.draw(st.integers(1, graph.lifetime // 2))
+        try:
+            want = minimum_weight_spanning_tree(graph.n, prefix_absences(graph, 2 * q))
+        except DisconnectedGraph:
+            with pytest.raises(DisconnectedGraph):
+                find_good_tree(graph, q)
+            return
+        assert find_good_tree(graph, q) == want
+
+    def test_prefix_edges_that_do_not_connect_fall_back_to_every_edge(self):
+        # the prefix has only (0, 1) and (2, 3); each later edge is absent
+        # from the whole prefix, and the tie among them goes to the smallest
+        g = TemporalGraph.build(4, [[(0, 1), (2, 3)], [(0, 1)], [(1, 3), (0, 2)], [(1, 2)]])
+        assert absence_weights(g, 2).weights == {(0, 1): 0, (2, 3): 1}
+        assert find_good_tree(g, 1).edges == {(0, 1), (2, 3), (0, 2)}
+
+    @given(
+        n=st.integers(2, 8),
+        k=st.sampled_from((1, 2)),
+        q=st.integers(1, 8),
+        seed=st.integers(0, 2**16),
+        chunk=st.integers(1, 4),
+        tree_shape=st.sampled_from(("path", "star", "random")),
+        extra_edge_rate=st.sampled_from((0.0, 0.3)),
+    )
+    def test_a_lazily_read_graph_reads_only_the_prefix(self, n, k, q, seed, chunk, tree_shape, extra_edge_rate):
+        # each snapshot is connected, so the prefix's edges are; any step
+        # read past the prefix, rounded up to whole chunks, is garbage
+        read = -(-2 * q // chunk) * chunk
+        spec = GenSpec(n=n, lifetime=read + 1, k=min(k, n - 1), seed=seed, tree_shape=tree_shape,
+                       extra_edge_rate=extra_edge_rate)
+        graph = gen_random_deficient(spec).graph
+        text = "".join(next(_tg1_chunks(graph, read))) + "garbage\n"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", chunk)
+            lazy = parse_temporal_graph(text)
+            assert find_good_tree(lazy, q) == find_good_tree(graph, q)
+            with pytest.raises(ParseError, match="got 'garbage'"):
+                lazy.read_all()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_counting_identity(self, seed):
