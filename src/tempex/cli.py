@@ -15,7 +15,6 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +28,7 @@ from .core import (
     verify_delta_connectivity,
     write_temporal_graph,
 )
-from .gen import CONNECTIVITY_MODES, TREE_SHAPES, GenSpec, gen_blocking_front, gen_random_deficient
+from .gen import CONNECTIVITY_MODES, FAMILIES, TREE_SHAPES, GenSpec, gen_random_deficient
 from .oracle import DEFAULT_LIFETIME_CAP, DEFAULT_VERTEX_CAP, optimal_exploration_time
 from .scheduler import (
     InsufficientSnapshots,
@@ -91,17 +90,9 @@ def _load_graph(path: str, whole: bool = True) -> TemporalGraph:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "blocking-front":  # it builds with GenSpec's defaults and takes none of these flags
-        for field in fields(GenSpec):
-            if field.default is not MISSING and getattr(args, field.name) != field.default:
-                flag = "--" + field.name.replace("_", "-")
-                raise ValueError(f"{flag} {getattr(args, field.name)} does not apply to --family blocking-front")
     spec = GenSpec(n=args.n, lifetime=args.L, k=args.k, seed=args.seed, tree_shape=args.tree_shape,
                    connectivity=args.connectivity, delta=args.delta, extra_edge_rate=args.extra_edge_rate)
-    if args.family == "blocking-front":
-        result = gen_blocking_front(spec.n, spec.k, spec.lifetime, spec.seed)
-    else:
-        result = gen_random_deficient(spec)
+    result = FAMILIES[args.family](spec)
     parameters = {
         "family": args.family,
         "n": spec.n,
@@ -325,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--family", choices=("random", "blocking-front"), default="random")
+    p.add_argument("--family", choices=tuple(FAMILIES), default="random")
     p.add_argument("--tree-shape", choices=TREE_SHAPES, default="path")
     p.add_argument("--connectivity", choices=CONNECTIVITY_MODES, default="per-snapshot")
     p.add_argument("--delta", type=int, default=None)

@@ -9,8 +9,9 @@ Randomness is splitmix64 throughout: the tree structure uses child stream 0
 of the seed and snapshot t uses child stream t, so outputs are a pure
 function of (spec, seed).
 
-Both families draw their steps in one loop, `_generate`, and differ only in
-the rule that picks each step's removed tree edges. Each step is reduced to
+A generator is a `GenSpec` plus a removal rule, which picks each step's
+removed tree edges; every family in `FAMILIES` draws its steps in one loop,
+`_generate`, and honours every field of the spec. Each step is reduced to
 its final diff against the tree (sorted removed and added tuples) as soon as
 it is drawn, so generating costs about the memory of the graph it returns.
 """
@@ -153,37 +154,6 @@ def _reconnect(tree: SpanningTree, removed: set[Edge], rng: SplitMix64) -> tuple
     return added, fallbacks
 
 
-class _Steps:
-    """The diffs of a graph whose snapshot t is the tree minus the t-th
-    step's removed edges plus its present edges, collected step by step.
-
-    Each step becomes its final diff when it is added: the sorted tree edges
-    it lacks and the sorted non-tree edges it has, so only those tuples
-    outlive the step. Any tree edge missing from every snapshot goes into the
-    last one; a running intersection of the dropped edges finds them. Adding
-    a tree edge only lowers that snapshot's deficiency, so the witness
-    property is preserved while the tree stays a subgraph of the underlying
-    graph.
-    """
-
-    def __init__(self, tree: SpanningTree) -> None:
-        self.tree = tree
-        self.removed: list[tuple[Edge, ...]] = []
-        self.added: list[tuple[Edge, ...]] = []
-        self.always: Optional[set[Edge]] = None  # tree edges dropped by every step so far
-
-    def add(self, removed: set[Edge], present: set[Edge]) -> None:
-        dropped = removed - present
-        self.always = dropped if self.always is None else self.always & dropped
-        self.removed.append(tuple(sorted(dropped)))
-        self.added.append(tuple(sorted(present - self.tree.edges)))
-
-    def graph(self) -> TemporalGraph:
-        if self.always:
-            self.removed[-1] = tuple(e for e in self.removed[-1] if e not in self.always)
-        return TemporalGraph(self.tree.n, self.tree.edges, tuple(self.removed), tuple(self.added))
-
-
 def _bridged(spec: GenSpec, t: int) -> bool:
     """Whether snapshot t is reconnected after its removals.
 
@@ -199,15 +169,16 @@ def _bridged(spec: GenSpec, t: int) -> bool:
     return spec.connectivity == "per-snapshot"
 
 
-# A removal rule gives a step's removed tree edges from its stream and the steps made so far.
-Removals = Callable[[SplitMix64, _Steps], Collection[Edge]]
+# A removal rule gives a step's removed tree edges from its stream and the
+# tree edges the previous snapshot lacks (None at step 1).
+Removals = Callable[[SplitMix64, Optional[tuple[Edge, ...]]], Collection[Edge]]
 
 
 def _random_removals(tree: SpanningTree, k: int) -> Removals:
     """A uniform count in [0, k] of distinct tree edges, chosen uniformly."""
     tree_edges = sorted(tree.edges)
 
-    def draw(rng: SplitMix64, steps: _Steps) -> list[Edge]:
+    def draw(rng: SplitMix64, previous: Optional[tuple[Edge, ...]]) -> list[Edge]:
         count = rng.below(k + 1) if k else 0
         chosen: set[int] = set()
         while len(chosen) < count:
@@ -219,14 +190,14 @@ def _random_removals(tree: SpanningTree, k: int) -> Removals:
 def _lead_removals(tree: SpanningTree, k: int) -> Removals:
     """The tree edges ahead of the k active agents with the longest arcs
     (ties to the smaller start) of one roundabout run on the tree's tour,
-    from step 1 over the steps made so far; draws nothing."""
+    from step 1 over the snapshots made so far; draws nothing."""
     tour = build_dfs_tour(tree)
     state = RoundaboutState.initial(tour.n_positions)
 
-    def block(rng: SplitMix64, steps: _Steps) -> set[Edge]:
+    def block(rng: SplitMix64, previous: Optional[tuple[Edge, ...]]) -> set[Edge]:
         nonlocal state
-        if steps.removed:  # the tree edges the previous snapshot lacks
-            state = eliminate_redundant(movement_step(state, steps.removed[-1], tour))
+        if previous is not None:
+            state = eliminate_redundant(movement_step(state, previous, tour))
         states = state.states
         removed: set[Edge] = set()
         for i in sorted(range(len(states)), key=lambda i: (-state.arc_length(i), state.agents[i])):
@@ -239,7 +210,13 @@ def _lead_removals(tree: SpanningTree, k: int) -> Removals:
 
 def _generate(spec: GenSpec, rule: Callable[[SpanningTree, int], Removals]) -> GenResult:
     """The instance of `spec` whose step t lacks the tree edges `rule` removes,
-    plus extra edges and, where `_bridged` says so, a bridge per removed edge."""
+    plus extra edges and, where `_bridged` says so, a bridge per removed edge.
+
+    Any tree edge missing from every snapshot goes back into the last one,
+    found by a running intersection of the dropped edges. Adding a tree edge
+    only lowers that snapshot's deficiency, so the witness property holds
+    while the tree stays a subgraph of the underlying graph.
+    """
     tree = _build_tree(spec.tree_shape, spec.n, stream(spec.seed, 0))
     removals = rule(tree, spec.k)
     non_tree = [
@@ -249,10 +226,13 @@ def _generate(spec: GenSpec, rule: Callable[[SpanningTree, int], Removals]) -> G
         if (u, v) not in tree.edges
     ] if spec.extra_edge_rate > 0.0 else []
     fallbacks = 0
-    steps = _Steps(tree)
+    lacks: list[tuple[Edge, ...]] = []  # per step, the tree edges it lacks
+    has: list[tuple[Edge, ...]] = []  # per step, the non-tree edges it has
+    previous: Optional[tuple[Edge, ...]] = None
+    always: set[Edge] = set()  # tree edges dropped by every step so far
     for t in range(1, spec.lifetime + 1):
         rng = stream(spec.seed, t)
-        removed = set(removals(rng, steps))
+        removed = set(removals(rng, previous))
         present: set[Edge] = set()  # extra, bridging and kept edges
         i = rng.gap(spec.extra_edge_rate) if non_tree else 0
         while i < len(non_tree):  # each pair is an extra edge with chance extra_edge_rate
@@ -262,8 +242,14 @@ def _generate(spec: GenSpec, rule: Callable[[SpanningTree, int], Removals]) -> G
             added, kept = _reconnect(tree, removed, rng)
             present.update(added)
             fallbacks += kept
-        steps.add(removed, present)
-    return GenResult(steps.graph(), tree, fallbacks)
+        dropped = removed - present
+        always = dropped if t == 1 else always & dropped
+        previous = tuple(sorted(dropped))
+        lacks.append(previous)
+        has.append(tuple(sorted(present - tree.edges)))
+    if always:
+        lacks[-1] = tuple(e for e in lacks[-1] if e not in always)
+    return GenResult(TemporalGraph(spec.n, tree.edges, tuple(lacks), tuple(has)), tree, fallbacks)
 
 
 def gen_random_deficient(spec: GenSpec) -> GenResult:
@@ -271,19 +257,26 @@ def gen_random_deficient(spec: GenSpec) -> GenResult:
     return _generate(spec, _random_removals)
 
 
-def gen_blocking_front(n: int, k: int, lifetime: int, seed: int) -> GenResult:
-    """Adversarial instance on a path tree that blocks the leads of one roundabout run.
+def gen_blocking_front(spec: GenSpec) -> GenResult:
+    """Adversarial instance that blocks the leads of one roundabout run.
 
-    It is the instance of ``GenSpec(n, lifetime, k, seed)`` whose rule
-    removes the tree edges ahead of the k most advanced agents of one
-    roundabout run on the path's tour, from step 1 over the snapshots made
-    so far; with k = 0 the random rule gives the same static path. Each
-    removed edge gets a bridging chord; when none exists, the edge is kept
-    instead (counted in ``fallbacks``) and that lead is not blocked at that
-    step. So over that run's step budget, the steps with every lead blocked
-    number at least the budget minus the fallbacks: n=8, k=2, seed 0 blocks
-    both leads in 2 of 3 steps, with 1 fallback. That run never restarts,
-    while the pipeline starts a fresh one in each epoch, after a delta-step
-    window, whose leads are seldom blocked.
+    It is the instance of `spec` whose rule removes the tree edges ahead of
+    the k most advanced agents of one roundabout run on the tree's tour, from
+    step 1 over the snapshots made so far; with k = 0 the random rule
+    removes nothing, and no tour is built. Each removed edge that
+    `spec.connectivity` bridges at that step gets a bridging edge; when none
+    exists, the edge is kept instead (counted in ``fallbacks``) and that lead
+    is not blocked at that step. So over that run's step budget, the steps
+    with every lead blocked number at least the budget minus the fallbacks:
+    on a path, n=8, k=2, seed 0 blocks both leads in 2 of 3 steps, with 1
+    fallback. That run never restarts, while the pipeline starts a fresh one
+    in each epoch, after a delta-step window, whose leads are seldom blocked.
     """
-    return _generate(GenSpec(n, lifetime, k, seed), _lead_removals if k else _random_removals)
+    return _generate(spec, _lead_removals if spec.k else _random_removals)
+
+
+# The generator families, by their `tempex gen --family` name.
+FAMILIES: dict[str, Callable[[GenSpec], GenResult]] = {
+    "random": gen_random_deficient,
+    "blocking-front": gen_blocking_front,
+}

@@ -25,17 +25,17 @@ class RoundaboutState:
 
     ``agents`` (start positions, ascending) and ``moves`` (steps advanced so
     far) are parallel. Inactive agents are dropped entirely: nothing
-    downstream needs them.
+    downstream needs them. The step count is the state's index in its
+    ``RoundaboutTrace.history``.
     """
 
     n_positions: int
-    step: int
     agents: tuple[int, ...]
     moves: tuple[int, ...]
 
     @classmethod
     def initial(cls, n_positions: int) -> "RoundaboutState":
-        return cls(n_positions, 0, tuple(range(1, n_positions + 1)), (0,) * n_positions)
+        return cls(n_positions, tuple(range(1, n_positions + 1)), (0,) * n_positions)
 
     @property
     def states(self) -> tuple[int, ...]:
@@ -60,7 +60,7 @@ def movement_step(state: RoundaboutState, blocked: Collection[Edge], tour: DfsTo
     for i, (a, m) in enumerate(zip(state.agents, state.moves)):
         if tour.edges[(a - 1 + m) % n] not in blocked:
             moves[i] = m + 1
-    return RoundaboutState(n, state.step + 1, state.agents, tuple(moves))
+    return RoundaboutState(n, state.agents, tuple(moves))
 
 
 def eliminate_redundant(state: RoundaboutState) -> RoundaboutState:
@@ -87,7 +87,6 @@ def eliminate_redundant(state: RoundaboutState) -> RoundaboutState:
         return state
     return RoundaboutState(
         state.n_positions,
-        state.step,
         tuple(state.agents[i] for i in keep),
         tuple(state.moves[i] for i in keep),
     )

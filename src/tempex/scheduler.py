@@ -460,13 +460,8 @@ def explore_detailed(
         raise ValueError("delta must be at least 1")
     if tree is not None and tree.n != graph.n:
         raise ValueError(f"tree has {tree.n} vertices, graph has {graph.n}")
-    if k == 0:
-        import warnings
-
-        warnings.warn("k=0 remapped to k=1", stacklevel=2)
-        k = 1
-    if k < 0:
-        raise ValueError("k must be non-negative")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if strategy is None:
         strategy = LasVegas()
     if graph.n == 1:

@@ -60,12 +60,13 @@ class InvariantViolation(AssertionError):
     """A runtime-checkable property of the process failed."""
 
 
-def check_state_invariants(state: RoundaboutState, k: Optional[int] = None) -> None:
+def check_state_invariants(state: RoundaboutState, k: Optional[int] = None, step: int = 0) -> None:
     """Assert the per-step properties of the process on a post-elimination state.
 
     Checks: full coverage of the tour, pairwise distinct states, no position
     in three arcs, total arc mass <= 2N - |A|, consecutive-start arc cover,
-    and (when k is given) the shrinkage bound on the step count.
+    and (when k is given) the shrinkage bound on `step`, the state's index in
+    its run's history.
     """
     n = state.n_positions
     m = len(state.agents)
@@ -92,10 +93,10 @@ def check_state_invariants(state: RoundaboutState, k: Optional[int] = None) -> N
         gap = (q - p) % n
         if gap and gap - 1 > state.arc_length(i) - 1:
             raise InvariantViolation(f"agent {p} does not cover up to next start {q}")
-    if k is not None and m >= 2 * k + 1 and state.step > 0:
+    if k is not None and m >= 2 * k + 1 and step > 0:
         bound = (2 * n - m) / (m - 2 * k)
-        if state.step > bound:
-            raise InvariantViolation(f"{m} agents active after {state.step} steps (max {bound:.2f})")
+        if step > bound:
+            raise InvariantViolation(f"{m} agents active after {step} steps (max {bound:.2f})")
 
 
 def checked_roundabout(
@@ -108,8 +109,8 @@ def checked_roundabout(
     for t, blocked in zip(trace.times, graph.missing(tour.tree.edges, trace.times)):
         if len(blocked) > k:
             raise InvariantViolation(f"snapshot {t} is not {k}-deficient")
-    for state in trace.history[1:]:
-        check_state_invariants(state, k)
+    for step, state in enumerate(trace.history[1:], start=1):
+        check_state_invariants(state, k, step)
     if len(trace.times) == tour.n_positions // (2 * k) and len(trace.final.agents) > 6 * k:
         raise InvariantViolation(f"{len(trace.final.agents)} agents survive, bound is {6 * k}")
     return trace

@@ -43,7 +43,7 @@ def _mixed_instance(i: int, n: int, k: int, lifetime: int, connected: bool = Fal
     windowed-connectivity hypothesis must hold with delta = n-1).
     """
     if i % 3 == 2:
-        return gen_blocking_front(n, k, lifetime, seed=i)
+        return gen_blocking_front(GenSpec(n, lifetime, k, i))
     shape = ("path", "star", "random")[i % 3]
     connectivity = "per-snapshot" if connected or i % 2 == 0 else "none"
     rate = 0.1 if n <= 40 else 0.0

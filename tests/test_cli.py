@@ -399,6 +399,14 @@ class TestExitCodes:
         assert "k must be non-negative" in proc.stderr
         assert not out.exists()
 
+    def test_explore_k_zero_is_usage_error(self, e1_graph_file, tmp_path):
+        out = tmp_path / "s.txt"
+        proc = run_cli("explore", "--graph", str(e1_graph_file), "--k", "0", "--delta", "2", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stderr == "bad input: k must be at least 1\n"
+        assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_stats_without_out_is_usage_error(self, tmp_path):
         # rejected before any input is read: the graph file does not exist
         stats = tmp_path / "s.json"
@@ -410,22 +418,14 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert not stats.exists()
 
-    @pytest.mark.parametrize("flag, value", [
-        ("--tree-shape", "star"),
-        ("--connectivity", "none"),
-        ("--extra-edge-rate", "0.9"),
-        ("--delta", "5"),
-    ])
-    def test_blocking_front_rejects_flags_it_ignores(self, tmp_path, flag, value):
-        out = tmp_path / "bf"
+    def test_blocking_front_takes_the_random_familys_flags(self, tmp_path):
         proc = run_cli(
             "gen", "--n", "6", "--L", "50", "--k", "1", "--family", "blocking-front",
-            flag, value, "--out", str(out),
+            "--tree-shape", "random", "--extra-edge-rate", "0.2", "--out", str(tmp_path / "bf"),
         )
-        assert proc.returncode == 2
-        assert f"bad input: {flag} {value} does not apply to --family blocking-front" in proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert list(tmp_path.iterdir()) == []
+        assert proc.returncode == 0, proc.stderr
+        parameters = json.loads((tmp_path / "bf.tg.manifest.json").read_text())["parameters"]
+        assert (parameters["treeShape"], parameters["extraEdgeRate"]) == ("random", 0.2)
 
     @pytest.mark.parametrize("n, lifetime, k, message", [
         (0, 10, 0, "n must be at least 1"),
@@ -436,7 +436,7 @@ class TestExitCodes:
     def test_both_families_reject_bad_sizes_with_one_message(self, tmp_path, family, n, lifetime, k, message):
         generate = {
             "random": lambda: gen_random_deficient(GenSpec(n=n, lifetime=lifetime, k=k, seed=0)),
-            "blocking-front": lambda: gen_blocking_front(n, k, lifetime, 0),
+            "blocking-front": lambda: gen_blocking_front(GenSpec(n=n, lifetime=lifetime, k=k, seed=0)),
         }[family]
         with pytest.raises(ValueError) as exc:
             generate()
@@ -472,7 +472,7 @@ class TestExitCodes:
             (i, i + 1) for i in range(5)
         }
         manifest = json.loads((tmp_path / "bf.tg.manifest.json").read_text())
-        assert manifest["parameters"] == {  # GenSpec's defaults, which it builds with
+        assert manifest["parameters"] == {
             "family": "blocking-front", "n": 6, "L": 50, "k": 1, "seed": 0, "treeShape": "path",
             "connectivity": "per-snapshot", "delta": None, "extraEdgeRate": 0.0,
         }

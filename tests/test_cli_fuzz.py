@@ -127,10 +127,8 @@ def draw_args(draw, d: Path) -> list[str]:
             "gen", "--n", str(draw(st.sampled_from((4, 5, 2, 1, 0)))), "--L", str(draw(STEPS)),
             "--k", str(draw(K)), "--out", str(d / "out"),
         ]
-        if draw(st.booleans()):
-            return args + ["--family", "blocking-front"]  # takes none of the random family's flags
         return args + [
-            "--family", "random",
+            "--family", draw(st.sampled_from(("random", "blocking-front"))),
             "--tree-shape", draw(st.sampled_from(("path", "star", "random"))),
             "--connectivity", draw(st.sampled_from(("per-snapshot", "delta-only", "none"))),
             *optional(draw, "--delta", STEPS),

@@ -236,7 +236,7 @@ class TestRandomDeficient:
     lambda: gen_random_deficient(GenSpec(n=6, lifetime=40, k=2, seed=5, connectivity="delta-only",
                                          delta=8)),
     lambda: gen_random_deficient(GenSpec(n=3, lifetime=2, k=2, seed=19, connectivity="none")),
-    lambda: gen_blocking_front(10, 2, 30, 3),
+    lambda: gen_blocking_front(GenSpec(10, 30, 2, 3)),
 ], ids=["random", "delta-only", "top-up", "blocking-front"])
 def test_delta_form_equals_build_of_the_same_snapshots(make):
     graph = make().graph
@@ -252,7 +252,7 @@ PREFIX_LIFETIME = 40
                                            connectivity="none")),
     lambda L: gen_random_deficient(GenSpec(n=9, lifetime=L, k=2, seed=3, tree_shape="star",
                                            extra_edge_rate=0.2)),
-    lambda L: gen_blocking_front(10, 2, L, 3),
+    lambda L: gen_blocking_front(GenSpec(10, L, 2, 3)),
     # both snapshots of the 2-step instance lack both tree edges
     lambda L: gen_random_deficient(GenSpec(n=3, lifetime=L, k=2, seed=19, connectivity="none")),
     # runs of n-1 = 29 bridged steps every 12 steps, cut off at any lifetime
@@ -262,8 +262,8 @@ PREFIX_LIFETIME = 40
 @pytest.mark.parametrize("P", [1, 2, 17, PREFIX_LIFETIME - 1])
 def test_a_shorter_instance_is_a_prefix_of_a_longer_one(make, P):
     # each step draws from its own stream, so a P-step instance is the first P
-    # snapshots of a longer one, except for the tree edges that _Steps.graph
-    # adds back to snapshot P because no snapshot of the shorter one has them
+    # snapshots of a longer one, except for the tree edges that _generate
+    # puts back into snapshot P because no snapshot of the shorter one has them
     prefix, full = make(P), make(PREFIX_LIFETIME)
     assert prefix.tree == full.tree
     for t in range(1, P):
@@ -277,7 +277,7 @@ def test_a_shorter_instance_is_a_prefix_of_a_longer_one(make, P):
 class TestBlockingFront:
     def test_blocks_most_steps(self):
         n, k = 8, 1
-        result = gen_blocking_front(n, k, 60, 0)
+        result = gen_blocking_front(GenSpec(n, 60, k, 0))
         tour = build_dfs_tour(result.tree)
         budget = (n - 1) // k
         trace = checked_roundabout(result.graph, tour, range(1, budget + 1), k)
@@ -300,7 +300,7 @@ class TestBlockingFront:
     def test_fallbacks_bound_the_unblocked_steps(self, n, k, lifetime, seed):
         # a lead agent goes unblocked only at a step where a removed tree
         # edge had no bridging chord and was kept
-        result = gen_blocking_front(n, k, lifetime, seed)
+        result = gen_blocking_front(GenSpec(n, lifetime, k, seed))
         tour = build_dfs_tour(result.tree)
         budget = step_budget(n, k)
         trace = run_roundabout(result.graph, tour, range(1, budget + 1))
@@ -316,25 +316,35 @@ class TestBlockingFront:
         assert blocked_steps >= budget - result.fallbacks
 
     def test_k_zero_is_static_path(self):
-        result = gen_blocking_front(5, 0, 10, 4)
+        result = gen_blocking_front(GenSpec(5, 10, 0, 4))
         assert all(snap == result.tree.edges for snap in result.graph.snapshots)
 
     def test_rejects_empty_graph_before_k(self):
         with pytest.raises(ValueError, match="n must be at least 1"):
-            gen_blocking_front(0, 0, 10, 0)
+            gen_blocking_front(GenSpec(0, 10, 0, 0))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_deficiency_by_construction(self, k):
-        result = gen_blocking_front(9, k, 40, 1)
+        result = gen_blocking_front(GenSpec(9, 40, k, 1))
         for t in range(1, 41):
             assert deficiency_count(result.graph.edge_set(t), result.tree) <= k
 
+    def test_honours_every_spec_field(self):
+        spec = GenSpec(n=10, lifetime=60, k=2, seed=3, tree_shape="random", connectivity="delta-only",
+                       delta=24, extra_edge_rate=0.3)
+        result = gen_blocking_front(spec)
+        assert result.tree == gen_random_deficient(spec).tree
+        assert result.graph.underlying() > result.tree.edges  # extra and bridging edges
+        for t in range(1, spec.lifetime + 1):
+            assert deficiency_count(result.graph.edge_set(t), result.tree) <= spec.k
+        assert verify_delta_connectivity(result.graph, spec.delta).ok
+
     def test_every_snapshot_connected(self):
-        result = gen_blocking_front(7, 2, 30, 2)
+        result = gen_blocking_front(GenSpec(7, 30, 2, 2))
         for snap in result.graph.snapshots:
             assert snapshot_is_connected(7, snap)
 
     def test_deterministic(self):
-        a = gen_blocking_front(6, 1, 25, 9)
-        b = gen_blocking_front(6, 1, 25, 9)
+        a = gen_blocking_front(GenSpec(6, 25, 1, 9))
+        b = gen_blocking_front(GenSpec(6, 25, 1, 9))
         assert serialize_temporal_graph(a.graph) == serialize_temporal_graph(b.graph)

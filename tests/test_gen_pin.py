@@ -70,6 +70,16 @@ FRONT = {
     (12, 3, 5): '863fda7ecffc55409b699e3ea6e88c60cf75f5786055f73564f9b3884bb3e820',
 }
 
+# The blocking front on specs other than GenSpec's defaults, pinned from the
+# private loop `gen._generate(spec, gen._lead_removals)` before the public
+# generator took a spec.
+FRONT_SPECS = {
+    ('random', 'per-snapshot', 0.3): 'c4da5cea19ecf5ed5c20c58e738b5c41e75c5ebdf0b14bef597a002069343c5f',
+    ('star', 'delta-only', 0.0): 'cd1a50aabfee1791601c77e4f20ded7533e4e4e6bd7b37244394555ea40f1990',
+    ('random', 'none', 0.0): '5daa81aaa47ae33d506cf054514ceacfa8026ac7169cefde59bd978d07f3815e',
+    ('random', 'delta-only', 0.3): '6bea1fc041e4e68565c8f6bf0b021e8b6b14ebbfa06ba097a5803424d4517847',
+}
+
 RANDOM = {
     ('path', 'per-snapshot', 0.0): '1fc8316311386e75f87aa0ce52fc1bd7c07b8ab10b399f5712dc118ae3f6e3bf',
     ('path', 'per-snapshot', 0.3): '90758b101a115371f0544861a9a70922579790e68aecbb551da8c9198aab6e41',
@@ -94,7 +104,13 @@ RANDOM = {
 
 @pytest.mark.parametrize("n, k, seed", _front_cases())
 def test_blocking_front_instance_is_pinned(n, k, seed):
-    assert _fingerprint(gen_blocking_front(n, k, FRONT_LIFETIME, seed)) == FRONT[n, k, seed]
+    assert _fingerprint(gen_blocking_front(GenSpec(n, FRONT_LIFETIME, k, seed))) == FRONT[n, k, seed]
+
+
+@pytest.mark.parametrize("shape, connectivity, rate", sorted(FRONT_SPECS))
+def test_blocking_front_honours_the_spec(shape, connectivity, rate):
+    spec = _random_spec(shape, connectivity, rate)
+    assert _fingerprint(gen_blocking_front(spec)) == FRONT_SPECS[shape, connectivity, rate]
 
 
 @pytest.mark.parametrize("rate", (0.0, 0.3))

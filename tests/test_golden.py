@@ -52,7 +52,7 @@ CASES = {
     ),
     "recovery-random-k1": (lambda: gen_random_deficient(_recovery_spec(5, 1, 3, "random", 0.1)), 1, 4, 2, False, LasVegas(seed=7)),
     "recovery-star-k1": (lambda: gen_random_deficient(_recovery_spec(6, 1, 8, "star")), 1, 5, 0, False, LasVegas(seed=8)),
-    "blocking-front-k2": (lambda: gen_blocking_front(25, 2, rho_for(2) * (24 + step_budget(25, 2)), 17), 2, 24, 0, True, LasVegas(seed=9)),
+    "blocking-front-k2": (lambda: gen_blocking_front(GenSpec(25, rho_for(2) * (24 + step_budget(25, 2)), 2, 17)), 2, 24, 0, True, LasVegas(seed=9)),
     "two-vertex-k1": (lambda: gen_random_deficient(_witness_spec(2, 1, 4, "path")), 1, 1, 1, True, LasVegas(seed=10)),
 }
 

@@ -16,11 +16,11 @@ def path3_tour(path3_tree):
     return build_dfs_tour(path3_tree)
 
 
-def make_state(n_positions: int, agents_moves: dict[int, int], step: int = 1) -> RoundaboutState:
+def make_state(n_positions: int, agents_moves: dict[int, int]) -> RoundaboutState:
     """State with the given active agents and per-agent move counts."""
     agents = tuple(sorted(agents_moves))
     moves = tuple(agents_moves[a] for a in agents)
-    return RoundaboutState(n_positions, step, agents, moves)
+    return RoundaboutState(n_positions, agents, moves)
 
 
 def arc_positions(state: RoundaboutState, idx: int) -> set[int]:
@@ -51,7 +51,6 @@ def restart_scan_eliminate(state: RoundaboutState) -> RoundaboutState:
                 break
     return RoundaboutState(
         state.n_positions,
-        state.step,
         tuple(state.agents[i] for i in keep),
         tuple(state.moves[i] for i in keep),
     )
@@ -61,7 +60,6 @@ class TestMovement:
     def test_all_edges_present(self, path3_tour):
         state = movement_step(RoundaboutState.initial(4), (), path3_tour)
         assert state.states == (2, 3, 4, 1)
-        assert state.step == 1
 
     def test_missing_tree_edge_blocks(self, path3_tour):
         blocked = ((1, 2),)  # tour edges e_2, e_3 use {1,2}
@@ -69,10 +67,9 @@ class TestMovement:
         assert state.states == (2, 2, 3, 1)
 
     def test_empty_active_set(self, path3_tour):
-        empty = RoundaboutState(4, 0, (), ())
+        empty = RoundaboutState(4, (), ())
         after = movement_step(empty, ((1, 2),), path3_tour)
         assert after.agents == ()
-        assert after.step == 1
 
 
 class TestElimination:
@@ -145,7 +142,7 @@ class TestRunRoundabout:
     def test_replay_reproduces_final_state(self, seed):
         # re-derive every logged state from its predecessor and the tree
         # edges the snapshot lacks
-        result = gen_blocking_front(7, 2, 20, seed)
+        result = gen_blocking_front(GenSpec(7, 20, 2, seed))
         tour = build_dfs_tour(result.tree)
         trace = run_roundabout(result.graph, tour, range(1, 4))
         assert trace.times == (1, 2, 3)
@@ -162,14 +159,14 @@ class TestRunRoundabout:
                                               extra_edge_rate=0.2))
         tour = build_dfs_tour(result.tree)
         expected = checked_roundabout(result.graph, tour, range(1, 6), 2)
-        front = gen_blocking_front(7, 2, 20, 0)
+        front = gen_blocking_front(GenSpec(7, 20, 2, 0))
 
         def no_snapshot(self, t):
             raise AssertionError(f"snapshot {t} built")
 
         monkeypatch.setattr(TemporalGraph, "edge_set", no_snapshot)
         assert checked_roundabout(result.graph, tour, range(1, 6), 2) == expected
-        assert gen_blocking_front(7, 2, 20, 0) == front
+        assert gen_blocking_front(GenSpec(7, 20, 2, 0)) == front
 
     def test_moves_of_final_agent_spans_all_steps(self, path3_full, path3_tour):
         # every tour edge is present, so each agent crosses one per step
@@ -193,12 +190,12 @@ class TestRunRoundabout:
 class TestInvariantChecker:
     def test_detects_shared_state(self):
         # agents 1 and 2 both sit at position 2; the tour is still covered
-        bad = RoundaboutState(4, 1, (1, 2, 3), (1, 0, 1))
+        bad = RoundaboutState(4, (1, 2, 3), (1, 0, 1))
         with pytest.raises(InvariantViolation, match="share a state"):
             check_state_invariants(bad)
 
     def test_detects_coverage_gap(self):
-        bad = RoundaboutState(4, 1, (1,), (1,))
+        bad = RoundaboutState(4, (1,), (1,))
         with pytest.raises(InvariantViolation, match="position 3 not covered"):
             check_state_invariants(bad)
 
@@ -209,4 +206,11 @@ class TestInvariantChecker:
 
     def test_accepts_valid_state(self):
         state = make_state(4, {2: 2, 4: 2})
-        check_state_invariants(state, k=1)
+        check_state_invariants(state, k=1, step=1)
+
+    def test_detects_slow_shrinkage(self):
+        # 4 >= 2k + 1 agents may stay active for (2N - 4) / (4 - 2k) = 2 steps at k = 1
+        state = make_state(4, {1: 0, 2: 0, 3: 0, 4: 0})
+        check_state_invariants(state, k=1, step=2)
+        with pytest.raises(InvariantViolation, match=r"4 agents active after 3 steps \(max 2.00\)"):
+            check_state_invariants(state, k=1, step=3)

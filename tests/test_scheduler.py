@@ -26,7 +26,7 @@ from tempex.core import (
     serialize_spanning_tree,
     serialize_temporal_graph,
 )
-from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
+from tempex.gen import FAMILIES, GenSpec, gen_random_deficient
 from tempex.rng import SplitMix64
 from tempex.roundabout import run_roundabout
 from tempex.scheduler import (
@@ -526,12 +526,11 @@ class TestExplore:
         assert stats.budget == 0
         assert verify_schedule(result.graph, 0, schedule).ok
 
-    def test_k_zero_remapped_with_warning(self, path3_tree):
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, path3_tree, k):
         graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * (rho_for(1) * 4))
-        with pytest.warns(UserWarning):
-            schedule, stats = explore(graph, 0, 2, 0, tree=path3_tree)
-        assert stats.rho == rho_for(1)
-        assert verify_schedule(graph, 0, schedule).ok
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            explore(graph, k, 2, 0, tree=path3_tree)
 
     def test_tree_of_other_size_rejected(self):
         graph = TemporalGraph.build(4, [[(0, 1), (1, 2), (2, 3)]] * (rho_for(1) * 6))
@@ -654,11 +653,8 @@ class TestStopAtCover:
         delta = n - 1
         start %= n
         lifetime = rho_for(k) * (delta + step_budget(n, k))
-        if family == "random":
-            spec = GenSpec(n=n, lifetime=lifetime, k=k, seed=seed, tree_shape="random")
-            result = gen_random_deficient(spec)
-        else:
-            result = gen_blocking_front(n, k, lifetime, seed)
+        shape = "random" if family == "random" else "path"
+        result = FAMILIES[family](GenSpec(n=n, lifetime=lifetime, k=k, seed=seed, tree_shape=shape))
         graph, strategy = result.graph, LasVegas(seed=strategy_seed)
         _, _, attempts = full_plan_schedule(graph, result.tree, k, delta, start, strategy)
         assume(attempts == 1)
