@@ -427,6 +427,30 @@ class TestExitCodes:
         parameters = json.loads((tmp_path / "bf.tg.manifest.json").read_text())["parameters"]
         assert (parameters["treeShape"], parameters["extraEdgeRate"]) == ("random", 0.2)
 
+    @pytest.mark.parametrize("n, flags, key, recorded", [
+        pytest.param("6", ["--tree-shape", "star"], "treeShape", "star", id="--tree-shape-star"),
+        pytest.param("6", ["--connectivity", "none"], "connectivity", "none", id="--connectivity-none"),
+        pytest.param("6", ["--extra-edge-rate", "0.9"], "extraEdgeRate", 0.9, id="--extra-edge-rate-0.9"),
+        pytest.param("3", ["--connectivity", "delta-only", "--delta", "5"], "delta", 5, id="--delta-5"),
+    ])
+    def test_blocking_front_rejects_flags_it_ignores(self, tmp_path, n, flags, key, recorded):
+        """The blocking front ignores none of these flags, so it rejects none:
+        each one is accepted, recorded in the manifest, and changes the instance."""
+        def gen(name: str, *extra: str) -> str:
+            proc = run_cli(
+                "gen", "--n", n, "--L", "50", "--k", "1", "--family", "blocking-front",
+                *extra, "--out", str(tmp_path / name),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            return (tmp_path / f"{name}.tg").read_text()
+
+        default = gen("default")
+        flagged = gen("flagged", *flags)
+        parameters = json.loads((tmp_path / "flagged.tg.manifest.json").read_text())["parameters"]
+        assert parameters[key] == recorded
+        assert flagged != default
+
     @pytest.mark.parametrize("n, lifetime, k, message", [
         (0, 10, 0, "n must be at least 1"),
         (4, 0, 1, "lifetime must be at least 1"),
