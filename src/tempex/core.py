@@ -14,13 +14,13 @@ operation is a pure function.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate, chain
 from operator import and_, eq, lt
-from typing import AbstractSet, Iterable, Iterator, Optional, TextIO
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, TextIO
 
 from .rng import SplitMix64
 
@@ -704,27 +704,30 @@ def verify_delta_connectivity(
 ) -> ConnectivityReport:
     """Check that every length-delta window is temporally connected.
 
-    All windows share one forward sweep over the timeline. ``reach[v]``
-    holds one n-bit field per live window, the oldest in the low bits: bit
-    ``i*n + s`` is set once source s of the i-th oldest live window has
-    reached v strictly before the current step. A window starting at step t
-    sets its sources' own bits before t's edges are applied; each snapshot's
-    next masks are built from the previous ones, so a walk crosses at most
-    one edge per step, and one OR per edge end advances every live window.
-    A later window has reached no more (source, vertex) pairs by any step
-    than an earlier one, since a walk may wait at its source, so windows
-    become connected in start order: only the oldest field is tested, and a
-    connected window retires by shifting every mask right by n. Each
-    snapshot is read once, and sampled mode skips the steps no chosen window
-    covers. Cost: O(sum over windows of c_w * (|E_t| + n) * n / word) word
-    operations, where c_w <= delta is the number of steps window w stays
-    open, and O(delta * n^2) bits of memory, since up to delta windows are
-    open at once and ``reach`` and its next copy each hold delta*n bits per
-    vertex. Exhaustive mode checks all L-delta+1 windows; sampled mode a
-    seeded subset of them. Returns the first violating (window start,
-    (source, target)) if any: the smallest source that fails to reach some
-    vertex, and the smallest vertex it fails to reach. ``windows_checked``
-    counts the chosen windows up to that one, or all of them.
+    A window that holds n-1 consecutive connected snapshots is certified
+    without a sweep: in a connected snapshot every source that has not yet
+    reached everyone reaches at least one more vertex, so n-1 of them reach
+    all n. One forward scan marks each step it reads as connected or not
+    (see :func:`_step_connectivity`) and certifies each chosen window as soon
+    as it has seen such a run inside it; it reads each step at most once,
+    keeps O(n) state for the tree, and in sampled mode reads only steps
+    inside the chosen windows. No window can be certified when n-1 > delta,
+    and then no step is marked.
+
+    The windows left share one forward sweep (:func:`_first_violation`),
+    which costs O(sum over those windows of c_w * (|E_t| + n) * n / word)
+    word operations, where c_w <= delta is the number of steps window w
+    stays open, and O(delta * n^2) bits of memory, since up to delta windows
+    are open at once. So a timeline whose every window holds such a run is
+    checked in L step marks and O(n) memory, and one with no such run costs
+    what the sweep alone costs.
+
+    Exhaustive mode checks all L-delta+1 windows; sampled mode a seeded
+    subset of them. Returns the first violating (window start, (source,
+    target)) if any: the smallest source that fails to reach some vertex,
+    and the smallest vertex it fails to reach. ``windows_checked`` counts
+    the chosen windows up to that one, certified ones included, or all of
+    them.
     """
     if not (1 <= delta <= graph.lifetime):
         raise ValueError(f"delta {delta} outside [1, {graph.lifetime}]")
@@ -745,6 +748,117 @@ def verify_delta_connectivity(
         # sweep's masks, which fragments the heap: 200 solves of the
         # benchmark's `delta` workload ended 0.9 MB higher in peak RSS.
         graph.read_all()
+    left = _uncertified(graph, starts, delta) if graph.n - 1 <= delta else starts
+    violation = _first_violation(graph, delta, left) if left else None
+    if violation is None:
+        return ConnectivityReport(True, None, len(starts), mode)
+    return ConnectivityReport(False, violation, bisect_left(starts, violation[0]) + 1, mode)
+
+
+def _step_connectivity(graph: TemporalGraph) -> Callable[[int], bool]:
+    """Whether snapshot t connects all n vertices, as a function of t.
+
+    When the base is a spanning tree, a step's removed edges cut it into
+    |removed|+1 pieces, each the preorder slice of its top vertex (the root
+    or the child end of a removed edge) minus the slices nested inside it,
+    as in ``gen._sides``; the step is connected iff its added edges join
+    those pieces, which one union-find over the pieces decides in
+    O((|removed| + |added|) * |removed|) without building the snapshot. A
+    step that removes nothing is connected. Any other base takes one
+    union-find over the snapshot's edges.
+    """
+    n, base = graph.n, graph.base
+    tree: Optional[SpanningTree] = None
+    if len(base) == n - 1:
+        try:
+            tree = SpanningTree(n, base)
+        except ValueError:  # n-1 edges that hold a cycle
+            pass
+    if tree is None:
+        return lambda t: _spans(n, graph.edge_set(t))
+    parent, pre, end = tree.parent, tree.pre, tree.end
+
+    def connected(t: int) -> bool:
+        removed, added = graph._diff(t)
+        if len(added) < len(removed):  # too few edges to join the pieces
+            return False
+        if not removed:
+            return True
+        tops = sorted((u if parent[u] == v else v for u, v in removed), key=pre.__getitem__)
+        firsts, ends = [pre[c] for c in tops], [end[c] for c in tops]
+        joins = ((_piece(pre[u], firsts, ends), _piece(pre[v], firsts, ends)) for u, v in added)
+        return _spans(len(tops) + 1, joins)
+    return connected
+
+
+def _piece(p: int, firsts: list[int], ends: list[int]) -> int:
+    """The piece holding preorder position p, given the cut subtrees'
+    preorder slices ``[firsts[i], ends[i])`` sorted by start: i+1 for the
+    latest slice that holds p, which is the innermost, or 0 for the root's
+    piece."""
+    i = bisect_right(firsts, p) - 1
+    while i >= 0 and ends[i] <= p:
+        i -= 1
+    return i + 1
+
+
+def _spans(n: int, edges: Iterable[Edge]) -> bool:
+    """Whether `edges` connect all n vertices: one union-find, which stops
+    at the edge that joins the last two components."""
+    leader = list(range(n))
+    pieces = n
+    for u, v in edges:
+        while leader[u] != u:
+            leader[u] = u = leader[leader[u]]
+        while leader[v] != v:
+            leader[v] = v = leader[leader[v]]
+        if u != v:
+            leader[u] = v
+            pieces -= 1
+            if pieces == 1:
+                return True
+    return pieces == 1
+
+
+def _uncertified(graph: TemporalGraph, starts: list[int], delta: int) -> list[int]:
+    """The starts, in order, of the windows that hold no run of n-1
+    consecutive connected snapshots; each step is marked at most once, and
+    only steps inside some window of `starts`, up to the end of the run that
+    certifies it or the window's last step."""
+    need = graph.n - 1
+    connected = _step_connectivity(graph)
+    left: list[int] = []
+    t = run = 0  # the last step marked, and the connected steps ending at it
+    for w in starts:
+        t = max(t, w - 1)  # skip unmarked steps before w; min() counts a run from w on
+        while min(run, t - w + 1) < need:
+            if t == w + delta - 1:
+                left.append(w)
+                break
+            t += 1
+            run = run + 1 if connected(t) else 0
+    return left
+
+
+def _first_violation(graph: TemporalGraph, delta: int, starts: list[int]) -> Optional[tuple[int, tuple[int, int]]]:
+    """The first window of the non-empty sorted `starts` that is not
+    temporally connected, as (start, (source, target)), or None.
+
+    All windows share one forward sweep over the timeline. ``reach[v]``
+    holds one n-bit field per live window, the oldest in the low bits: bit
+    ``i*n + s`` is set once source s of the i-th oldest live window has
+    reached v strictly before the current step. A window starting at step t
+    sets its sources' own bits before t's edges are applied; each snapshot's
+    next masks are built from the previous ones, so a walk crosses at most
+    one edge per step, and one OR per edge end advances every live window.
+    A later window has reached no more (source, vertex) pairs by any step
+    than an earlier one, since a walk may wait at its source, so windows
+    become connected in start order: only the oldest field is tested, and a
+    connected window retires by shifting every mask right by n. Each
+    snapshot is read once, and steps no window of `starts` covers are
+    skipped; ``reach`` and its next copy each hold up to delta*n bits per
+    vertex.
+    """
     n = graph.n
     everyone = (1 << n) - 1
     reach = [0] * n
@@ -773,9 +887,9 @@ def verify_delta_connectivity(
                 missing = everyone & ~common
                 source = (missing & -missing).bit_length() - 1
                 target = next(v for v, mask in enumerate(reach) if not mask >> source & 1)
-                return ConnectivityReport(False, (w, (source, target)), oldest + 1, mode)
+                return w, (source, target)
             t += 1
         elif opened < len(starts):
             t = starts[opened]
         else:
-            return ConnectivityReport(True, None, len(starts), mode)
+            return None

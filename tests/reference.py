@@ -13,7 +13,9 @@ The roundabout's per-step properties and its 6k survivor bound, asserted
 on a recorded trace rather than inside the pipeline's step loop.
 
 The delta check done the slow way: one foremost walk per source in every
-window, for the shared sweep of ``verify_delta_connectivity`` to equal.
+window, for the shared sweep of ``verify_delta_connectivity`` to equal, and
+whether one snapshot is connected by a depth-first search, for the check's
+per-step connected flag to equal.
 
 Earliest arrivals done the slow way: a breadth-first search over an explicit
 time-expanded graph, for ``foremost_walk``'s sweep to equal.
@@ -205,6 +207,21 @@ def assert_cut_of_full_plan(
     assert run.schedule == replace(full, actions=full.actions[:end])
     assert run.stats.span == end
     return full
+
+
+def snapshot_is_connected(n, edges):
+    """Whether `edges` connect all n vertices: a depth-first search from 0."""
+    neighbours = {v: [] for v in range(n)}
+    for u, v in edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in neighbours[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
 
 
 def chosen_starts(lifetime, delta, mode, samples, seed):

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from hypothesis import strategies as st
 
-from tempex.core import SpanningTree, TemporalGraph
+from reference import snapshot_is_connected
+from tempex.core import SpanningTree, TemporalGraph, parse_temporal_graph, serialize_temporal_graph
 
 
 @st.composite
@@ -83,3 +84,70 @@ def distinct_snapshots(draw, max_n: int = 12, max_lifetime: int = 10):
         lambda size: st.permutations(pairs).map(lambda drawn: drawn[:size])
     )
     return n, draw(st.lists(snapshot, min_size=1, max_size=max_lifetime, unique_by=frozenset))
+
+
+def _other_pairs(tree: SpanningTree) -> list:
+    return [(u, v) for u in range(tree.n) for v in range(u + 1, tree.n) if (u, v) not in tree.edges]
+
+
+@st.composite
+def _tree_variant(draw, tree: SpanningTree, connected: bool) -> frozenset:
+    """The tree minus some of its edges plus some other pairs: connected, by
+    putting removed tree edges back in drawn order until it is, or not, by
+    cutting every edge at one drawn vertex."""
+    n = tree.n
+    others = _other_pairs(tree)
+    cut = draw(st.lists(st.sampled_from(sorted(tree.edges)), unique=True))
+    edges = set(tree.edges.difference(cut))
+    if others:
+        edges.update(draw(st.lists(st.sampled_from(others), unique=True)))
+    if connected:
+        for e in cut:
+            if snapshot_is_connected(n, edges):
+                break
+            edges.add(e)
+    else:
+        lone = draw(st.integers(0, n - 1))
+        edges = {e for e in edges if lone not in e}
+    return frozenset(edges)
+
+
+@st.composite
+def mixed_window_graphs(draw, max_n: int = 5, max_runs: int = 3) -> TemporalGraph:
+    """Graphs whose timeline alternates runs of n-1 to n+1 connected
+    snapshots with stretches of 1 to 3 disconnected ones, each snapshot the
+    tree with some edges cut and other pairs added, so that some delta-windows
+    hold a whole connected run and others do not.
+
+    The graph's base is drawn to be the tree, in one of two ways (made on
+    the tree itself, or parsed from a text whose first snapshot is the
+    tree), or not: parsed or built from snapshots whose first adds other
+    pairs to the tree or is disconnected.
+    """
+    tree = draw(spanning_trees(max_n=max_n))
+    n = tree.n
+    connected = draw(st.booleans())
+    snapshots = []
+    for _ in range(draw(st.integers(1, 2 * max_runs))):
+        length = draw(st.integers(n - 1, n + 1) if connected else st.integers(1, 3))
+        snapshots += [draw(_tree_variant(tree, connected)) for _ in range(length)]
+        connected = not connected
+    base = draw(st.sampled_from(["tree", "tree text", "other text", "other"]))
+    if base == "tree":
+        lacking = tree.edges.difference(*snapshots)  # every base edge must be in some snapshot
+        snapshots[-1] |= lacking
+        return TemporalGraph(
+            n,
+            tree.edges,
+            tuple(tuple(sorted(tree.edges - s)) for s in snapshots),
+            tuple(tuple(sorted(s - tree.edges)) for s in snapshots),
+        )
+    others = _other_pairs(tree)
+    if base == "tree text":
+        first = tree.edges
+    elif others and draw(st.booleans()):
+        first = tree.edges.union(draw(st.lists(st.sampled_from(others), min_size=1, unique=True)))
+    else:
+        first = draw(_tree_variant(tree, False))
+    graph = TemporalGraph.build(n, [first, *snapshots])
+    return graph if base == "other" else parse_temporal_graph(serialize_temporal_graph(graph))

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from reference import chosen_starts, foremost_arrival_oracle, parse_lines, per_source_delta_check
+from reference import (
+    chosen_starts,
+    foremost_arrival_oracle,
+    parse_lines,
+    per_source_delta_check,
+    snapshot_is_connected,
+)
 from strategies import (
     distinct_snapshots,
+    mixed_window_graphs,
     near_static_snapshots,
     repeating_snapshots,
     spanning_trees,
@@ -862,6 +869,14 @@ class TestDeltaConnectivity:
         report = verify_delta_connectivity(graph, n - 2)
         assert report == ConnectivityReport(False, (1, (0, 69)), 1, "exhaustive")
 
+    def test_no_step_is_marked_when_no_window_fits_a_run(self, monkeypatch):
+        # delta < n-1: no window holds n-1 steps, so the sweep checks them all
+        n = 6
+        graph = TemporalGraph.build(n, [[(i, i + 1) for i in range(n - 1)]] * 12)
+        monkeypatch.setattr(core, "_step_connectivity", None)
+        report = verify_delta_connectivity(graph, n - 2)
+        assert report == ConnectivityReport(False, (1, (0, 5)), 1, "exhaustive")
+
     @pytest.mark.parametrize("delta, ok", [(7, False), (20, True)])
     def test_sampled_windows_far_apart(self, delta, ok):
         spec = GenSpec(n=8, lifetime=2000, k=2, seed=3, tree_shape="random",
@@ -872,6 +887,86 @@ class TestDeltaConnectivity:
         got = verify_delta_connectivity(graph, delta, "sampled", 5, 18)
         assert got == per_source_delta_check(graph, delta, "sampled", 5, 18)
         assert got.ok == ok
+
+    @given(mixed_window_graphs(), st.data())
+    def test_mixed_windows_match_per_source_reference(self, graph, data):
+        # windows that hold a whole connected run are certified, the others swept
+        samples = data.draw(st.integers(1, 4))
+        seed = data.draw(st.integers(0, 2**32))
+        for delta in range(1, graph.lifetime + 1):
+            for mode in ("exhaustive", "sampled"):
+                got = verify_delta_connectivity(graph, delta, mode, samples, seed)
+                assert got == per_source_delta_check(graph, delta, mode, samples, seed)
+
+    def test_first_violation_after_a_certified_stretch(self):
+        # steps 1-4 are the path 0-1-2, steps 5-8 lack (1, 2): windows 1-3 hold
+        # two connected steps and are certified; window 4 holds one and fails
+        path, cut = [(0, 1), (1, 2)], [(0, 1)]
+        graph = TemporalGraph.build(3, [path] * 4 + [cut] * 4)
+        assert core._uncertified(graph, list(range(1, 7)), 3) == [4, 5, 6]
+        report = verify_delta_connectivity(graph, 3)
+        assert report == ConnectivityReport(False, (4, (0, 2)), 4, "exhaustive")
+        assert report == per_source_delta_check(graph, 3, "exhaustive", 32, 0)
+
+    @given(st.one_of(mixed_window_graphs(), temporal_graphs()))
+    def test_n_minus_1_connected_snapshots_connect_a_window(self, graph):
+        # the certification lemma: each connected step grows every source's
+        # reached set by one vertex until it holds all n
+        n = graph.n
+        connected = [snapshot_is_connected(n, snap) for snap in graph.snapshots]
+        for delta in range(max(n - 1, 1), graph.lifetime + 1):
+            for w in range(1, graph.lifetime - delta + 2):
+                window = connected[w - 1:w - 1 + delta]
+                if not any(all(window[i:i + n - 1]) for i in range(delta - n + 2)):
+                    continue
+                for source in range(n):
+                    arrival = foremost_walk(graph, (w, w + delta - 1), source).arrival
+                    assert None not in arrival
+
+    @given(st.one_of(mixed_window_graphs(), temporal_graphs()))
+    def test_step_flag_matches_depth_first_search(self, graph):
+        connected = core._step_connectivity(graph)
+        for t in range(1, graph.lifetime + 1):
+            assert connected(t) == snapshot_is_connected(graph.n, graph.edge_set(t))
+
+    @pytest.mark.parametrize("base, diffs, flags", [
+        # on the path 0-1-2-3: nothing removed; more added than removed;
+        # nested cuts both joined; three pieces with {1} left alone; a cut
+        # with nothing added; an added edge and nothing removed
+        ([(0, 1), (1, 2), (2, 3)], [
+            ((), ()),
+            (((1, 2),), ((0, 2), (0, 3))),
+            (((0, 1), (2, 3)), ((0, 2), (1, 3))),
+            (((0, 1), (1, 2)), ((0, 2), (0, 3))),
+            (((1, 2),), ()),
+            ((), ((0, 3),)),
+        ], [True, True, True, False, False, True]),
+        # n-1 edges holding a cycle, so not a tree: a union-find per snapshot
+        ([(0, 1), (0, 2), (1, 2)], [
+            ((), ()),
+            ((), ((2, 3),)),
+            (((1, 2),), ((0, 3),)),
+            (((0, 1), (0, 2)), ((0, 3), (1, 3), (2, 3))),
+        ], [False, True, True, True]),
+    ])
+    def test_step_flag_on_hand_built_steps(self, base, diffs, flags):
+        removed, added = zip(*diffs)
+        graph = TemporalGraph(4, frozenset(base), removed, added)
+        connected = core._step_connectivity(graph)
+        assert [connected(t) for t in range(1, graph.lifetime + 1)] == flags
+        assert flags == [snapshot_is_connected(4, snap) for snap in graph.snapshots]
+
+    @pytest.mark.parametrize("delta, seed, read", [(20, 3, 768), (40, 3, 1024), (7, 4, 1280)])
+    def test_sampled_check_reads_no_step_after_its_last_window(self, delta, seed, read):
+        # `read` is the READ_CHUNK multiple holding the last chosen window's
+        # end: the steps that sweeping these windows alone reads too
+        spec = GenSpec(n=8, lifetime=2000, k=2, seed=3, tree_shape="random",
+                       connectivity="delta-only", delta=20)
+        graph = parse_temporal_graph(serialize_temporal_graph(gen_random_deficient(spec).graph))
+        last = chosen_starts(graph.lifetime, delta, "sampled", 3, seed)[-1] + delta - 1
+        assert read - core.READ_CHUNK < last <= read
+        assert verify_delta_connectivity(graph, delta, "sampled", 3, seed).ok
+        assert repr(graph).endswith(f"steps read={read} of 2000)")
 
     def test_delta_above_lifetime(self, path3_full):
         with pytest.raises(ValueError):

@@ -8,36 +8,22 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference import checked_roundabout
+from reference import checked_roundabout, snapshot_is_connected
 from strategies import spanning_trees
 from tempex.core import (
     SpanningTree,
     TemporalGraph,
     canonical_edge,
     deficiency_count,
+    parse_temporal_graph,
     serialize_temporal_graph,
     verify_delta_connectivity,
+    _uncertified,
 )
 from tempex.gen import GenSpec, _sides, gen_blocking_front, gen_random_deficient
 from tempex.roundabout import run_roundabout
 from tempex.scheduler import rho_for, step_budget
 from tempex.tour import build_dfs_tour
-
-
-def snapshot_is_connected(n: int, edges) -> bool:
-    adj = {v: [] for v in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == n
 
 
 def bfs_components(tree, removed):
@@ -220,6 +206,13 @@ class TestRandomDeficient:
     def test_delta_only_mode_is_delta_connected(self, spec):
         result = gen_random_deficient(spec)
         assert verify_delta_connectivity(result.graph, spec.delta).ok
+        # every window holds one whole run of n-1 bridged steps, which
+        # certifies it, so the check leaves no window to sweep, on the
+        # generator's tree base and on the parsed text's first-snapshot base
+        starts = list(range(1, spec.lifetime - spec.delta + 2))
+        parsed = parse_temporal_graph(serialize_temporal_graph(result.graph))
+        for graph in (result.graph, parsed):
+            assert _uncertified(graph, starts, spec.delta) == []
 
     def test_none_mode_skips_bridging(self):
         spec = GenSpec(n=6, lifetime=30, k=2, seed=1, connectivity="none")
