@@ -41,6 +41,7 @@ from .scheduler import (
     EpochPlan,
     ExploreStats,
     InsufficientSnapshots,
+    InvalidSchedule,
     LasVegas,
     RepositionFailed,
     Schedule,

@@ -101,6 +101,15 @@ class SpanningTree:
         object.__setattr__(self, "pre", tuple(pre))
         object.__setattr__(self, "end", tuple(p + s for p, s in zip(pre, size)))
 
+    def cut(self, removed: Iterable[Edge]) -> tuple[list[int], list[int]]:
+        """The subtrees that removing the tree edges `removed` cuts off, one
+        below each edge's child end, as preorder slices ``[firsts[i],
+        ends[i])`` sorted by start. Piece i+1 is slice i minus the slices
+        nested inside it, and piece 0 the root's (see :func:`_piece`)."""
+        parent, pre, end, order = self.parent, self.pre, self.end, self.preorder
+        firsts = sorted([pre[u] if parent[u] == v else pre[v] for u, v in removed])
+        return firsts, [end[order[p]] for p in firsts]
+
 
 READ_CHUNK = 128  # TG1 steps parse_temporal_graph reads at once, and a lazily read graph per read
 
@@ -759,13 +768,11 @@ def _step_connectivity(graph: TemporalGraph) -> Callable[[int], bool]:
     """Whether snapshot t connects all n vertices, as a function of t.
 
     When the base is a spanning tree, a step's removed edges cut it into
-    |removed|+1 pieces, each the preorder slice of its top vertex (the root
-    or the child end of a removed edge) minus the slices nested inside it,
-    as in ``gen._sides``; the step is connected iff its added edges join
-    those pieces, which one union-find over the pieces decides in
-    O((|removed| + |added|) * |removed|) without building the snapshot. A
-    step that removes nothing is connected. Any other base takes one
-    union-find over the snapshot's edges.
+    |removed|+1 pieces (:meth:`SpanningTree.cut`); the step is connected iff
+    its added edges join those pieces, which one union-find over the pieces
+    decides in O((|removed| + |added|) * |removed|) without building the
+    snapshot. A step that removes nothing is connected. Any other base takes
+    one union-find over the snapshot's edges.
     """
     n, base = graph.n, graph.base
     tree: Optional[SpanningTree] = None
@@ -776,7 +783,7 @@ def _step_connectivity(graph: TemporalGraph) -> Callable[[int], bool]:
             pass
     if tree is None:
         return lambda t: _spans(n, graph.edge_set(t))
-    parent, pre, end = tree.parent, tree.pre, tree.end
+    cut, pre = tree.cut, tree.pre
 
     def connected(t: int) -> bool:
         removed, added = graph._diff(t)
@@ -784,10 +791,9 @@ def _step_connectivity(graph: TemporalGraph) -> Callable[[int], bool]:
             return False
         if not removed:
             return True
-        tops = sorted((u if parent[u] == v else v for u, v in removed), key=pre.__getitem__)
-        firsts, ends = [pre[c] for c in tops], [end[c] for c in tops]
+        firsts, ends = cut(removed)
         joins = ((_piece(pre[u], firsts, ends), _piece(pre[v], firsts, ends)) for u, v in added)
-        return _spans(len(tops) + 1, joins)
+        return _spans(len(firsts) + 1, joins)
     return connected
 
 
@@ -802,18 +808,26 @@ def _piece(p: int, firsts: list[int], ends: list[int]) -> int:
     return i + 1
 
 
+def _union(leader: list[int], u: int, v: int) -> bool:
+    """Join the sets of u and v in the union-find `leader`, halving the
+    paths it walks; whether they were apart."""
+    while leader[u] != u:
+        leader[u] = u = leader[leader[u]]
+    while leader[v] != v:
+        leader[v] = v = leader[leader[v]]
+    if u == v:
+        return False
+    leader[u] = v
+    return True
+
+
 def _spans(n: int, edges: Iterable[Edge]) -> bool:
     """Whether `edges` connect all n vertices: one union-find, which stops
     at the edge that joins the last two components."""
     leader = list(range(n))
     pieces = n
     for u, v in edges:
-        while leader[u] != u:
-            leader[u] = u = leader[leader[u]]
-        while leader[v] != v:
-            leader[v] = v = leader[leader[v]]
-        if u != v:
-            leader[u] = v
+        if _union(leader, u, v):
             pieces -= 1
             if pieces == 1:
                 return True

@@ -18,10 +18,11 @@ it is drawn, so generating costs about the memory of the graph it returns.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Collection, Iterable, Iterator, Optional
 
-from .core import Edge, SpanningTree, TemporalGraph, canonical_edge
+from .core import Edge, SpanningTree, TemporalGraph, _piece, canonical_edge
 from .rng import SplitMix64, stream
 from .roundabout import RoundaboutState, eliminate_redundant, movement_step
 from .tour import build_dfs_tour
@@ -87,35 +88,29 @@ def _sides(tree: SpanningTree, removed: Iterable[Edge]) -> Iterator[tuple[Edge, 
     components holding u and v once every removed edge is gone, each in
     preorder.
 
-    A component is the preorder slice of its top vertex (the root or the
-    child end of a removed edge) minus the slices of the cuts nested directly
-    inside it, so k removed edges give every component from O(k) intervals.
+    The components are the pieces of :meth:`SpanningTree.cut`, each its
+    slice minus the slices nested directly inside it, so k removed edges
+    give every component from O(k) intervals.
     """
-    parent, pre, end, order = tree.parent, tree.pre, tree.end, tree.preorder
-    cut_of = {e: e[0] if parent[e[0]] == e[1] else e[1] for e in removed}
-    outer: dict[int, int] = {}  # cut -> top of the component holding its parent
-    inner: dict[int, list[int]] = {0: []}  # top -> the cuts directly inside, in preorder
-    stack = [0]
-    for c in sorted(cut_of.values(), key=pre.__getitem__):
-        while end[stack[-1]] <= pre[c]:
-            stack.pop()
-        outer[c] = stack[-1]
-        inner[stack[-1]].append(c)
-        inner[c] = []
-        stack.append(c)
+    parent, pre, order = tree.parent, tree.pre, tree.preorder
+    edges = sorted(removed)
+    firsts, ends = tree.cut(edges)
 
-    def component(top: int) -> tuple[int, ...]:
+    def component(i: int) -> tuple[int, ...]:
+        start, stop = (firsts[i - 1], ends[i - 1]) if i else (0, tree.n)
         got: tuple[int, ...] = ()
-        start = pre[top]
-        for c in inner[top]:
-            got += order[start:pre[c]]
-            start = end[c]
-        return got + order[start:end[top]]
+        while i < len(firsts) and firsts[i] < stop:  # slice i is directly inside
+            got += order[start:firsts[i]]
+            start = ends[i]
+            i = bisect_left(firsts, start, i + 1)  # past the slices nested in slice i
+        return got + order[start:stop]
 
-    for e in sorted(cut_of):
-        c = cut_of[e]
-        below, above = component(c), component(outer[c])
-        yield (e, below, above) if e[0] == c else (e, above, below)
+    for e in edges:
+        u, v = e
+        c = u if parent[u] == v else v
+        below = component(bisect_left(firsts, pre[c]) + 1)
+        above = component(_piece(pre[parent[c]], firsts, ends))
+        yield (e, below, above) if u == c else (e, above, below)
 
 
 def _bridge(left: tuple[int, ...], right: tuple[int, ...], removed: set[Edge], rng: SplitMix64) -> Optional[Edge]:

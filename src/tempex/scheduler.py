@@ -65,12 +65,32 @@ class InsufficientSnapshots(Exception):
 
 
 class RepositionFailed(Exception):
-    """A repositioning walk could not reach its target within the window."""
+    """A repositioning walk could not reach its target within the window.
 
-    def __init__(self, epoch: int, target: int) -> None:
-        super().__init__(f"epoch {epoch}: vertex {target} unreachable in repositioning window")
+    `window` is the repositioning window (first step, last step), and
+    `reached` counts the vertices the foremost walk from the explorer's
+    vertex reached in it, that vertex included. The target is not among
+    them, so this delta-step window is not temporally connected: the graph
+    breaks the delta-connectivity the run was given.
+    """
+
+    def __init__(self, epoch: int, target: int, window: tuple[int, int], reached: int) -> None:
+        super().__init__(
+            f"epoch {epoch}: vertex {target} unreachable in repositioning window "
+            f"[{window[0]}, {window[1]}]; the foremost walk reached {reached} vertices"
+        )
         self.epoch = epoch
         self.target = target
+        self.window = window
+        self.reached = reached
+
+
+class InvalidSchedule(Exception):
+    """The pipeline's schedule failed verify_schedule; `report` says where."""
+
+    def __init__(self, report: VerifyReport) -> None:
+        super().__init__(f"computed schedule is {report.describe()}")
+        self.report = report
 
 
 class TupleSearchExhausted(Exception):
@@ -292,9 +312,12 @@ def _reposition_and_replay(
     where the explorer ends the epoch."""
     target = tour.vertex(agent)
     window = (epoch.start, epoch.reposition_end)
-    walk = () if at == target else foremost_walk(graph, window, at).walk_to(target)
-    if walk is None:
-        raise RepositionFailed(number, target)
+    walk: Optional[Route] = ()
+    if at != target:
+        foremost = foremost_walk(graph, window, at)
+        walk = foremost.walk_to(target)
+        if walk is None:
+            raise RepositionFailed(number, target, window, graph.n - foremost.arrival.count(None))
     route = (*walk, *trace.moves_of(agent, tour))
     return route, route[-1][1][1] if route else at
 
@@ -451,8 +474,10 @@ def explore_detailed(
     the Las Vegas search picks a covering tuple over them and the same loop
     replays it. Raises InsufficientSnapshots when the timeline ends before an
     epoch the run needs (every epoch up to rho, when the run falls back to
-    the search, and the whole tree-recovery prefix without a tree), and
-    RepositionFailed when an epoch run cannot reach its agent's start.
+    the search, and the whole tree-recovery prefix without a tree),
+    RepositionFailed when an epoch run cannot reach its agent's start, and
+    InvalidSchedule when the schedule fails verify_schedule, which every
+    run calls on its schedule before it returns.
     """
     if not (0 <= start < graph.n):
         raise ValueError(f"start {start} out of range")
@@ -495,6 +520,9 @@ def explore_detailed(
         schedule, replayed, cover = assemble_schedule(
             graph, tour, zip(epochs, traces), lambda j, trace: covering[j], start
         )
+    report = verify_schedule(graph, start, schedule)
+    if not report.ok:
+        raise InvalidSchedule(report)
     epochs, traces, choice = zip(*replayed)
     stats = ExploreStats(
         rho,

@@ -9,8 +9,9 @@ with respect to the recovered tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
-from .core import Edge, SpanningTree, TemporalGraph
+from .core import Edge, SpanningTree, TemporalGraph, _union
 
 
 class DisconnectedGraph(Exception):
@@ -47,35 +48,11 @@ def absence_weights(graph: TemporalGraph, prefix_length: int) -> EdgeWeights:
     return EdgeWeights(graph.absences(prefix_length))
 
 
-class _UnionFind:
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def minimum_weight_spanning_tree(n: int, weights: dict[Edge, int]) -> SpanningTree:
     """Kruskal with deterministic tie-breaking: sort by (weight, u, v)."""
-    uf = _UnionFind(n)
-    chosen: list[Edge] = []
-    for u, v in sorted(weights, key=lambda e: (weights[e], e)):
-        if uf.union(u, v):
-            chosen.append((u, v))
-            if len(chosen) == n - 1:
-                break
+    leader = list(range(n))
+    joins = (e for e in sorted(weights, key=lambda e: (weights[e], e)) if _union(leader, *e))
+    chosen = list(islice(joins, n - 1))
     if len(chosen) != n - 1:
         raise DisconnectedGraph("underlying graph is disconnected")
     return SpanningTree(n, frozenset(chosen))

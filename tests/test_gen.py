@@ -18,6 +18,7 @@ from tempex.core import (
     parse_temporal_graph,
     serialize_temporal_graph,
     verify_delta_connectivity,
+    _piece,
     _uncertified,
 )
 from tempex.gen import GenSpec, _sides, gen_blocking_front, gen_random_deficient
@@ -53,7 +54,12 @@ def bfs_components(tree, removed):
 
 
 def assert_sides_match_bfs(tree, removed):
+    """`_sides`, and `_piece` over the tree's cut, agree with a BFS."""
     label = bfs_components(tree, removed)
+    firsts, ends = tree.cut(removed)
+    piece = [_piece(tree.pre[v], firsts, ends) for v in range(tree.n)]
+    assert sorted(set(piece)) == list(range(len(removed) + 1))
+    assert all((piece[u] == piece[v]) == (label[u] == label[v]) for u in range(tree.n) for v in range(u))
     members = {}
     for v, c in enumerate(label):
         members.setdefault(c, []).append(v)

@@ -32,6 +32,7 @@ from tempex.roundabout import run_roundabout
 from tempex.scheduler import (
     Epoch,
     InsufficientSnapshots,
+    InvalidSchedule,
     LasVegas,
     RepositionFailed,
     Schedule,
@@ -715,6 +716,29 @@ class TestStopAtCover:
         assert out == ""
         assert err == "failed: no covering tuple found after 1 sampling attempts\n"
 
+    def test_a_forged_move_fails_typed_end_to_end(self, path3_full, path3_tree, tmp_path, capsys, monkeypatch):
+        # the schedule is checked before explore_detailed returns it
+        assemble = scheduler.assemble_schedule
+
+        def forged(*args):
+            schedule, replayed, cover = assemble(*args)
+            return replace(schedule, actions=((2, 1), *schedule.actions[1:])), replayed, cover
+
+        monkeypatch.setattr(scheduler, "assemble_schedule", forged)
+        with pytest.raises(InvalidSchedule) as exc:
+            explore_detailed(path3_full, 1, 2, 0, tree=path3_tree)
+        assert (exc.value.report.reason, exc.value.report.step) == ("move from 2 but explorer is at 0", 1)
+        graph_file, tree_file = tmp_path / "path.tg", tmp_path / "path.tree"
+        graph_file.write_text(serialize_temporal_graph(path3_full))
+        tree_file.write_text(serialize_spanning_tree(path3_tree))
+        code = main([
+            "explore", "--graph", str(graph_file), "--k", "1", "--delta", "2", "--tree", str(tree_file),
+        ])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert err == "failed: computed schedule is invalid: move from 2 but explorer is at 0 at step 1\n"
+
     def test_repositioning_failure_after_the_cover_is_not_reached(self):
         # Path 0-1-2 whose steps lack (1,2) from step 9 on: no repositioning
         # window after that reaches vertex 2. The full plan draws vertex 2 as a
@@ -736,6 +760,9 @@ class TestStopAtCover:
         with pytest.raises(RepositionFailed) as exc:
             explore_detailed(graph, 1, 2, 0, tree=tree, strategy=LasVegas(seed=1))
         assert (exc.value.epoch, exc.value.target) == (3, 2)
+        # steps 9 and 10 lack (1, 2), so the walk reaches only 0 and 1
+        assert (exc.value.window, exc.value.reached) == ((9, 10), 2)
+        assert "window [9, 10]" in str(exc.value) and "reached 2 vertices" in str(exc.value)
 
     def test_timeline_one_step_short_of_rho_epochs(self, path3_tree):
         # the first epoch already covers the path, so the run lays out no
