@@ -139,9 +139,10 @@ class TemporalGraph:
     graph equals, field for field, the one that reading the whole text at
     once builds. ``removed``, ``added`` and :meth:`underlying` read every
     step first, as :meth:`read_all` does, and equality may;
-    :meth:`absences` reads only its prefix, and ``base`` and hashing read
-    no further step. Reading is not synchronised: call :meth:`read_all`
-    before sharing such a graph between threads.
+    :meth:`absences` and :meth:`absence_counter` read only the prefix they
+    count, and ``base`` and hashing read no further step. Reading is not
+    synchronised: call :meth:`read_all` before sharing such a graph between
+    threads.
     """
 
     __slots__ = ("n", "lifetime", "_base", "_removed", "_added", "_reader")
@@ -305,13 +306,32 @@ class TemporalGraph:
             raise ValueError(f"prefix {prefix_length} exceeds lifetime {self.lifetime}")
         if prefix_length < 1:
             raise ValueError("prefix must be positive")
-        if prefix_length > len(self._removed):
-            self._read_through(prefix_length)
-        removals = Counter(chain.from_iterable(self._removed[:prefix_length]))
-        additions = Counter(chain.from_iterable(self._added[:prefix_length]))
-        counts = {e: removals[e] for e in self._base}
-        counts.update((e, prefix_length - added) for e, added in additions.items())
-        return counts
+        return self.absence_counter()(prefix_length)
+
+    def absence_counter(self) -> Callable[[int], dict[Edge, int]]:
+        """:meth:`absences` of a growing prefix, as a function of its length.
+
+        Each call counts only the steps since the previous call, whose
+        length it may not undercut, so reading a prefix in pieces costs
+        O(its diff) in all, plus O(|base| + distinct added edges) per call.
+        """
+        removals: Counter[Edge] = Counter()
+        additions: Counter[Edge] = Counter()
+        counted = 0
+
+        def count(prefix_length: int) -> dict[Edge, int]:
+            nonlocal counted
+            if not (counted <= prefix_length <= self.lifetime):
+                raise ValueError(f"prefix {prefix_length} outside [{counted}, {self.lifetime}]")
+            if prefix_length > len(self._removed):
+                self._read_through(prefix_length)
+            removals.update(chain.from_iterable(self._removed[counted:prefix_length]))
+            additions.update(chain.from_iterable(self._added[counted:prefix_length]))
+            counted = prefix_length
+            counts = {e: removals[e] for e in self._base}
+            counts.update((e, prefix_length - added) for e, added in additions.items())
+            return counts
+        return count
 
     def underlying(self) -> frozenset[Edge]:
         """Every edge that appears in some snapshot."""

@@ -490,6 +490,23 @@ class TestLazyRead:
             assert lazy == graph
             assert (lazy.base, lazy.removed, lazy.added) == (graph.base, graph.removed, graph.added)
 
+    @given(near_static_snapshots(max_lifetime=24), st.integers(1, 4), st.data())
+    def test_a_running_count_is_each_prefixs_absences(self, drawn, chunk, data):
+        n, _, ref = drawn
+        graph = TemporalGraph.build(n, ref)
+        prefixes = sorted(data.draw(st.lists(st.integers(0, len(ref)), min_size=1, max_size=5)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", chunk)
+            lazy = parse_temporal_graph(serialize_temporal_graph(graph))
+            count = lazy.absence_counter()
+            for prefix in prefixes:
+                assert count(prefix) == (graph.absences(prefix) if prefix else dict.fromkeys(graph.base, 0))
+            if prefixes[-1]:
+                with pytest.raises(ValueError, match="outside"):
+                    count(prefixes[-1] - 1)
+            with pytest.raises(ValueError, match="outside"):
+                count(len(ref) + 1)
+
     def test_garbage_past_the_steps_the_run_reads_changes_nothing(self):
         n, k, delta = 100, 2, 99
         spec = GenSpec(n=n, lifetime=paper_budget(n, k, delta), k=k, seed=7000, tree_shape="random")

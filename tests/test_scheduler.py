@@ -470,8 +470,9 @@ class TestExplore:
         assert verify_schedule(result.graph, 2, schedule).ok
 
     def test_without_tree_reads_no_deficiency_after_the_last_epoch(self, monkeypatch):
-        # tree recovery counts absences over the whole 2q prefix, but only the
-        # epochs ask for deficiencies, and none after the last one run
+        # tree recovery counts absences over the 2q prefix until its tree is
+        # certified, but asks no deficiency; only the epochs do, and none
+        # after the last one run
         n, k = 6, 1
         delta = n - 1
         q = recovery_prefix(n, k, delta)

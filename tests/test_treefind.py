@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from strategies import spanning_trees, temporal_graphs
-from tempex import core
+from tempex import core, gen
 from tempex.core import (
     ParseError,
     SpanningTree,
@@ -15,9 +15,11 @@ from tempex.core import (
     canonical_edge,
     deficiency_count,
     parse_temporal_graph,
+    serialize_temporal_graph,
     _tg1_chunks,
 )
 from tempex.gen import GenSpec, gen_random_deficient
+from tempex.scheduler import recovery_prefix
 from tempex.treefind import (
     DisconnectedGraph,
     absence_weights,
@@ -143,18 +145,23 @@ class TestFindGoodTree:
         tree = find_good_tree(graph, prefix // 2)
         assert sum(weights[e] for e in tree.edges) == min(totals)
 
-    @given(temporal_graphs(min_n=2, max_n=7, min_lifetime=2, max_lifetime=8), st.data())
-    def test_tree_is_kruskals_over_every_underlying_edge(self, graph, data):
+    @given(temporal_graphs(min_n=2, max_n=7, min_lifetime=2, max_lifetime=12), st.integers(1, 4), st.data())
+    def test_tree_is_kruskals_over_every_underlying_edge(self, graph, chunk, data):
         # Kruskal over the prefix's edges first, and over every underlying
-        # edge only when those do not connect, gives the same tree
+        # edge only when those do not connect, gives the same tree; chunks
+        # of 1-4 steps put the early checks inside these small prefixes
         q = data.draw(st.integers(1, graph.lifetime // 2))
-        try:
-            want = minimum_weight_spanning_tree(graph.n, prefix_absences(graph, 2 * q))
-        except DisconnectedGraph:
-            with pytest.raises(DisconnectedGraph):
-                find_good_tree(graph, q)
-            return
-        assert find_good_tree(graph, q) == want
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", chunk)
+            lazy = parse_temporal_graph(serialize_temporal_graph(graph))
+            try:
+                want = minimum_weight_spanning_tree(graph.n, prefix_absences(graph, 2 * q))
+            except DisconnectedGraph:
+                for g in (graph, lazy):
+                    with pytest.raises(DisconnectedGraph):
+                        find_good_tree(g, q)
+                return
+            assert find_good_tree(graph, q) == find_good_tree(lazy, q) == want
 
     def test_prefix_edges_that_do_not_connect_fall_back_to_every_edge(self):
         # the prefix has only (0, 1) and (2, 3); each later edge is absent
@@ -164,28 +171,77 @@ class TestFindGoodTree:
         assert find_good_tree(g, 1).edges == {(0, 1), (2, 3), (0, 2)}
 
     @given(
+        family=st.sampled_from(sorted(gen.FAMILIES)),
         n=st.integers(2, 8),
         k=st.sampled_from((1, 2)),
-        q=st.integers(1, 8),
+        q=st.integers(1, 16),
         seed=st.integers(0, 2**16),
         chunk=st.integers(1, 4),
         tree_shape=st.sampled_from(("path", "star", "random")),
         extra_edge_rate=st.sampled_from((0.0, 0.3)),
     )
-    def test_a_lazily_read_graph_reads_only_the_prefix(self, n, k, q, seed, chunk, tree_shape, extra_edge_rate):
+    def test_a_lazily_read_graph_reads_only_the_prefix(self, family, n, k, q, seed, chunk, tree_shape, extra_edge_rate):
         # each snapshot is connected, so the prefix's edges are; any step
-        # read past the prefix, rounded up to whole chunks, is garbage
+        # read past the prefix, rounded up to whole chunks, is garbage; the
+        # tree, certified early or not, is Kruskal's over the whole prefix
         read = -(-2 * q // chunk) * chunk
         spec = GenSpec(n=n, lifetime=read + 1, k=min(k, n - 1), seed=seed, tree_shape=tree_shape,
                        extra_edge_rate=extra_edge_rate)
-        graph = gen_random_deficient(spec).graph
+        graph = gen.FAMILIES[family](spec).graph
+        want = minimum_weight_spanning_tree(n, prefix_absences(graph, 2 * q))
         text = "".join(next(_tg1_chunks(graph, read))) + "garbage\n"
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(core, "READ_CHUNK", chunk)
             lazy = parse_temporal_graph(text)
-            assert find_good_tree(lazy, q) == find_good_tree(graph, q)
+            assert find_good_tree(lazy, q) == find_good_tree(graph, q) == want
             with pytest.raises(ParseError, match="got 'garbage'"):
                 lazy.read_all()
+
+    @pytest.mark.parametrize("absent_from, tree", [
+        (2, {(0, 2), (1, 2)}),  # gap 1 at step 3: certified there, step 4 is never read
+        (1, {(0, 1), (1, 2)}),  # gap 0: step 4 is read, and it ties (0, 1) with (0, 2)
+    ])
+    def test_a_check_certifies_only_a_gap_of_at_least_one(self, absent_from, tree):
+        # q = 2 and one-step chunks put the only check at step 3, with slack 1;
+        # (0, 2) and (1, 2) are in steps 1-3, (0, 1) is absent from `absent_from`
+        # of them, and step 4 drops (0, 2) for (0, 1)
+        first = [[(0, 1), (0, 2), (1, 2)]] * (3 - absent_from) + [[(0, 2), (1, 2)]] * absent_from
+        graph = TemporalGraph.build(3, first + [[(0, 1), (1, 2)]])
+        assert minimum_weight_spanning_tree(3, prefix_absences(graph, 4)).edges == tree
+        text = "".join(next(_tg1_chunks(graph, 3))) + "garbage\n"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", 1)
+            assert find_good_tree(graph, 2).edges == tree
+            lazy = parse_temporal_graph(text)
+            if absent_from == 2:
+                assert find_good_tree(lazy, 2).edges == tree
+            else:
+                with pytest.raises(ParseError, match="got 'garbage'"):
+                    find_good_tree(lazy, 2)
+
+    def test_lightest_edges_that_close_a_cycle_are_not_certified(self):
+        # at the check at step 3 the triangle on 0, 1, 2 is the 3 lightest
+        # edges with gap 1, but no tree; step 4 is read
+        triangle = [(0, 1), (0, 2), (1, 2)]
+        graph = TemporalGraph.build(4, [triangle + [(2, 3)], triangle, triangle, triangle + [(2, 3)]])
+        text = "".join(next(_tg1_chunks(graph, 3))) + "garbage\n"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "READ_CHUNK", 1)
+            assert find_good_tree(graph, 2).edges == {(0, 1), (0, 2), (2, 3)}
+            with pytest.raises(ParseError, match="got 'garbage'"):
+                find_good_tree(parse_temporal_graph(text), 2)
+
+    def test_a_certified_tree_reads_no_step_after_its_check(self):
+        # tempex gen --n 12 --L 3060 --k 1: the tree is certified at step 1664
+        # of the 2q = 3060 prefix, so garbage after it goes unread
+        q = recovery_prefix(12, 1, 11)
+        graph = gen_random_deficient(GenSpec(n=12, lifetime=2 * q, k=1, seed=0)).graph
+        want = minimum_weight_spanning_tree(12, graph.absences(2 * q))
+        text = "".join(next(_tg1_chunks(graph, 1664))) + "garbage\n"
+        lazy = parse_temporal_graph(text)
+        assert find_good_tree(lazy, q) == want
+        with pytest.raises(ParseError, match="got 'garbage'"):
+            lazy.read_all()
 
     @pytest.mark.parametrize("seed", range(5))
     def test_double_counting_identity(self, seed):
