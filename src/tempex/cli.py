@@ -136,10 +136,8 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     delta = args.delta
     if delta is None:
         delta = max(1, graph.n - 1)
-        print(
-            f"note: delta defaulted to n-1 = {delta}; pass --check-delta to verify it",
-            file=sys.stderr,
-        )
+        then = "checking it on sampled windows" if args.check_delta else "pass --check-delta to verify it"
+        print(f"note: delta defaulted to n-1 = {delta}; {then}", file=sys.stderr)
     if args.check_delta:
         report = verify_delta_connectivity(graph, delta, mode="sampled", seed=args.seed)
         if not report.ok:

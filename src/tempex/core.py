@@ -101,14 +101,49 @@ class SpanningTree:
         object.__setattr__(self, "pre", tuple(pre))
         object.__setattr__(self, "end", tuple(p + s for p, s in zip(pre, size)))
 
-    def cut(self, removed: Iterable[Edge]) -> tuple[list[int], list[int]]:
-        """The subtrees that removing the tree edges `removed` cuts off, one
-        below each edge's child end, as preorder slices ``[firsts[i],
-        ends[i])`` sorted by start. Piece i+1 is slice i minus the slices
-        nested inside it, and piece 0 the root's (see :func:`_piece`)."""
-        parent, pre, end, order = self.parent, self.pre, self.end, self.preorder
-        firsts = sorted([pre[u] if parent[u] == v else pre[v] for u, v in removed])
-        return firsts, [end[order[p]] for p in firsts]
+    def cut(self, removed: Iterable[Edge]) -> TreeCut:
+        """The :class:`TreeCut` of the pieces that removing the tree edges
+        `removed` leaves."""
+        return TreeCut(self, removed)
+
+
+class TreeCut:
+    """The r+1 pieces of a spanning tree minus r of its edges. Each removed
+    edge cuts off the subtree below its child end, a preorder slice
+    ``[firsts[i], ends[i])``, sorted by start; piece i+1 is slice i minus
+    the slices nested inside it, and piece 0 is the root's."""
+
+    __slots__ = ("_pre", "_order", "_firsts", "_ends")
+
+    def __init__(self, tree: SpanningTree, removed: Iterable[Edge]) -> None:
+        parent, pre, end, order = tree.parent, tree.pre, tree.end, tree.preorder
+        self._pre, self._order = pre, order
+        self._firsts = firsts = sorted([pre[u] if parent[u] == v else pre[v] for u, v in removed])
+        self._ends = [end[order[p]] for p in firsts]
+
+    def __len__(self) -> int:
+        return len(self._firsts) + 1
+
+    def piece(self, v: int) -> int:
+        """The piece holding vertex v: i+1 for the latest slice that holds
+        it, which is the innermost, or 0."""
+        p, firsts, ends = self._pre[v], self._firsts, self._ends
+        i = bisect_right(firsts, p) - 1
+        while i >= 0 and ends[i] <= p:
+            i -= 1
+        return i + 1
+
+    def members(self, i: int) -> tuple[int, ...]:
+        """Piece i's vertices in preorder: its slice, or the whole tree for
+        piece 0, minus the slices nested directly inside it."""
+        firsts, ends, order = self._firsts, self._ends, self._order
+        start, stop = (firsts[i - 1], ends[i - 1]) if i else (0, len(order))
+        got: tuple[int, ...] = ()
+        while i < len(firsts) and firsts[i] < stop:  # slice i is directly inside
+            got += order[start:firsts[i]]
+            start = ends[i]
+            i = bisect_left(firsts, start, i + 1)  # past the slices nested in slice i
+        return got + order[start:stop]
 
 
 READ_CHUNK = 128  # TG1 steps parse_temporal_graph reads at once, and a lazily read graph per read
@@ -788,8 +823,8 @@ def _step_connectivity(graph: TemporalGraph) -> Callable[[int], bool]:
     """Whether snapshot t connects all n vertices, as a function of t.
 
     When the base is a spanning tree, a step's removed edges cut it into
-    |removed|+1 pieces (:meth:`SpanningTree.cut`); the step is connected iff
-    its added edges join those pieces, which one union-find over the pieces
+    |removed|+1 pieces, its :class:`TreeCut`; the step is connected iff its
+    added edges join those pieces, which one union-find over the pieces
     decides in O((|removed| + |added|) * |removed|) without building the
     snapshot. A step that removes nothing is connected. Any other base takes
     one union-find over the snapshot's edges.
@@ -803,7 +838,7 @@ def _step_connectivity(graph: TemporalGraph) -> Callable[[int], bool]:
             pass
     if tree is None:
         return lambda t: _spans(n, graph.edge_set(t))
-    cut, pre = tree.cut, tree.pre
+    cut = tree.cut
 
     def connected(t: int) -> bool:
         removed, added = graph._diff(t)
@@ -811,21 +846,9 @@ def _step_connectivity(graph: TemporalGraph) -> Callable[[int], bool]:
             return False
         if not removed:
             return True
-        firsts, ends = cut(removed)
-        joins = ((_piece(pre[u], firsts, ends), _piece(pre[v], firsts, ends)) for u, v in added)
-        return _spans(len(firsts) + 1, joins)
+        piece = cut(removed).piece  # a list below: on a step's few added edges it beats a generator
+        return _spans(len(removed) + 1, [(piece(u), piece(v)) for u, v in added])
     return connected
-
-
-def _piece(p: int, firsts: list[int], ends: list[int]) -> int:
-    """The piece holding preorder position p, given the cut subtrees'
-    preorder slices ``[firsts[i], ends[i])`` sorted by start: i+1 for the
-    latest slice that holds p, which is the innermost, or 0 for the root's
-    piece."""
-    i = bisect_right(firsts, p) - 1
-    while i >= 0 and ends[i] <= p:
-        i -= 1
-    return i + 1
 
 
 def _union(leader: list[int], u: int, v: int) -> bool:

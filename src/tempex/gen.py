@@ -18,11 +18,10 @@ it is drawn, so generating costs about the memory of the graph it returns.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Collection, Iterable, Iterator, Optional
+from typing import Callable, Collection, Optional
 
-from .core import Edge, SpanningTree, TemporalGraph, _piece, canonical_edge
+from .core import Edge, SpanningTree, TemporalGraph, canonical_edge
 from .rng import SplitMix64, stream
 from .roundabout import RoundaboutState, eliminate_redundant, movement_step
 from .tour import build_dfs_tour
@@ -83,36 +82,6 @@ def _build_tree(shape: str, n: int, rng: SplitMix64) -> SpanningTree:
     return SpanningTree(n, frozenset(edges))
 
 
-def _sides(tree: SpanningTree, removed: Iterable[Edge]) -> Iterator[tuple[Edge, tuple[int, ...], tuple[int, ...]]]:
-    """Per removed tree edge (u, v), in sorted order: the vertices of the
-    components holding u and v once every removed edge is gone, each in
-    preorder.
-
-    The components are the pieces of :meth:`SpanningTree.cut`, each its
-    slice minus the slices nested directly inside it, so k removed edges
-    give every component from O(k) intervals.
-    """
-    parent, pre, order = tree.parent, tree.pre, tree.preorder
-    edges = sorted(removed)
-    firsts, ends = tree.cut(edges)
-
-    def component(i: int) -> tuple[int, ...]:
-        start, stop = (firsts[i - 1], ends[i - 1]) if i else (0, tree.n)
-        got: tuple[int, ...] = ()
-        while i < len(firsts) and firsts[i] < stop:  # slice i is directly inside
-            got += order[start:firsts[i]]
-            start = ends[i]
-            i = bisect_left(firsts, start, i + 1)  # past the slices nested in slice i
-        return got + order[start:stop]
-
-    for e in edges:
-        u, v = e
-        c = u if parent[u] == v else v
-        below = component(bisect_left(firsts, pre[c]) + 1)
-        above = component(_piece(pre[parent[c]], firsts, ends))
-        yield (e, below, above) if u == c else (e, above, below)
-
-
 def _bridge(left: tuple[int, ...], right: tuple[int, ...], removed: set[Edge], rng: SplitMix64) -> Optional[Edge]:
     """One edge joining a vertex of `left` to one of `right` that is not in
     `removed`; None if impossible."""
@@ -133,14 +102,16 @@ def _bridge(left: tuple[int, ...], right: tuple[int, ...], removed: set[Edge], r
 def _reconnect(tree: SpanningTree, removed: set[Edge], rng: SplitMix64) -> tuple[list[Edge], int]:
     """Edges that reconnect the tree minus `removed`, and the fallback count.
 
-    Each removed edge gets one bridging edge between the two components it
-    separates; when no bridge exists the removed edge itself is kept, which
-    counts as a fallback.
+    Each removed edge (u, v), in sorted order, gets one bridging edge between
+    the pieces of :meth:`SpanningTree.cut` that hold u and v; when no bridge
+    exists the removed edge itself is kept, which counts as a fallback.
     """
+    cut = tree.cut(removed)
     added: list[Edge] = []
     fallbacks = 0
-    for e, left, right in _sides(tree, removed):
-        bridge = _bridge(left, right, removed, rng)
+    for e in sorted(removed):
+        u, v = e
+        bridge = _bridge(cut.members(cut.piece(u)), cut.members(cut.piece(v)), removed, rng)
         if bridge is None:
             added.append(e)
             fallbacks += 1

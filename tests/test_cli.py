@@ -125,6 +125,16 @@ class TestPipeline:
         assert proc.returncode == 0, proc.stderr
         assert "delta defaulted to n-1 = 3" in proc.stderr
 
+    def test_delta_default_note_with_check_delta_says_it_is_checked(self, tmp_path):
+        graph, tree = gen_instance(tmp_path, 4, 33 * 6, 1, 5)
+        proc = run_cli(
+            "explore", "--graph", str(graph), "--k", "1", "--start", "0",
+            "--tree", str(tree), "--out", str(tmp_path / "s.txt"), "--check-delta",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "note: delta defaulted to n-1 = 3; checking it on sampled windows\n" in proc.stderr
+        assert "pass --check-delta" not in proc.stderr
+
 
 class TestSubcommands:
     def test_oracle_prints_three(self, e1_graph_file):

@@ -18,10 +18,12 @@ from tempex.core import (
     parse_temporal_graph,
     serialize_temporal_graph,
     verify_delta_connectivity,
-    _piece,
+    _spans,
     _uncertified,
 )
-from tempex.gen import GenSpec, _sides, gen_blocking_front, gen_random_deficient
+from tempex import gen
+from tempex.gen import GenSpec, _reconnect, gen_blocking_front, gen_random_deficient
+from tempex.rng import SplitMix64
 from tempex.roundabout import run_roundabout
 from tempex.scheduler import rho_for, step_budget
 from tempex.tour import build_dfs_tour
@@ -53,21 +55,17 @@ def bfs_components(tree, removed):
     return label
 
 
-def assert_sides_match_bfs(tree, removed):
-    """`_sides`, and `_piece` over the tree's cut, agree with a BFS."""
+def assert_cut_matches_bfs(tree, removed):
+    """The tree's cut splits the vertices as a BFS does, into pieces 0..r,
+    and lists each piece's vertices in preorder."""
     label = bfs_components(tree, removed)
-    firsts, ends = tree.cut(removed)
-    piece = [_piece(tree.pre[v], firsts, ends) for v in range(tree.n)]
-    assert sorted(set(piece)) == list(range(len(removed) + 1))
+    cut = tree.cut(removed)
+    piece = [cut.piece(v) for v in range(tree.n)]
+    assert len(cut) == len(removed) + 1
+    assert sorted(set(piece)) == list(range(len(cut)))
     assert all((piece[u] == piece[v]) == (label[u] == label[v]) for u in range(tree.n) for v in range(u))
-    members = {}
-    for v, c in enumerate(label):
-        members.setdefault(c, []).append(v)
-    sides = list(_sides(tree, removed))
-    assert [e for e, _, _ in sides] == sorted(removed)
-    for e, left, right in sides:  # each side in preorder, so compared as a set
-        assert sorted(left) == members[label[e[0]]]
-        assert sorted(right) == members[label[e[1]]]
+    for i in range(len(cut)):
+        assert cut.members(i) == tuple(v for v in tree.preorder if piece[v] == i)
 
 
 @st.composite
@@ -91,11 +89,37 @@ class TestComponents:
         tree = SpanningTree(7, frozenset(edges))
         for k in range(len(edges) + 1):
             for removed in combinations(edges, k):
-                assert_sides_match_bfs(tree, set(removed))
+                assert_cut_matches_bfs(tree, set(removed))
 
     @given(relabelled_trees_and_cuts())
     def test_random_trees_match_bfs(self, drawn):
-        assert_sides_match_bfs(*drawn)
+        assert_cut_matches_bfs(*drawn)
+
+
+class TestReconnect:
+    @pytest.mark.parametrize("retries", [gen._BRIDGE_RETRIES, 0], ids=["drawn", "scanned"])
+    @given(drawn=relabelled_trees_and_cuts(), seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_bridges_join_the_pieces_of_each_removed_edge(self, retries, drawn, seed):
+        """Each removed edge is kept exactly when both of its pieces are one
+        vertex; every other bridge is a new edge between the same two
+        pieces; and the bridged snapshot spans the tree's vertices. With no
+        retries every bridge comes from the exhaustive scan."""
+        tree, removed = drawn
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gen, "_BRIDGE_RETRIES", retries)
+            added, fallbacks = _reconnect(tree, removed, SplitMix64(seed))
+        cut = tree.cut(removed)
+        kept = 0
+        for (u, v), bridge in zip(sorted(removed), added):
+            pu, pv = cut.piece(u), cut.piece(v)
+            if len(cut.members(pu)) == len(cut.members(pv)) == 1:
+                assert bridge == (u, v)
+                kept += 1
+            else:
+                assert bridge not in removed
+                assert {cut.piece(w) for w in bridge} == {pu, pv}
+        assert len(added) == len(removed) and fallbacks == kept
+        assert _spans(tree.n, chain(tree.edges - removed, added))
 
 
 @st.composite
