@@ -329,7 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=int, default=None)
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--tree", default=None, help="witness tree file; omit to recover one")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds only the covering-tuple search, which runs when the greedy pass leaves a "
+        "vertex unvisited after all rho epochs, and --check-delta's sampled windows",
+    )
     p.add_argument("--check-delta", action="store_true")
     p.add_argument("--trace", action="store_true", help="dump roundabout traces to stderr")
     p.add_argument("--out", default=None, help="schedule file; stdout when omitted")

@@ -7,20 +7,21 @@ each epoch is laid out and its roundabout run only when the loop in
 `assemble_schedule` asks for the next one. Each epoch picks one surviving
 agent, and a single explorer repositions to that agent's start and replays
 its moves; the loop stops after the first epoch by whose end every vertex
-has been visited, and reads no further from the stream. The first pass picks
-the draws of the first attempt of the Las Vegas covering-tuple search, so
-when that attempt covers the tour the schedule is the full-plan schedule cut
-at an epoch end. When a vertex is still unvisited after epoch rho, the
-search picks a tuple whose visited arcs jointly cover the whole tour, and
-the same loop replays the rho runs it already made with that tuple, again
-stopping at cover.
+has been visited, and reads no further from the stream. The first pass is
+greedy: each epoch replays the survivor whose visited arc adds the most tour
+positions not yet covered by the arcs replayed before it. That choice reads
+only earlier epochs, so the schedule is the full-plan schedule under the
+same choice cut at an epoch end. When a vertex is still unvisited after
+epoch rho, the Las Vegas search picks a tuple whose visited arcs jointly
+cover the whole tour, and the same loop replays the rho runs it already
+made with that tuple, again stopping at cover.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     ParseError,
@@ -33,12 +34,11 @@ from .core import (
     foremost_walk,
 )
 from .rng import SplitMix64
-from .roundabout import RoundaboutTrace, run_roundabout
+from .roundabout import RoundaboutState, RoundaboutTrace, run_roundabout
 from .tour import DfsTour, build_dfs_tour
 from .treefind import find_good_tree
 
 Action = Optional[tuple[int, int]]  # None = wait, (u, v) = traverse from u to v
-T = TypeVar("T")
 MAX_ATTEMPTS = 10_000  # covering-tuple draws before the search gives up
 
 
@@ -199,14 +199,21 @@ def partition_epochs(
 
 @dataclass(frozen=True)
 class LasVegas:
-    """Sample uniformly (independent per epoch) until a covering tuple shows up."""
+    """The fallback search: sample uniformly (independent per epoch) until a
+    covering tuple shows up. A run draws from it only when its greedy pass
+    leaves a vertex unvisited after all rho epochs."""
 
     seed: int = 0
 
 
-def _draw(rng: SplitMix64, survivors: Sequence[T]) -> T:
-    """One uniform draw among an epoch's survivors, listed in ascending agent order."""
-    return survivors[rng.below(len(survivors))]
+def greedy_pick(covered: int, state: RoundaboutState) -> tuple[int, int]:
+    """The survivor whose visited arc adds the most tour positions outside
+    the mask `covered`, ties going to the smallest start, and `covered`
+    grown by that arc."""
+    agent, mask = max(
+        zip(state.agents, state.arc_masks()), key=lambda option: (option[1] & ~covered).bit_count()
+    )
+    return agent, covered | mask
 
 
 def find_covering_tuple(
@@ -228,7 +235,7 @@ def find_covering_tuple(
         union = 0
         sel: list[int] = []
         for options in per_epoch:
-            agent, mask = _draw(rng, options)
+            agent, mask = options[rng.below(len(options))]
             sel.append(agent)
             union |= mask
         if union == full:
@@ -467,17 +474,19 @@ def explore_detailed(
     first recovers a tree from the absence counts of a timeline prefix and
     runs at deficiency 2k. Epochs are laid out and run one at a time until
     the explorer has visited every vertex (see assemble_schedule), each
-    replaying the agent that attempt 1 of find_covering_tuple draws; the run
-    reads no step after its last epoch, so on a graph that
+    replaying the survivor that greedy_pick chooses, which needs no random
+    draw; the run reads no step after its last epoch, so on a graph that
     parse_temporal_graph reads on demand, the rest of the text is never
     read or checked. If a vertex is still unvisited after all rho epochs,
-    the Las Vegas search picks a covering tuple over them and the same loop
-    replays it. Raises InsufficientSnapshots when the timeline ends before an
-    epoch the run needs (every epoch up to rho, when the run falls back to
-    the search, and the whole tree-recovery prefix without a tree),
-    RepositionFailed when an epoch run cannot reach its agent's start, and
-    InvalidSchedule when the schedule fails verify_schedule, which every
-    run calls on its schedule before it returns.
+    the Las Vegas search (seeded by `strategy`) picks a covering tuple over
+    them and the same loop replays it; the stats' `attempts` is 1 for the
+    greedy tuple plus the search's draws. Raises InsufficientSnapshots when
+    the timeline ends before an epoch the run needs (every epoch up to rho,
+    when the run falls back to the search, and the whole tree-recovery
+    prefix without a tree), RepositionFailed when an epoch run cannot reach
+    its agent's start, and InvalidSchedule when the schedule fails
+    verify_schedule, which every run calls on its schedule before it
+    returns.
     """
     if not (0 <= start < graph.n):
         raise ValueError(f"start {start} out of range")
@@ -507,16 +516,21 @@ def explore_detailed(
     tour = build_dfs_tour(tree)
     laid_out = _lay_out_epochs(graph, tree, effective_k, delta, rho, budget)
     runs = ((epoch, run_roundabout(graph, tour, epoch.roundabout_times)) for epoch in laid_out)
-    rng = SplitMix64(strategy.seed)
-    schedule, replayed, cover = assemble_schedule(
-        graph, tour, runs, lambda j, trace: _draw(rng, trace.final.agents), start
-    )
+    covered = 0
+
+    def greedy(j: int, trace: RoundaboutTrace) -> int:
+        nonlocal covered
+        agent, covered = greedy_pick(covered, trace.final)
+        return agent
+
+    schedule, replayed, cover = assemble_schedule(graph, tour, runs, greedy, start)
     attempts = 1
     if cover is None:
-        # All rho epochs ran on attempt 1's draws and did not cover the tour;
-        # the search draws attempt 1 again, rejects it and goes on.
+        # The greedy tuple over all rho epochs is attempt 1 and missed a
+        # vertex; the search's draws are the attempts after it.
         epochs, traces, _ = zip(*replayed)
-        covering, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
+        covering, searched = find_covering_tuple(traces, tour.n_positions, strategy)
+        attempts += searched
         schedule, replayed, cover = assemble_schedule(
             graph, tour, zip(epochs, traces), lambda j, trace: covering[j], start
         )

@@ -1,10 +1,12 @@
 """Reference code the pipeline does not run, for tests to compare against.
 
-The full-plan schedule: every one of the rho epochs, the tuple the Las Vegas
-search returns, replayed over all of them. A pipeline run that stops at
-cover must be this schedule cut at the end of its last epoch whenever it
-replays that tuple: when the search's first draw covers the tour, and when
-the run falls back to the search.
+The full-plan schedule: every one of the rho epochs, with the greedy
+choice made over all of them, or the tuple the Las Vegas search returns
+when the greedy tuple leaves a vertex unvisited, replayed over all of them.
+The greedy choice of an epoch reads only the epochs before it, so a
+pipeline run that stops at cover must be this schedule cut at the end of
+its last epoch. The greedy choice itself, done the slow way: each
+survivor's arc as an explicit set of tour positions.
 
 The covering-tuple oracles: whether one tuple covers the tour, and the exact
 fraction of tuples that do (the paper's bound is at least 1/12).
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from tempex.core import (
     ConnectivityReport,
@@ -54,6 +56,7 @@ from tempex.scheduler import (
     partition_epochs,
     rho_for,
     step_budget,
+    verify_schedule,
 )
 from tempex.tour import DfsTour, build_dfs_tour
 
@@ -170,6 +173,26 @@ def exhaustive_covering_fraction(
     return Fraction(covering, total)
 
 
+def arc_positions(state: RoundaboutState, idx: int) -> frozenset[int]:
+    """Tour positions agent `idx` of the state has visited: its start and
+    the positions it has moved on to, counted one by one."""
+    n, agent = state.n_positions, state.agents[idx]
+    return frozenset((agent - 1 + i) % n + 1 for i in range(min(state.moves[idx] + 1, n)))
+
+
+def greedy_reference(
+    covered: frozenset[int], state: RoundaboutState
+) -> tuple[int, frozenset[int]]:
+    """The survivor adding the most positions outside `covered`, the
+    smallest start among those, and `covered` grown by its arc."""
+    arcs = [(state.agents[i], arc_positions(state, i)) for i in range(len(state.agents))]
+    agent, arc = min(arcs, key=lambda option: (-len(option[1] - covered), option[0]))
+    return agent, covered | arc
+
+
+Pick = Callable[[frozenset[int], RoundaboutState], tuple[int, frozenset[int]]]
+
+
 def full_plan_schedule(
     graph: TemporalGraph,
     tree: SpanningTree,
@@ -177,28 +200,53 @@ def full_plan_schedule(
     delta: int,
     start: int,
     strategy: LasVegas,
+    pick: Pick = greedy_reference,
 ) -> tuple[EpochPlan, Schedule, int]:
-    """(plan, schedule, attempts) over all rho epochs at deficiency k."""
+    """(plan, schedule, attempts) over all rho epochs at deficiency k.
+
+    `pick` chooses each epoch's survivor from the positions covered so far
+    (a set, empty at first). When the replay of its tuple leaves a vertex
+    unvisited, the Las Vegas search's tuple is replayed instead, and
+    attempts counts the search's draws after the pick's one tuple."""
     plan = partition_epochs(graph, tree, k, delta, rho_for(k), step_budget(graph.n, k))
     tour = build_dfs_tour(tree)
     traces = run_epoch_traces(graph, tour, plan)
-    choice, attempts = find_covering_tuple(traces, tour.n_positions, strategy)
-    actions = [None] * plan.epochs[-1].end
-    at = start
-    for number, (epoch, trace, agent) in enumerate(zip(plan.epochs, traces, choice), start=1):
-        route, at = _reposition_and_replay(graph, tour, number, epoch, trace, agent, at)
-        for t, move in route:
-            actions[t - 1] = move
-    return plan, Schedule(start, 1, tuple(actions)), attempts
+
+    def replay(choice: Sequence[int]) -> Schedule:
+        actions = [None] * plan.epochs[-1].end
+        at = start
+        for number, (epoch, trace, agent) in enumerate(zip(plan.epochs, traces, choice), start=1):
+            route, at = _reposition_and_replay(graph, tour, number, epoch, trace, agent, at)
+            for t, move in route:
+                actions[t - 1] = move
+        return Schedule(start, 1, tuple(actions))
+
+    covered: frozenset[int] = frozenset()
+    choice = []
+    for trace in traces:
+        agent, covered = pick(covered, trace.final)
+        choice.append(agent)
+    schedule = replay(choice)
+    if not verify_schedule(graph, start, schedule).unvisited:
+        return plan, schedule, 1
+    choice, searched = find_covering_tuple(traces, tour.n_positions, strategy)
+    return plan, replay(choice), 1 + searched
 
 
 def assert_cut_of_full_plan(
-    graph: TemporalGraph, run: PipelineRun, delta: int, start: int, strategy: LasVegas
+    graph: TemporalGraph,
+    run: PipelineRun,
+    delta: int,
+    start: int,
+    strategy: LasVegas,
+    pick: Pick = greedy_reference,
 ) -> Schedule:
-    """Assert that the run is the full-plan run cut after its last epoch; return
-    the full-plan schedule. The run and the reference must make the same
-    number of search attempts: one when the search's first draw covers."""
-    plan, full, attempts = full_plan_schedule(graph, run.tree, run.plan.k, delta, start, strategy)
+    """Assert that the run is the full-plan run under `pick` cut after its
+    last epoch; return the full-plan schedule. The run and the reference
+    must count the same attempts: one when the picked tuple covers."""
+    plan, full, attempts = full_plan_schedule(
+        graph, run.tree, run.plan.k, delta, start, strategy, pick
+    )
     assert attempts == run.stats.attempts
     j = len(run.plan.epochs)
     assert 1 <= j <= plan.rho == run.stats.rho

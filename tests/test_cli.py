@@ -69,6 +69,22 @@ class TestPipeline:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "valid"
 
+    def test_explore_seed_feeds_only_the_fallback_search(self, tmp_path):
+        graph, tree = gen_instance(tmp_path, 12, 2000, 1, 7)
+        outputs = []
+        for seed in ("1", "2"):
+            sched = tmp_path / f"sched-{seed}.txt"
+            proc = run_cli(
+                "explore", "--graph", str(graph), "--k", "1", "--tree", str(tree),
+                "--seed", seed, "--out", str(sched),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout)["attempts"] == 1
+            outputs.append((sched.read_text(), proc.stdout))
+        assert outputs[0] == outputs[1]
+        proc = run_cli("explore", "--help")
+        assert "seeds only the covering-tuple search" in " ".join(proc.stdout.split())
+
     def test_explore_without_tree(self, tmp_path):
         # lifetime 2q for n=5, k=1, delta=4: q = 90 * (4 + 3)
         graph, _ = gen_instance(tmp_path, 5, 2 * 90 * 7, 1, 3)

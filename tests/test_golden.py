@@ -3,7 +3,8 @@
 Refactors must leave every schedule, stats record and roundabout trace
 byte-identical; a changed hash here means behaviour changed. The full-plan
 schedule of each case is pinned too, and the pipeline's schedule must be it
-cut at an epoch end.
+cut at an epoch end; so are the traces of all the plan's epochs, which do
+not depend on which agent each epoch replays.
 """
 
 from __future__ import annotations
@@ -13,17 +14,19 @@ import json
 
 import pytest
 
-from reference import assert_cut_of_full_plan
+from reference import assert_cut_of_full_plan, run_epoch_traces
 from tempex.core import serialize_temporal_graph
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.scheduler import (
     LasVegas,
     explore_detailed,
+    partition_epochs,
     recovery_prefix,
     rho_for,
     serialize_schedule,
     step_budget,
 )
+from tempex.tour import build_dfs_tour
 
 
 def _witness_spec(n, k, seed, shape, rate=0.0, connectivity="per-snapshot", delta=None):
@@ -68,69 +71,72 @@ def fingerprint(name: str) -> tuple[str, str, str, str]:
     tree = result.tree if with_tree else None
     run = explore_detailed(result.graph, k, delta, start, tree, strategy)
     stats = json.dumps(run.stats.to_json_dict(), sort_keys=True)
-    traces = "\n".join(
-        f"epoch {i}: {line}"
-        for i, trace in enumerate(run.traces, start=1)
-        for line in trace.format_lines()
-    )
     instance = f"{serialize_temporal_graph(result.graph)}fallbacks {result.fallbacks}\n"
-    return _sha(instance), _sha(serialize_schedule(run.schedule)), _sha(stats), _sha(traces)
+    return _sha(instance), _sha(serialize_schedule(run.schedule)), _sha(stats), _traces_sha(run.traces)
+
+
+def _traces_sha(traces) -> str:
+    return _sha("\n".join(
+        f"epoch {i}: {line}"
+        for i, trace in enumerate(traces, start=1)
+        for line in trace.format_lines()
+    ))
 
 
 GOLDEN = {
     'blocking-front-k2': (
         'c9e13a57757aab10f1836d8e56538ff3c13837a18e9b68d6c04d2e4150d18f1f',
-        '7e2d30c1abbaa050c5a4574e1c12d947e3584bf0dfb0132e57f74a948a2b2e4b',
-        '0ce0acb9fddf030c6a48bfd62364f9737955ade49bb2a06306ece3f0b86bb4c9',
-        '739d6cde791c9cc86b98c9d8566aac6d6e637be4f9ca41e7690fc1de85d07ae4',
+        '52e811b17c086977c09ebf6b242aff47136dd5a3389ef5fe5afd462b628f557a',
+        '873bb9d3a2ce380ef4dce15ebc8e59541e69cdb45903ca0b8d7c8201b01bee03',
+        '323e016029c6324e1dd160b3d730c8efca76643002fd51d0d0e75efa38b60f49',
     ),
     'delta-only-k1': (
         '075bc8c63156545d66ec980a61211df25730184c28220badf86b9121288dd552',
-        '743e65c6799f0b61c4e8c65cea4593ae97b17ef0c32160f88414b8dee64fcd85',
-        '83ee34d4cbac150ea4f00624ccfaeb5f7da0bebbb74904068f3ee98a30a6f9fc',
-        'f0cd2711a48d38cbc1e7eec5fcc6dc19811673c71f66becac33bb4fdf86e0a08',
+        '12158668b352820d177455d78757107fd5a58c2fb09ddc956bc543efc94d0bd9',
+        '8fc0d6ad89b93fc5c3e968a22b7bccc0c501d8f6bb96bf1334b25c57c2b399fc',
+        '76012ec3dd6952409e8963413f27c7bf4ca6750c6bb53fc1cc983b62ad2a4ad8',
     ),
     'path-k1': (
         '1fe108b5eb131e96ac6842ea72f6495c978a77941657b9712bd70513d72edd2a',
-        'ff963f470af8138563403c562d6bf6b774af081661966e1b7926529c604da900',
-        '1261fdbe23134cd50000df544b6a1b5bef82b07e8dc7d87ba1d17edc5d810bdd',
-        'bf7c1c64b1822eb5db16ba44a19c6394113de544ef9ad4d99e3e035ff35c5eba',
+        'c6e3fa77f77bf18c3bae3770f806d7ab08286b057162cc1160a01022a73d6ca5',
+        '4eb0555643731b13f0672dd25202063819f23bafc6ecdb1145d38e485d6aa27f',
+        '529518b004ced62d32e2c48e326ae3c2334cf2213f6a13ebbd46957d7830f38a',
     ),
     'path-k2': (
         '2290277469cc42927ed8ffb1784c9c3d3af85433598b52ff31768f055ea06e51',
-        '9180c6ea08d8319072a4ee3bf38727a6971c068789585203fe1e304df2bf5902',
-        '82ef96ad515a81f9d380a5c453ecb3fd0e5b3269958d9cff0a78563874250843',
+        '05b16d77bf461349d77c79f43d454236b0862b04a4ff47ced86974275ea60fda',
+        'ae65503a12c4b07a73feaec0229a23e9824f41bf24f83b44a73c2b7c81473a21',
         '15d58348243abc9f6f626f2321ee427f17a557801dc5cbce7a41effbef41c79f',
     ),
     'random-k1': (
         'c0963fa625b0668e8b448758d0ac32de32e5213ecdfd96707cfef4b3432ff3e6',
-        '3ee340d00dd8c1cc3dd912164d74af0d0349aa9a1042e6dced0d0f80ebc2210e',
-        '89675ef36d4909116bf675e70a3cbd5b72b9f33b46efdccc8b11c1ae4443a5c1',
-        '1cb4068c7c1bed1fa8a44342d350d9c21eedb2ada25e16a6461db3dbe75e728e',
+        '764052954744d25f3642f096853d40f9442e57810cf783006ad56b8a268df0b7',
+        '633946d8e205d9deba923e9a0628fcc3a10d88c7dd7f1ff8da77b91d6b699563',
+        'a042e079522e223c74605617f8adaa9ea253183e1afd0b12726771cbb34714d8',
     ),
     'random-k3': (
         '3a2cb7c2f6c0512fbbe760996bcd69d775350e388e476e208a227870f9628f23',
-        '788222da6f2c475b342867336c4aadc9192f22b27f5b67e910dcb2ca8f1d5b8b',
-        'cde72c933b4cdad28a27b821d385cafb9b53a7119bb557da0aab082a7cc3daa7',
-        '24740005257aa0dbfa7cdfa78d52057b0ea42d95590ab5b1c955b4e9c6742a69',
+        '239e54de5df9bdb281eec523fffe1ddf5260b1aba1b465a4c289b5370de67ede',
+        'e7011f20167b23351619c9129edd51d108f64d595b7e69f5e2fe0a439ac0740a',
+        '2ccd187e12a7e9064b11925d69c23f292adbbb683a6599d97fd462193731125d',
     ),
     'recovery-random-k1': (
         'c75441cae26423e3b9b3e06cd6a1895de07ee35734f407af1f85c7e4c8e80900',
-        '94a6b84ec4914c83847e06c3d25fe18f99c3ef29287cfd8becc6cc16c6eb28be',
-        '6acdd78df4cb13a54250b6b4c293d3a87d1aeda6000103cbcbcf353819762072',
-        'd1887e4b011468cce64c2b1778cbd8f0c94abd3b53785f97b017a81bc04af944',
+        'aaf651ca41a57677f76a7f0a186385dfb5c62c1ac960c5d5b006ae4be5271072',
+        'ab3600eef67c3ab7d4a91ae197a2da350044278d6e81d8625d7dd1b50ca76cf5',
+        '7d20933bf1e7c0c69b917f74cb5f035e0cdff9ed65c56221336e51a1c5402e6c',
     ),
     'recovery-star-k1': (
         '4e48e7cb4c7f939def7711a3cedcc9069d17476c9994ef6e687f857169ba11bb',
-        '5dd1f3551b5632694f3d6097e24555f949cc3ce319fc1dc8d792f56b66fbad81',
-        '4f042e8c3150ae140b87aa61dde9d6b472da53d392af18a834857438c57823f7',
-        '19557cdeef6714025a88dfacc0a0777ca5c47029b7bd473e0b4419bb0e892c3f',
+        'cf96e9833983b50cdaa0b734991f53a7589d9ddc3a5446682e1df4395f3117a6',
+        '5a90e7b46099a6b1f749416bf5ec0072e0ce2db5609834289172465c6a1fafc9',
+        'ad160e2b879db7f9c6c2364e73c22dfa3c317333a70590dc383c01e0bd4f26f5',
     ),
     'star-k2': (
         '095f8507116ba23cd271a4f3f995136e4de6ba11d99d32a4d94e9e1867ddf8be',
-        '550472f0affe1dafbf9b35a7065791f1b3184a1e64f0c3c3e6136c1944b5ec7b',
-        '751189a9191f3d92a44fac62d9fb50eddd00c46019d72f6347230681fd1919b3',
-        'b2ee85ab63a50ad6763891bed02d9c229a8280867ab2929ce3210c2a4bb4281f',
+        'd7019b9f84618dc503b333ea3b18304a6a363e390c5e203506f79b8eb99d0ac1',
+        'f2be083af5729bc04c748da6d7cbcf49dd246561d60b5e18ecec2ef16ca43a0a',
+        '98b0417b59421704f59bb1a5727ff8befc601c9ce9e68b87917db9897a00196b',
     ),
     'two-vertex-k1': (
         '2679b36446610bde86f6ac14c22512842d9e9f4be3d039c1867f881c6ebc4911',
@@ -141,19 +147,35 @@ GOLDEN = {
 }
 
 # sha256 of each case's full-plan schedule (every one of the rho epochs,
-# reference.full_plan_schedule), the schedule the pipeline wrote before it
-# stopped at cover. The pipeline's schedule is this one cut at an epoch end.
+# reference.full_plan_schedule, under the greedy choice). The pipeline's
+# schedule is this one cut at an epoch end.
 FULL_PLAN_SCHEDULE = {
-    'blocking-front-k2': '5fa2193717f93a8d944bbd033b72ba66ccaf466a21244e9776b2710d9bb2de94',
-    'delta-only-k1': '6a3ae9e474c033ab8a09273cab2181b154fd1564d917d3d878841823629fd39b',
-    'path-k1': 'b2ccb9bb717570fd4b35ae35d46a9fd704327065cb46c742fb7b73c2ff6f5665',
-    'path-k2': '9832b3f0832bae5b8465db1159e831e6332f25aa80dd907dd17886a04280c0ec',
-    'random-k1': 'a6f646b4064d9a970a7c465633314d459cbd7350b19a357a88e7450ccdb7543d',
-    'random-k3': 'ab1615915b16d111fdd029e29d59636ebd19296a93e0853cc13615c5681638a0',
-    'recovery-random-k1': '361498625a8beef48eba91e46ebd65e3b4880c5bd1e0b39f11af98a63a01fdd7',
-    'recovery-star-k1': '1ebb676624f3225c009b53be047e9d5d7b6f6909e5fdb5c3a3760afbaed73f41',
-    'star-k2': 'a15a6eb62b4f298dc715c2a1150528035bdeba30e5187966f067c215e4188761',
+    'blocking-front-k2': 'aef3a8b0488b9222eb40fbd0953f3847d798bdffb7e23ca54c27a61553a34412',
+    'delta-only-k1': '8b6bc50defda22e7ddf1c295f098f34f76a693a542f7613964c9813d000df117',
+    'path-k1': 'dbd6cb11d44fadf20af07776f6d91676d83e349c2c1fbc25e50d9b1b4faa78f3',
+    'path-k2': '92e9097d0a2d84b239b2ea1d022d37488d59756d7c17251089efe2deec20b77a',
+    'random-k1': 'c0f48d933afff59e28cf849520116ddcdc9c8e8c3b949406b1e8e40cb67d08e5',
+    'random-k3': 'd3398fffbef10c490b5adc3fb7b43cf01b606cdf267ba4fac84610d66010238a',
+    'recovery-random-k1': 'c07e467b6203616e9f17dba058536607aff1ec73eedff3b07c4b376fc2353c8d',
+    'recovery-star-k1': '437916e467a4dc2cb68d1ccbd6d5c60e96d7da702e888aa9ed6cb36550e32686',
+    'star-k2': 'cbd9e1e1e72f381a40a3d21ae4180b5d3a9df1ae585e947c46899dd37cd95ee0',
     'two-vertex-k1': '2362168866138d172941bfdd4950713207b1b2afd6cf23edccac5bfd5108c542',
+}
+
+# sha256 of the roundabout traces of all rho epochs of each case's plan
+# (reference.run_epoch_traces), which no choice of agents can move. The
+# traces the pipeline recorded are the first ones of these.
+FULL_PLAN_TRACES = {
+    'blocking-front-k2': '4f1418f2df5eee655507e717353d7408b4ac05007e2a554f9c4d5d15a8cfe623',
+    'delta-only-k1': 'd2b17f66271a4c772a3ebf00c80e1354617753bf0cca4e09404e53a0c384294d',
+    'path-k1': '0dceb544f6bd0b8d1c400689cc26b80ed8cd9c570c750c5d96134987ff3b77b8',
+    'path-k2': '96be1772c612c604589743b0820dddd7df8794ba1dd9cb586349379aa6a2fff3',
+    'random-k1': '8a604b44c419e6b94f999e5487ffacaad569a28ccae3a5d8988bf9114ce6ed1f',
+    'random-k3': '8e4c18662a73444a403ce9c38fba315e83443d3ab9c46b91f03d9c3e0543ebe9',
+    'recovery-random-k1': 'f28e51a1b8633e948250c4ad7828f0720c1e194676598ae3b5f41e1f99bd6df3',
+    'recovery-star-k1': '7af527a431b7a5a762c0a80500ec3e92049801bf2fbdaf3b977a47232bd79964',
+    'star-k2': 'daccacf671be79d8abe07f96190b3fa46287d764a1701ff73bdd0b7de9dc3999',
+    'two-vertex-k1': 'e84dc43baf6486e41247dc811d3d21dadfe73c5de9f784ef04a4dc1a6f4e91ee',
 }
 
 
@@ -170,3 +192,7 @@ def test_schedule_is_the_full_plan_schedule_cut_at_an_epoch_end(name):
     full = assert_cut_of_full_plan(result.graph, run, delta, start, strategy)
     assert _sha(serialize_schedule(full)) == FULL_PLAN_SCHEDULE[name]
     assert len(run.plan.epochs) < run.stats.rho
+    plan = partition_epochs(result.graph, run.tree, run.plan.k, delta, run.stats.rho, run.stats.budget)
+    traces = run_epoch_traces(result.graph, build_dfs_tour(run.tree), plan)
+    assert _traces_sha(traces) == FULL_PLAN_TRACES[name]
+    assert list(run.traces) == traces[: len(run.traces)]

@@ -5,14 +5,16 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from reference import (
+    arc_positions,
     assert_cut_of_full_plan,
     checked_roundabout,
     exhaustive_covering_fraction,
     full_plan_schedule,
+    greedy_reference,
     is_covering_tuple,
     run_epoch_traces,
 )
@@ -28,7 +30,7 @@ from tempex.core import (
 )
 from tempex.gen import FAMILIES, GenSpec, gen_random_deficient
 from tempex.rng import SplitMix64
-from tempex.roundabout import run_roundabout
+from tempex.roundabout import RoundaboutState, run_roundabout
 from tempex.scheduler import (
     Epoch,
     InsufficientSnapshots,
@@ -41,6 +43,7 @@ from tempex.scheduler import (
     explore,
     explore_detailed,
     find_covering_tuple,
+    greedy_pick,
     paper_budget,
     parse_schedule,
     partition_epochs,
@@ -93,13 +96,26 @@ def zero_first_draws(monkeypatch):
     return arm
 
 
+def first_survivor(covered, state):
+    """A first-pass pick that replays each epoch's smallest start and leaves
+    `covered` as it is."""
+    return state.agents[0], covered
+
+
+@pytest.fixture
+def first_survivor_pass(monkeypatch):
+    """The pipeline's first pass replays each epoch's smallest start."""
+    monkeypatch.setattr(scheduler, "greedy_pick", first_survivor)
+
+
 def chord_path():
     """Path 0-1-2 whose every step lacks (1,2) and has the chord (0,2).
 
     Each epoch of the plan for k=1, delta=2 ends with survivors 3 (arc:
-    position 3) and 4 (positions 4, 1, 2). Zeroed first draws pick agent 3
-    in every epoch, whose start vertex 2 the explorer reaches over the
-    chord: vertex 1 stays unvisited.
+    position 3) and 4 (positions 4, 1, 2). The greedy pass replays agent 4,
+    then agent 3, and covers in epoch 2. Replaying the first survivor,
+    agent 3, in every epoch reaches its start vertex 2 over the chord:
+    vertex 1 stays unvisited.
     """
     tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
     return tree, TemporalGraph.build(3, [[(0, 1), (0, 2)]] * (rho_for(1) * 4))
@@ -252,6 +268,38 @@ class TestCoveringTuples:
             total *= len(s)
         assert fraction == Fraction(covering, total) == Fraction(1, 2)
         assert fraction >= Fraction(1, 12)
+
+
+class TestGreedyPick:
+    @given(data=st.data())
+    def test_matches_the_set_reference(self, data):
+        # survivors in ascending start order with any move counts, and any
+        # covered set: the pick adds the most new positions, is the smallest
+        # start among those, and grows the covered set by its arc
+        n = data.draw(st.integers(1, 40), label="positions")
+        agents = sorted(data.draw(st.sets(st.integers(1, n), min_size=1), label="agents"))
+        moves = data.draw(
+            st.lists(st.integers(0, n + 2), min_size=len(agents), max_size=len(agents)), label="moves"
+        )
+        covered = data.draw(st.integers(0, (1 << n) - 1), label="covered")
+        state = RoundaboutState(n, tuple(agents), tuple(moves))
+
+        def positions(mask):
+            return frozenset(p for p in range(1, n + 1) if mask >> (p - 1) & 1)
+
+        agent, grown = greedy_pick(covered, state)
+        assert (agent, positions(grown)) == greedy_reference(positions(covered), state)
+        gains = [len(arc_positions(state, i) - positions(covered)) for i in range(len(agents))]
+        assert agents[gains.index(max(gains))] == agent
+        assert grown == covered | state.arc_masks()[agents.index(agent)]
+
+    def test_ties_go_to_the_smallest_start(self):
+        # agents 2 and 4 each add three positions of the empty cover; once 2's
+        # arc is covered, 4 adds only position 1
+        state = RoundaboutState(4, (2, 4), (2, 2))
+        assert greedy_pick(0, state) == (2, 0b1110)
+        assert greedy_pick(0b1110, state) == (4, 0b1111)
+        assert greedy_pick(0b1111, state) == (2, 0b1111)
 
 
 class TestAssembleAndVerify:
@@ -551,8 +599,9 @@ class TestExplore:
         )
 
     def test_short_lifetime_fails_typed_with_tree(self, path3_tree):
-        # path3_full covers at step 7, in epoch 2; one step fewer cannot hold epoch 2
-        graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * 7)
+        # steps 1-4 lack (1, 2), so epoch 1 replays agent 4 over vertices 1 and 0
+        # and the run needs epoch 2, which seven steps cannot hold
+        graph = TemporalGraph.build(3, [[(0, 1)]] * 4 + [[(0, 1), (1, 2)]] * 3)
         with pytest.raises(InsufficientSnapshots) as exc:
             explore(graph, 1, 2, 0, tree=path3_tree)
         assert (exc.value.epoch, exc.value.found, exc.value.needed, exc.value.last_step) == (2, 1, 2, 7)
@@ -560,7 +609,7 @@ class TestExplore:
 
     def test_two_vertices_first_draw_covers(self):
         # two vertices: every epoch ends with one survivor whose arc covers
-        # the tour, so the first draw covers
+        # the tour, so the greedy pass covers
         graph = TemporalGraph.build(2, [[(0, 1)]] * (rho_for(1) * 2))
         tree = SpanningTree(2, frozenset({(0, 1)}))
         schedule, stats = explore(graph, 1, 1, 0, tree=tree, strategy=LasVegas())
@@ -658,8 +707,6 @@ class TestStopAtCover:
         shape = "random" if family == "random" else "path"
         result = FAMILIES[family](GenSpec(n=n, lifetime=lifetime, k=k, seed=seed, tree_shape=shape))
         graph, strategy = result.graph, LasVegas(seed=strategy_seed)
-        _, _, attempts = full_plan_schedule(graph, result.tree, k, delta, start, strategy)
-        assume(attempts == 1)
         run = explore_detailed(graph, k, delta, start, tree=result.tree, strategy=strategy)
         assert_cut_of_full_plan(graph, run, delta, start, strategy)
         assert verify_schedule(graph, start, run.schedule).ok
@@ -674,18 +721,20 @@ class TestStopAtCover:
         ends = [0] + [e.end for e in run.plan.epochs]
         assert ends[-2] < step <= ends[-1]
 
-    def test_uncovered_after_rho_epochs_falls_back_to_the_search(self, zero_first_draws):
-        # the epochs run and the search's first attempt both draw agent 3
+    def test_uncovered_after_rho_epochs_falls_back_to_the_search(
+        self, first_survivor_pass, zero_first_draws
+    ):
+        # the first pass and the search's first attempt both replay agent 3
         # throughout; the search's covering tuple is replayed until the visit
         # completes, through the same loop
         rho = rho_for(1)
         tree, graph = chord_path()
         strategy = LasVegas(seed=4)
-        zero_first_draws(2 * rho)
-        run = explore_detailed(graph, 1, 2, 0, tree=tree, strategy=strategy)
-        assert run.stats.attempts >= 2
         zero_first_draws(rho)
-        full = assert_cut_of_full_plan(graph, run, 2, 0, strategy)
+        run = explore_detailed(graph, 1, 2, 0, tree=tree, strategy=strategy)
+        assert run.stats.attempts >= 3
+        zero_first_draws(rho)
+        full = assert_cut_of_full_plan(graph, run, 2, 0, strategy, first_survivor)
         assert len(run.plan.epochs) == len(run.traces) == len(run.choice) < rho
         assert run.stats.epoch_count == len(run.plan.epochs)
         assert {trace.final.agents for trace in run.traces} == {(3, 4)}
@@ -696,18 +745,41 @@ class TestStopAtCover:
         assert ends[-2] < run.stats.cover_step <= ends[-1]
         assert not verify_schedule(graph, 0, replace(full, actions=full.actions[: ends[-2]])).ok
 
-    def test_exhausted_fallback_fails_typed_end_to_end(self, zero_first_draws, tmp_path, capsys, monkeypatch):
+    def test_a_forced_fallback_counts_the_greedy_tuple_and_each_search_draw(self, first_survivor_pass):
+        rho = rho_for(1)
+        tree, graph = chord_path()
+        strategy = LasVegas(seed=4)
+        run = explore_detailed(graph, 1, 2, 0, tree=tree, strategy=strategy)
+        plan = partition_epochs(graph, tree, 1, 2, rho, step_budget(3, 1))
+        traces = run_epoch_traces(graph, build_dfs_tour(tree), plan)
+        _, searched = find_covering_tuple(traces, 4, strategy)
+        assert run.stats.attempts == run.stats.to_json_dict()["attempts"] == 1 + searched
+        assert verify_schedule(graph, 0, run.schedule).ok
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_the_seed_is_unused_when_the_greedy_pass_covers(self, name):
+        build, k, delta, start, with_tree, _ = CASES[name]
+        result = build()
+        tree = result.tree if with_tree else None
+        runs = [explore_detailed(result.graph, k, delta, start, tree, LasVegas(seed)) for seed in (1, 2)]
+        assert runs[0].stats.attempts == runs[1].stats.attempts == 1
+        assert serialize_schedule(runs[0].schedule) == serialize_schedule(runs[1].schedule)
+        assert runs[0].stats == runs[1].stats
+
+    def test_exhausted_fallback_fails_typed_end_to_end(
+        self, first_survivor_pass, zero_first_draws, tmp_path, capsys, monkeypatch
+    ):
         rho = rho_for(1)
         tree, graph = chord_path()
         monkeypatch.setattr(scheduler, "MAX_ATTEMPTS", 1)
-        zero_first_draws(2 * rho)
+        zero_first_draws(rho)
         with pytest.raises(TupleSearchExhausted) as exc:
             explore_detailed(graph, 1, 2, 0, tree=tree, strategy=LasVegas(seed=4))
         assert exc.value.attempts == 1
         graph_file, tree_file = tmp_path / "chord.tg", tmp_path / "chord.tree"
         graph_file.write_text(serialize_temporal_graph(graph))
         tree_file.write_text(serialize_spanning_tree(tree))
-        zero_first_draws(2 * rho)
+        zero_first_draws(rho)
         code = main([
             "explore", "--graph", str(graph_file), "--k", "1", "--delta", "2", "--start", "0",
             "--tree", str(tree_file), "--seed", "4",
@@ -742,28 +814,30 @@ class TestStopAtCover:
 
     def test_repositioning_failure_after_the_cover_is_not_reached(self):
         # Path 0-1-2 whose steps lack (1,2) from step 9 on: no repositioning
-        # window after that reaches vertex 2. The full plan draws vertex 2 as a
-        # start in epoch 4; the run has covered the tour by the end of epoch 2.
+        # window after that reaches vertex 2. Epoch 3's survivors are 3 and 4,
+        # so the full plan, whose arcs cover the tour by then, replays the
+        # smallest start, 3, at vertex 2; the run has covered the tour in epoch 1.
         tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
         graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * 8 + [[(0, 1)]] * (rho_for(1) * 4 - 8))
         strategy = LasVegas(seed=0)
         with pytest.raises(RepositionFailed) as exc:
             full_plan_schedule(graph, tree, 1, 2, 0, strategy)
-        assert exc.value.epoch == 4
+        assert exc.value.epoch == 3
         run = explore_detailed(graph, 1, 2, 0, tree=tree, strategy=strategy)
-        assert (run.stats.epoch_count, run.stats.cover_step) == (2, 7)
+        assert (run.stats.epoch_count, run.stats.cover_step) == (1, 3)
         assert verify_schedule(graph, 0, run.schedule).ok
 
     def test_repositioning_failure_before_the_cover_still_raises(self):
-        # same graph, a draw whose epoch 3 needs vertex 2 before the tour is covered
+        # every step lacks (1,2): epoch 1 replays agent 4 over vertices 1 and 0,
+        # and epoch 2 needs agent 3's start, vertex 2, before the tour is covered
         tree = SpanningTree(3, frozenset({(0, 1), (1, 2)}))
-        graph = TemporalGraph.build(3, [[(0, 1), (1, 2)]] * 8 + [[(0, 1)]] * (rho_for(1) * 4 - 8))
+        graph = TemporalGraph.build(3, [[(0, 1)]] * (rho_for(1) * 4))
         with pytest.raises(RepositionFailed) as exc:
             explore_detailed(graph, 1, 2, 0, tree=tree, strategy=LasVegas(seed=1))
-        assert (exc.value.epoch, exc.value.target) == (3, 2)
-        # steps 9 and 10 lack (1, 2), so the walk reaches only 0 and 1
-        assert (exc.value.window, exc.value.reached) == ((9, 10), 2)
-        assert "window [9, 10]" in str(exc.value) and "reached 2 vertices" in str(exc.value)
+        assert (exc.value.epoch, exc.value.target) == (2, 2)
+        # steps 5 and 6 lack (1, 2), so the walk reaches only 0 and 1
+        assert (exc.value.window, exc.value.reached) == ((5, 6), 2)
+        assert "window [5, 6]" in str(exc.value) and "reached 2 vertices" in str(exc.value)
 
     def test_timeline_one_step_short_of_rho_epochs(self, path3_tree):
         # the first epoch already covers the path, so the run lays out no
@@ -775,13 +849,12 @@ class TestStopAtCover:
         assert len(run.plan.epochs) < rho
         assert explore_detailed(short, 1, 2, 0, tree=path3_tree).schedule == run.schedule
 
-    def test_fallback_needs_all_rho_epochs_to_fit(self, zero_first_draws):
+    def test_fallback_needs_all_rho_epochs_to_fit(self, first_survivor_pass):
         # the first pass never covers, so it runs into epoch rho, which one
         # step fewer than rho epochs cannot hold
         rho = rho_for(1)
         tree, graph = chord_path()
         short = TemporalGraph.build(3, list(graph.snapshots)[:-1])
-        zero_first_draws(rho)
         with pytest.raises(InsufficientSnapshots) as exc:
             explore_detailed(short, 1, 2, 0, tree=tree, strategy=LasVegas(seed=4))
         assert (exc.value.epoch, exc.value.found, exc.value.needed) == (rho, 1, 2)

@@ -19,6 +19,16 @@ def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
 def test_demo_pipeline_runs():
     proc = run_script("demo_pipeline.py")
     assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    covers = [line for line in lines if line.startswith("cover step ")]
+    assert len(covers) == 2
+    for line in covers:
+        _, _, step, _, _, budget, ratio = line.split()
+        assert 0 < int(step) <= int(budget)
+        assert ratio == f"({int(step) / int(budget):.3f})"
+    assert [line for line in lines if line.startswith("independent check: ")] == [
+        "independent check: valid"
+    ] * 2
 
 
 def test_bench_sweep_runs(tmp_path):
