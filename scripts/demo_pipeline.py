@@ -1,7 +1,8 @@
 """End-to-end walkthrough on one small instance.
 
 Generates a deficient instance, runs the pipeline twice (with the witness
-tree, and with tree recovery), prints the step by which each run has visited
+tree, and with tree recovery, naming where the recovered tree came from and
+the deficiency its run used), prints the step by which each run has visited
 every vertex against the paper's span bound, checks both schedules again
 independently of the pipeline's own check, and compares the schedule
 lengths against the exact brute-force optimum.
@@ -23,6 +24,7 @@ from tempex.scheduler import (
     ExploreStats,
     LasVegas,
     explore,
+    explore_detailed,
     recovery_prefix,
     verify_schedule,
 )
@@ -63,9 +65,10 @@ def main() -> int:
     print_cover(stats)
     print(f"independent check: {report.describe()}")
 
-    schedule2, stats2 = explore(result.graph, k, delta, 0, strategy=LasVegas(seed=seed))
+    recovered = explore_detailed(result.graph, k, delta, 0, strategy=LasVegas(seed=seed))
+    schedule2, stats2 = recovered.schedule, recovered.stats
     report2 = verify_schedule(result.graph, 0, schedule2)
-    print("\nwith recovered tree (doubled deficiency):")
+    print(f"\nwith recovered tree (source {stats2.tree_source}, deficiency {recovered.plan.k} of at most {2 * k}):")
     print(json.dumps(stats2.to_json_dict(), indent=2, sort_keys=True))
     print_cover(stats2)
     print(f"independent check: {report2.describe()}")

@@ -15,6 +15,12 @@ same choice cut at an epoch end. When a vertex is still unvisited after
 epoch rho, the Las Vegas search picks a tuple whose visited arcs jointly
 cover the whole tour, and the same loop replays the rho runs it already
 made with that tuple, again stopping at cover.
+
+Without a witness tree, the run first takes the minimum-absence tree of the
+first chunk of steps and runs at the deficiency k' (at most 2k) those steps
+show against it, reading no step past the paper's 2k budget. Only when that
+run cannot finish does it fall back to the paper's path: the tree certified
+over the 2q recovery prefix, at deficiency 2k.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from . import core
 from .core import (
     ParseError,
     Route,
@@ -36,7 +43,7 @@ from .core import (
 from .rng import SplitMix64
 from .roundabout import RoundaboutState, RoundaboutTrace, run_roundabout
 from .tour import DfsTour, build_dfs_tour
-from .treefind import find_good_tree
+from .treefind import DisconnectedGraph, find_good_tree, minimum_weight_spanning_tree
 
 Action = Optional[tuple[int, int]]  # None = wait, (u, v) = traverse from u to v
 MAX_ATTEMPTS = 10_000  # covering-tuple draws before the search gives up
@@ -49,7 +56,9 @@ class InsufficientSnapshots(Exception):
     any kind; epochs 1.. need `needed` k-deficient snapshots after their
     repositioning window, and are laid out only when the run reaches them, so
     a timeline too short for rho epochs fails only if the run gets that far.
-    `last_step` is the step where the timeline ends.
+    `last_step` is the last step the run may read: where the timeline ends,
+    or, on a run with a tree from the first chunk, the paper's 2k budget if
+    that comes first (such a run falls back, and this never reaches a caller).
     """
 
     def __init__(self, epoch: int, found: int, needed: int, last_step: int) -> None:
@@ -154,32 +163,34 @@ def _lay_out_epochs(
     delta: int,
     rho: int,
     budget: int,
+    last_step: int,
 ) -> Iterator[Epoch]:
     """Greedy left-to-right epoch layout, one epoch per step of the iteration.
 
     Each epoch reserves delta steps for repositioning, then extends until
     `budget` snapshots k-deficient with respect to the tree have accumulated;
-    only the steps an epoch lays out after its window are read. Raises
-    InsufficientSnapshots when the timeline ends before the next epoch fits.
-    Greedy is prefix-optimal: it succeeds whenever any partition does.
+    only the steps an epoch lays out after its window are read, and none
+    after `last_step`. Raises InsufficientSnapshots when the next epoch does
+    not fit by `last_step`. Greedy is prefix-optimal: it succeeds whenever
+    any partition does.
     """
-    if delta < 1 or rho < 1 or budget < 0 or k < 0:
+    if delta < 1 or rho < 1 or budget < 0 or k < 0 or not 1 <= last_step <= graph.lifetime:
         raise ValueError("bad epoch parameters")
     cursor = 1
     for e in range(1, rho + 1):
         reposition_end = cursor + delta - 1
-        if reposition_end > graph.lifetime:
-            raise InsufficientSnapshots(e, 0, budget, graph.lifetime)
+        if reposition_end > last_step:
+            raise InsufficientSnapshots(e, 0, budget, last_step)
         times: list[int] = []
         if budget:
-            steps = range(reposition_end + 1, graph.lifetime + 1)
+            steps = range(reposition_end + 1, last_step + 1)
             for t, lacked in zip(steps, graph.missing(tree.edges, steps)):
                 if len(lacked) <= k:
                     times.append(t)
                     if len(times) == budget:
                         break
         if len(times) < budget:
-            raise InsufficientSnapshots(e, len(times), budget, graph.lifetime)
+            raise InsufficientSnapshots(e, len(times), budget, last_step)
         end = times[-1] if times else reposition_end
         yield Epoch(cursor, reposition_end, end, tuple(times))
         cursor = end + 1
@@ -193,8 +204,8 @@ def partition_epochs(
     rho: int,
     budget: int,
 ) -> EpochPlan:
-    """All rho epochs of :func:`_lay_out_epochs` at once."""
-    return EpochPlan(tuple(_lay_out_epochs(graph, tree, k, delta, rho, budget)), rho, k)
+    """All rho epochs of :func:`_lay_out_epochs` at once, over the whole timeline."""
+    return EpochPlan(tuple(_lay_out_epochs(graph, tree, k, delta, rho, budget, graph.lifetime)), rho, k)
 
 
 @dataclass(frozen=True)
@@ -414,8 +425,11 @@ def verify_schedule(graph: TemporalGraph, start: int, schedule: Schedule) -> Ver
 @dataclass(frozen=True)
 class ExploreStats:
     """What a run did. `rho` is the paper's epoch count and `paper_budget`
-    its span bound rho*(delta+t); `epoch_count` counts the epochs replayed, and
-    `cover_step` is the step by which every vertex has been visited."""
+    its span bound rho*(delta+t), both at the deficiency the run used;
+    `epoch_count` counts the epochs replayed, and `cover_step` is the step by
+    which every vertex has been visited. `tree_source` says where the run's
+    tree came from: "given" (a witness), "chunk" (the first chunk of steps)
+    or "certified" (find_good_tree over the recovery prefix)."""
 
     rho: int
     budget: int
@@ -425,6 +439,7 @@ class ExploreStats:
     length: int
     paper_budget: int
     cover_step: Optional[int]
+    tree_source: str
 
     @property
     def epoch_count(self) -> int:
@@ -441,6 +456,7 @@ class ExploreStats:
             "scheduleLength": self.length,
             "paperBudget": self.paper_budget,
             "coverStep": self.cover_step,
+            "treeSource": self.tree_source,
         }
 
 
@@ -470,21 +486,28 @@ def explore_detailed(
 ) -> PipelineRun:
     """Compute an exploration schedule from `start`, keeping intermediates.
 
-    With a witness tree the pipeline runs at deficiency k; without one it
-    first recovers a tree from the absence counts of a timeline prefix and
-    runs at deficiency 2k. Epochs are laid out and run one at a time until
-    the explorer has visited every vertex (see assemble_schedule), each
-    replaying the survivor that greedy_pick chooses, which needs no random
-    draw; the run reads no step after its last epoch, so on a graph that
-    parse_temporal_graph reads on demand, the rest of the text is never
-    read or checked. If a vertex is still unvisited after all rho epochs,
-    the Las Vegas search (seeded by `strategy`) picks a covering tuple over
-    them and the same loop replays it; the stats' `attempts` is 1 for the
-    greedy tuple plus the search's draws. Raises InsufficientSnapshots when
-    the timeline ends before an epoch the run needs (every epoch up to rho,
-    when the run falls back to the search, and the whole tree-recovery
-    prefix without a tree), RepositionFailed when an epoch run cannot reach
-    its agent's start, and InvalidSchedule when the schedule fails
+    With a witness tree the pipeline runs at deficiency k. Without one it
+    first takes Kruskal's minimum-absence tree over the first `READ_CHUNK`
+    steps and runs at k', the largest deficiency those steps show against
+    it, at least 1 and at most 2k, reading no step past paper_budget(n, 2k,
+    delta). If the chunk's edges do not connect the graph, or that run runs
+    out of steps or exhausts its search, the run falls back to the paper's
+    path: the tree find_good_tree certifies over the 2q recovery prefix, at
+    deficiency 2k. The stats' `tree_source` names the tree used.
+
+    Epochs are laid out and run one at a time until the explorer has visited
+    every vertex (see assemble_schedule), each replaying the survivor that
+    greedy_pick chooses, which needs no random draw; the run reads no step
+    after its last epoch, and none after the first chunk before it, so on a
+    graph that parse_temporal_graph reads on demand, the rest of the text is
+    never read or checked. If a vertex is still unvisited after all rho
+    epochs, the Las Vegas search (seeded by `strategy`) picks a covering
+    tuple over them and the same loop replays it; the stats' `attempts` is 1
+    for the greedy tuple plus the search's draws. Raises InsufficientSnapshots
+    when the timeline ends before an epoch the run needs (every epoch up to
+    rho, when the run falls back to the search), or, without a tree, before
+    the 2q recovery prefix ends; RepositionFailed when an epoch run cannot
+    reach its agent's start; and InvalidSchedule when the schedule fails
     verify_schedule, which every run calls on its schedule before it
     returns.
     """
@@ -499,22 +522,44 @@ def explore_detailed(
     if strategy is None:
         strategy = LasVegas()
     if graph.n == 1:
-        stats = ExploreStats(0, 0, (), 0, 0, 0, 0, 0)
+        stats = ExploreStats(0, 0, (), 0, 0, 0, 0, 0, "chunk" if tree is None else "given")
         return PipelineRun(Schedule(start, 1, ()), stats, None, None, (), ())
+    if tree is not None:
+        return _run_with_tree(graph, tree, k, delta, start, strategy, graph.lifetime, "given")
 
-    if tree is None:
-        q = recovery_prefix(graph.n, k, delta)
-        if 2 * q > graph.lifetime:
-            raise InsufficientSnapshots(0, graph.lifetime, 2 * q, graph.lifetime)
-        tree = find_good_tree(graph, q)
-        effective_k = 2 * k
-    else:
-        effective_k = k
+    q = recovery_prefix(graph.n, k, delta)
+    if 2 * q > graph.lifetime:
+        raise InsufficientSnapshots(0, graph.lifetime, 2 * q, graph.lifetime)
+    chunk = range(1, min(core.READ_CHUNK, 2 * q) + 1)
+    try:
+        tree = minimum_weight_spanning_tree(graph.n, graph.absences(len(chunk)))
+        shown = max(map(len, graph.missing(tree.edges, chunk)))
+        last_step = min(graph.lifetime, paper_budget(graph.n, 2 * k, delta))
+        return _run_with_tree(
+            graph, tree, min(2 * k, max(1, shown)), delta, start, strategy, last_step, "chunk"
+        )
+    except (DisconnectedGraph, InsufficientSnapshots, TupleSearchExhausted):
+        pass
+    tree = find_good_tree(graph, q)
+    return _run_with_tree(graph, tree, 2 * k, delta, start, strategy, graph.lifetime, "certified")
 
-    rho = rho_for(effective_k)
-    budget = step_budget(graph.n, effective_k)
+
+def _run_with_tree(
+    graph: TemporalGraph,
+    tree: SpanningTree,
+    k: int,
+    delta: int,
+    start: int,
+    strategy: LasVegas,
+    last_step: int,
+    tree_source: str,
+) -> PipelineRun:
+    """explore_detailed's run with `tree` at deficiency k, reading no step
+    after `last_step`."""
+    rho = rho_for(k)
+    budget = step_budget(graph.n, k)
     tour = build_dfs_tour(tree)
-    laid_out = _lay_out_epochs(graph, tree, effective_k, delta, rho, budget)
+    laid_out = _lay_out_epochs(graph, tree, k, delta, rho, budget, last_step)
     runs = ((epoch, run_roundabout(graph, tour, epoch.roundabout_times)) for epoch in laid_out)
     covered = 0
 
@@ -545,10 +590,11 @@ def explore_detailed(
         attempts,
         schedule.span,
         schedule.length,
-        paper_budget(graph.n, effective_k, delta),
+        paper_budget(graph.n, k, delta),
         cover,
+        tree_source,
     )
-    return PipelineRun(schedule, stats, tree, EpochPlan(epochs, rho, effective_k), traces, choice)
+    return PipelineRun(schedule, stats, tree, EpochPlan(epochs, rho, k), traces, choice)
 
 
 def explore(

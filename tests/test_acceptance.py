@@ -5,6 +5,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the pass lines.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from tempex.rng import SplitMix64
 from tempex.scheduler import (
     LasVegas,
     explore_detailed,
+    paper_budget,
     partition_epochs,
     recovery_prefix,
     rho_for,
@@ -165,7 +167,9 @@ def test_criterion_4_end_to_end_with_witness_tree():
 
 
 def test_criterion_5_end_to_end_without_witness_tree():
-    """50 instances, tree recovered from the prefix, doubled deficiency pipeline."""
+    """50 instances, tree recovered from the first chunk (or, failing that,
+    certified over the prefix) and run at the deficiency it shows, at most 2k."""
+    sources = Counter()
     for i in range(50):
         k = 2 if i % 3 == 0 else 1
         n = (6 + i % 5) if k == 2 else (5 + i % 10)
@@ -178,10 +182,15 @@ def test_criterion_5_end_to_end_without_witness_tree():
                        extra_edge_rate=0.1 if n <= 10 else 0.05)
         result = gen_random_deficient(spec)
         run = explore_detailed(result.graph, k, delta, 0, strategy=LasVegas(seed=i))
-        assert run.stats.rho == rho_for(2 * k)
+        assert run.plan.k <= 2 * k
+        assert run.stats.rho == rho_for(run.plan.k)
+        assert all(c <= 6 * run.plan.k for c in run.stats.active_counts)
+        assert run.stats.cover_step <= paper_budget(n, 2 * k, delta)
         report = verify_schedule(result.graph, 0, run.schedule)
         assert report.ok, report.describe()
-    _passed(5, f"50 instances verified; rho(k=1)={rho_for(2)}, rho(k=2)={rho_for(4)}")
+        sources[run.stats.tree_source] += 1
+    _passed(5, f"50 instances verified; {sources['chunk']} ran the first chunk's tree, "
+               f"{sources['certified']} the certified one; cover step within rho(2k)*(delta+t)")
 
 
 def test_criterion_6_q_of_2q_guarantee():

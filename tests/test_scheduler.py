@@ -19,12 +19,13 @@ from reference import (
     run_epoch_traces,
 )
 from test_golden import CASES
-from tempex import scheduler
+from tempex import core, scheduler
 from tempex.cli import main
 from tempex.core import (
     ParseError,
     SpanningTree,
     TemporalGraph,
+    parse_temporal_graph,
     serialize_spanning_tree,
     serialize_temporal_graph,
 )
@@ -54,6 +55,7 @@ from tempex.scheduler import (
     verify_schedule,
 )
 from tempex.tour import build_dfs_tour
+from tempex.treefind import minimum_weight_spanning_tree
 
 
 @pytest.fixture
@@ -94,6 +96,24 @@ def zero_first_draws(monkeypatch):
         monkeypatch.setattr(SplitMix64, "below", below)
 
     return arm
+
+
+@pytest.fixture
+def asked(monkeypatch):
+    """The steps TemporalGraph.missing is asked about from now on, in order."""
+    steps_asked: list[int] = []
+    original = TemporalGraph.missing
+
+    def missing(self, tree_edges, steps):
+        def recorded():
+            for t in steps:
+                steps_asked.append(t)
+                yield t
+
+        return original(self, tree_edges, recorded())
+
+    monkeypatch.setattr(TemporalGraph, "missing", missing)
+    return steps_asked
 
 
 def first_survivor(covered, state):
@@ -181,29 +201,28 @@ class TestPartition:
         assert [(e.start, e.end) for e in plan.epochs] == [(1, 2), (3, 4), (5, 6)]
 
     @pytest.mark.parametrize("budget", [0, 2])
-    def test_reads_only_the_steps_it_lays_out(self, monkeypatch, path3_tree, budget):
+    def test_reads_only_the_steps_it_lays_out(self, asked, path3_tree, budget):
         # no step of a repositioning window, and none after the last epoch,
         # is asked for its missing tree edges
         full = [(0, 1), (1, 2)]
         graph = TemporalGraph.build(3, [full, full, [], full, full, full, [], [], full] + [full] * 6)
-        read: list[int] = []
-        original = TemporalGraph.missing
-
-        def missing(self, tree_edges, steps):
-            def recorded():
-                for t in steps:
-                    read.append(t)
-                    yield t
-
-            return original(self, tree_edges, recorded())
-
-        monkeypatch.setattr(TemporalGraph, "missing", missing)
         plan = partition_epochs(graph, path3_tree, 1, 2, 2, budget)
         windows = {t for e in plan.epochs for t in range(e.start, e.reposition_end + 1)}
-        assert windows.isdisjoint(read)
-        assert read == [t for e in plan.epochs for t in range(e.reposition_end + 1, e.end + 1)]
+        assert windows.isdisjoint(asked)
+        assert asked == [t for e in plan.epochs for t in range(e.reposition_end + 1, e.end + 1)]
         if budget:
             assert [e.roundabout_times for e in plan.epochs] == [(4, 5), (9, 10)]
+
+    def test_reads_no_step_after_its_last_step(self, asked, path3_tree):
+        # epoch 2 fits by step 10, but the layout may read only through step
+        # 9, where it fails as a timeline of 9 steps does
+        full = [(0, 1), (1, 2)]
+        graph = TemporalGraph.build(3, [full, full, [], full, full, full, [], [], full, full])
+        with pytest.raises(InsufficientSnapshots) as exc:
+            list(scheduler._lay_out_epochs(graph, path3_tree, 1, 2, 2, 2, 9))
+        assert (exc.value.epoch, exc.value.found, exc.value.needed, exc.value.last_step) == (2, 1, 2, 9)
+        assert asked == [3, 4, 5, 8, 9]
+        assert partition_epochs(graph, path3_tree, 1, 2, 2, 2).epochs[1].roundabout_times == (9, 10)
 
 
 class TestCoveringTuples:
@@ -491,8 +510,9 @@ class TestExplore:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_replayed_epoch_of_a_golden_case_keeps_the_invariants(self, name):
         # rerun each epoch the pipeline replayed with every per-step property
-        # and the 6k survivor bound asserted, at the deficiency it ran at (2k
-        # on the recovery cases), and match the trace it recorded
+        # and the 6k survivor bound asserted, at the deficiency it ran at (the
+        # one its first chunk shows on the recovery cases), and match the
+        # trace it recorded
         build, k, delta, start, with_tree, strategy = CASES[name]
         result = build()
         run = explore_detailed(result.graph, k, delta, start, result.tree if with_tree else None, strategy)
@@ -503,45 +523,121 @@ class TestExplore:
         ]
         assert checked == list(run.traces)
 
-    def test_without_tree_uses_doubled_deficiency(self):
+    def test_without_tree_runs_the_chunk_tree_and_reads_no_step_after_it(self, asked):
+        # Kruskal over the first chunk's absences gives the witness tree, and
+        # the run takes the deficiency the chunk shows against it (here 1 =
+        # k, not 2k); it asks no deficiency after the chunk and its last
+        # epoch, and a parsed text is read no further than those steps' chunk
         n, k = 6, 1
         delta = n - 1
         q = recovery_prefix(n, k, delta)
         spec = GenSpec(n=n, lifetime=2 * q, k=k, seed=11, tree_shape="random",
                        connectivity="per-snapshot", extra_edge_rate=0.15)
         result = gen_random_deficient(spec)
-        schedule, stats = explore(result.graph, k, delta, 2, strategy=LasVegas(seed=7))
+        chunk_tree = minimum_weight_spanning_tree(n, result.graph.absences(core.READ_CHUNK))
+        shown = max(map(len, result.graph.missing(chunk_tree.edges, range(1, core.READ_CHUNK + 1))))
+        asked.clear()
+        run = explore_detailed(result.graph, k, delta, 2, strategy=LasVegas(seed=7))
+        stats = run.stats
+        assert (stats.tree_source, run.tree, run.plan.k, shown) == ("chunk", chunk_tree, 1, 1)
+        assert chunk_tree == result.tree
+        assert stats.rho == rho_for(1) == 33
+        assert stats.budget == step_budget(n, 1)
+        assert stats.paper_budget == paper_budget(n, 1, delta)
+        assert stats.cover_step <= stats.span <= paper_budget(n, 2 * k, delta)
+        assert all(c <= 6 * run.plan.k for c in stats.active_counts)
+        assert verify_schedule(result.graph, 2, run.schedule).ok
+        last_read = max(core.READ_CHUNK, run.plan.epochs[-1].end)
+        assert max(asked) <= last_read < 2 * q
+        parsed = parse_temporal_graph(serialize_temporal_graph(result.graph))
+        assert explore_detailed(parsed, k, delta, 2, strategy=LasVegas(seed=7)) == run
+        chunks_read = -(-last_read // core.READ_CHUNK) * core.READ_CHUNK
+        assert repr(parsed).endswith(f"steps read={chunks_read} of {2 * q})")
+
+    def test_without_tree_chunk_deficiency_is_at_most_2k(self):
+        # step 2 of the chunk lacks all 5 edges of its path tree; the run
+        # takes 2k, not 5, and skips that step
+        n, k = 6, 1
+        delta = n - 1
+        path = [(v, v + 1) for v in range(n - 1)]
+        graph = TemporalGraph.build(n, [path, []] + [path] * (2 * recovery_prefix(n, k, delta) - 2))
+        run = explore_detailed(graph, k, delta, 0)
+        assert (run.stats.tree_source, run.tree.edges, run.plan.k) == ("chunk", frozenset(path), 2 * k)
+        assert run.stats.rho == rho_for(2 * k)
+        assert verify_schedule(graph, 0, run.schedule).ok
+
+    @pytest.mark.parametrize("chunk_edges", [
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)],  # a path lacking 4 star edges
+        [(0, 1), (0, 2), (0, 3), (0, 4)],  # the star without (0, 5): no tree
+    ], ids=["path", "disconnected"])
+    def test_without_tree_falls_back_to_doubled_deficiency(self, chunk_edges):
+        # the first chunk of steps holds only `chunk_edges`, every later step
+        # the star; delta >= READ_CHUNK, so every roundabout step comes after
+        # the chunk. The chunk's tree, when its edges connect, is a path that
+        # lacks 4 edges in every later step, so its run finds no 1-deficient
+        # step within the 2k budget. Either way the run falls back to the
+        # star that find_good_tree certifies, at deficiency 2k
+        n, k, delta = 6, 1, 200
+        assert delta >= core.READ_CHUNK
+        q = recovery_prefix(n, k, delta)
+        star = [(0, v) for v in range(1, n)]
+        graph = TemporalGraph.build(n, [chunk_edges] * core.READ_CHUNK + [star] * (2 * q - core.READ_CHUNK))
+        run = explore_detailed(graph, k, delta, 0, strategy=LasVegas(seed=7))
+        stats = run.stats
+        assert (stats.tree_source, run.tree.edges, run.plan.k) == ("certified", frozenset(star), 2 * k)
+        assert stats.to_json_dict()["treeSource"] == "certified"
         assert stats.rho == rho_for(2 * k) == 90
         assert stats.budget == step_budget(n, 2 * k)
         assert stats.span <= stats.paper_budget == paper_budget(n, 2 * k, delta)
         assert stats.paper_budget == rho_for(2 * k) * (delta + step_budget(n, 2 * k))
-        assert verify_schedule(result.graph, 2, schedule).ok
+        assert all(c <= 6 * 2 * k for c in stats.active_counts)
+        assert verify_schedule(graph, 0, run.schedule).ok
 
-    def test_without_tree_reads_no_deficiency_after_the_last_epoch(self, monkeypatch):
-        # tree recovery counts absences over the 2q prefix until its tree is
-        # certified, but asks no deficiency; only the epochs do, and none
-        # after the last one run
+    def test_without_tree_chunk_run_reads_no_step_past_the_2k_budget(self):
+        # the first chunk and every step after paper_budget(n, 2k, delta) hold
+        # a path, the steps between them a star: the chunk's path is 0-deficient
+        # only where its run may not read, so the run falls back. The instance
+        # is 1-deficient for no tree, so the paper promises nothing; the
+        # certified run, over the 2q prefix, takes the path and ends later
+        n, k, delta = 6, 1, 200
+        q = recovery_prefix(n, k, delta)
+        budget = paper_budget(n, 2 * k, delta)
+        path = [(v, v + 1) for v in range(n - 1)]
+        star = [(0, v) for v in range(1, n)]
+        snapshots = [path] * core.READ_CHUNK + [star] * (budget - core.READ_CHUNK) + [path] * (2 * q - budget)
+        graph = TemporalGraph.build(n, snapshots)
+        run = explore_detailed(graph, k, delta, 0)
+        assert (run.stats.tree_source, run.tree.edges, run.plan.k) == ("certified", frozenset(path), 2 * k)
+        assert run.stats.cover_step > budget
+        assert verify_schedule(graph, 0, run.schedule).ok
+
+    def test_without_tree_falls_back_when_the_chunk_search_gives_up(self, monkeypatch):
+        # the chunk tree's greedy pass is made to miss a vertex and its search
+        # to give up; the certified run covers on its greedy pass
         n, k = 6, 1
         delta = n - 1
         q = recovery_prefix(n, k, delta)
         spec = GenSpec(n=n, lifetime=2 * q, k=k, seed=11, tree_shape="random",
                        connectivity="per-snapshot", extra_edge_rate=0.15)
-        result = gen_random_deficient(spec)
-        asked = []
-        missing = TemporalGraph.missing
+        graph = gen_random_deficient(spec).graph
+        assemble = scheduler.assemble_schedule
+        calls = []
 
-        def counting(graph, tree_edges, steps):
-            def record():
-                for t in steps:
-                    asked.append(t)
-                    yield t
-            return missing(graph, tree_edges, record())
+        def first_misses(*args):
+            schedule, replayed, cover = assemble(*args)
+            calls.append(cover)
+            return schedule, replayed, cover if len(calls) > 1 else None
 
-        monkeypatch.setattr(TemporalGraph, "missing", counting)
-        run = explore_detailed(result.graph, k, delta, 2, strategy=LasVegas(seed=7))
-        last_end = run.plan.epochs[-1].end
-        assert last_end < 2 * q
-        assert asked and max(asked) <= last_end
+        def exhausted(traces, n_positions, strategy):
+            raise TupleSearchExhausted(1)
+
+        monkeypatch.setattr(scheduler, "assemble_schedule", first_misses)
+        monkeypatch.setattr(scheduler, "find_covering_tuple", exhausted)
+        run = explore_detailed(graph, k, delta, 2, strategy=LasVegas(seed=7))
+        assert len(calls) == 2
+        assert (run.stats.tree_source, run.plan.k, run.stats.rho) == ("certified", 2 * k, rho_for(2 * k))
+        assert run.stats.attempts == 1
+        assert verify_schedule(graph, 2, run.schedule).ok
 
     def test_deterministic_output(self):
         spec = GenSpec(n=7, lifetime=rho_for(2) * (6 + 3), k=2, seed=1,
@@ -684,9 +780,34 @@ class TestExplore:
         _, stats = explore(graph, 1, 2, 0, tree=path3_tree)
         assert set(stats.to_json_dict()) == {
             "rho", "t", "epochs", "activeCounts", "attempts", "scheduleSpan", "scheduleLength",
-            "paperBudget", "coverStep",
+            "paperBudget", "coverStep", "treeSource",
         }
         assert stats.to_json_dict()["paperBudget"] == rho_for(1) * (2 + step_budget(3, 1))
+        assert stats.to_json_dict()["treeSource"] == "given"
+
+
+class TestWithoutTree:
+    @given(
+        n=st.integers(3, 10),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 10_000),
+        shape=st.sampled_from(["path", "star", "random"]),
+        rate=st.sampled_from([0.0, 0.1, 0.3]),
+    )
+    def test_every_run_verifies_within_the_2k_budget(self, n, k, seed, shape, rate):
+        # whichever tree a run takes, it keeps the paper's guarantees for its
+        # deficiency, ends by the 2k budget, and draws nothing on its greedy pass
+        delta = n - 1
+        spec = GenSpec(n=n, lifetime=2 * recovery_prefix(n, k, delta), k=k, seed=seed,
+                       tree_shape=shape, extra_edge_rate=rate)
+        graph = gen_random_deficient(spec).graph
+        run, other = (explore_detailed(graph, k, delta, 0, strategy=LasVegas(seed=s)) for s in (1, 2))
+        assert verify_schedule(graph, 0, run.schedule).ok
+        assert run.stats.cover_step <= paper_budget(n, 2 * k, delta)
+        assert run.plan.k <= 2 * k
+        assert run.stats.rho == rho_for(run.plan.k)
+        assert all(c <= 6 * run.plan.k for c in run.stats.active_counts)
+        assert serialize_schedule(other.schedule) == serialize_schedule(run.schedule)
 
 
 class TestStopAtCover:

@@ -29,6 +29,8 @@ def test_demo_pipeline_runs():
     assert [line for line in lines if line.startswith("independent check: ")] == [
         "independent check: valid"
     ] * 2
+    # seed 0's first chunk gives the witness tree, which the chunk shows 1-deficient
+    assert "with recovered tree (source chunk, deficiency 1 of at most 2):" in lines
 
 
 def test_bench_sweep_runs(tmp_path):
