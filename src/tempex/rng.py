@@ -41,11 +41,12 @@ class SplitMix64:
 
     def gap(self, rate: float) -> int:
         """Failures before the first success in trials that each succeed
-        with probability `rate` in (0, 1], by inversion; no draw for rate 1."""
+        with probability `rate` in (0, 1], by inversion; no draw for rate 1.
+        Capped at 2**63, as a subnormal rate's quotient is infinite."""
         if rate >= 1.0:
             return 0
         u = (self.next_u64() >> 11) / 2.0**53
-        return int(math.log1p(-u) / math.log1p(-rate))
+        return int(min(math.log1p(-u) / math.log1p(-rate), 2**63))
 
 
 def stream(seed: int, index: int) -> SplitMix64:

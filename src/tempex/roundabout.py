@@ -13,9 +13,9 @@ one agent's moves as timed ``(t, (u, v))`` moves along the tour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Sequence
+from typing import Collection, Iterable, Sequence
 
-from .core import Edge, Route, TemporalGraph
+from .core import Edge, Route
 from .tour import DfsTour, arc_mask
 
 
@@ -127,8 +127,9 @@ class RoundaboutTrace:
         return lines
 
 
-def run_roundabout(graph: TemporalGraph, tour: DfsTour, times: Sequence[int]) -> RoundaboutTrace:
-    """Run one step per snapshot time, in order.
+def run_roundabout(tour: DfsTour, times: Sequence[int], lacked: Iterable[Collection[Edge]]) -> RoundaboutTrace:
+    """Run one step per snapshot time, in order: the step at ``times[i]``
+    blocks ``lacked[i]``, the tree edges its snapshot lacks.
 
     Callers pass only snapshots that are k-deficient with respect to the
     tour's tree. The paper's per-step properties and its 6k survivor bound
@@ -137,7 +138,7 @@ def run_roundabout(graph: TemporalGraph, tour: DfsTour, times: Sequence[int]) ->
     times = tuple(times)
     state = RoundaboutState.initial(tour.n_positions)
     history = [state]
-    for blocked in graph.missing(tour.tree.edges, times):
+    for _, blocked in zip(times, lacked, strict=True):
         state = eliminate_redundant(movement_step(state, blocked, tour))
         history.append(state)
     return RoundaboutTrace(times, tuple(history))

@@ -2,19 +2,19 @@
 
 The pipeline: lay out rho epochs left to right, each a delta-step
 repositioning window followed by enough deficient snapshots to run the
-roundabout for its step budget. `explore_detailed` makes them one stream:
-each epoch is laid out and its roundabout run only when the loop in
-`assemble_schedule` asks for the next one. Each epoch picks one surviving
-agent, and a single explorer repositions to that agent's start and replays
-its moves; the loop stops after the first epoch by whose end every vertex
-has been visited, and reads no further from the stream. The first pass is
-greedy: each epoch replays the survivor whose visited arc adds the most tour
-positions not yet covered by the arcs replayed before it. That choice reads
-only earlier epochs, so the schedule is the full-plan schedule under the
-same choice cut at an epoch end. When a vertex is still unvisited after
-epoch rho, the Las Vegas search picks a tuple whose visited arcs jointly
-cover the whole tour, and the same loop replays the rho runs it already
-made with that tuple, again stopping at cover.
+roundabout for its step budget. A run makes them one stream: only when the
+loop in `assemble_schedule` asks for the next epoch is it laid out, its
+roundabout run on the tree edges the layout found its steps lack, and one
+surviving agent picked. The loop repositions a single explorer to that
+agent's start and replays its moves; it stops after the first epoch by whose
+end every vertex has been visited, and reads no further from the stream.
+The first pass is greedy: each epoch replays the survivor whose visited arc
+adds the most tour positions not yet covered by the arcs replayed before it.
+That choice reads only earlier epochs, so the schedule is the full-plan
+schedule under the same choice cut at an epoch end. When a vertex is still
+unvisited after epoch rho, the Las Vegas search picks a tuple whose visited
+arcs jointly cover the whole tour, and the same loop replays the rho runs
+it already made with that tuple, again stopping at cover.
 
 Without a witness tree, the run first takes the minimum-absence tree of the
 first chunk of steps and runs at the deficiency k' (at most 2k) those steps
@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import core
 from .core import (
+    Edge,
     ParseError,
     Route,
     SpanningTree,
@@ -57,8 +58,8 @@ class InsufficientSnapshots(Exception):
     repositioning window, and are laid out only when the run reaches them, so
     a timeline too short for rho epochs fails only if the run gets that far.
     `last_step` is the last step the run may read: where the timeline ends,
-    or, on a run with a tree from the first chunk, the paper's 2k budget if
-    that comes first (such a run falls back, and this never reaches a caller).
+    or, on a run with a tree from the first chunk, the paper's 2k budget
+    (such a run falls back, and this never reaches a caller).
     """
 
     def __init__(self, epoch: int, found: int, needed: int, last_step: int) -> None:
@@ -164,13 +165,14 @@ def _lay_out_epochs(
     rho: int,
     budget: int,
     last_step: int,
-) -> Iterator[Epoch]:
+) -> Iterator[tuple[Epoch, tuple[tuple[Edge, ...], ...]]]:
     """Greedy left-to-right epoch layout, one epoch per step of the iteration.
 
     Each epoch reserves delta steps for repositioning, then extends until
     `budget` snapshots k-deficient with respect to the tree have accumulated;
     only the steps an epoch lays out after its window are read, and none
-    after `last_step`. Raises InsufficientSnapshots when the next epoch does
+    after `last_step`. Yields each epoch with the tree edges each of those
+    snapshots lacks. Raises InsufficientSnapshots when the next epoch does
     not fit by `last_step`. Greedy is prefix-optimal: it succeeds whenever
     any partition does.
     """
@@ -181,18 +183,18 @@ def _lay_out_epochs(
         reposition_end = cursor + delta - 1
         if reposition_end > last_step:
             raise InsufficientSnapshots(e, 0, budget, last_step)
-        times: list[int] = []
+        picked: dict[int, tuple[Edge, ...]] = {}  # each time taken, and the tree edges it lacks
         if budget:
             steps = range(reposition_end + 1, last_step + 1)
             for t, lacked in zip(steps, graph.missing(tree.edges, steps)):
                 if len(lacked) <= k:
-                    times.append(t)
-                    if len(times) == budget:
+                    picked[t] = lacked
+                    if len(picked) == budget:
                         break
-        if len(times) < budget:
-            raise InsufficientSnapshots(e, len(times), budget, last_step)
-        end = times[-1] if times else reposition_end
-        yield Epoch(cursor, reposition_end, end, tuple(times))
+        if len(picked) < budget:
+            raise InsufficientSnapshots(e, len(picked), budget, last_step)
+        end = max(picked, default=reposition_end)
+        yield Epoch(cursor, reposition_end, end, tuple(picked)), tuple(picked.values())
         cursor = end + 1
 
 
@@ -205,7 +207,8 @@ def partition_epochs(
     budget: int,
 ) -> EpochPlan:
     """All rho epochs of :func:`_lay_out_epochs` at once, over the whole timeline."""
-    return EpochPlan(tuple(_lay_out_epochs(graph, tree, k, delta, rho, budget, graph.lifetime)), rho, k)
+    laid_out = _lay_out_epochs(graph, tree, k, delta, rho, budget, graph.lifetime)
+    return EpochPlan(tuple(epoch for epoch, _ in laid_out), rho, k)
 
 
 @dataclass(frozen=True)
@@ -343,15 +346,14 @@ def _reposition_and_replay(
 def assemble_schedule(
     graph: TemporalGraph,
     tour: DfsTour,
-    runs: Iterable[tuple[Epoch, RoundaboutTrace]],
-    choose: Callable[[int, RoundaboutTrace], int],
+    runs: Iterable[tuple[Epoch, RoundaboutTrace, int]],
     start: int,
 ) -> tuple[Schedule, tuple[tuple[Epoch, RoundaboutTrace, int], ...], Optional[int]]:
     """Run epochs in order until the explorer has visited every vertex.
 
-    `runs` yields each epoch with its roundabout run, and is advanced no
-    further than the epoch that completes the visit. In epoch j (from 0) the
-    explorer repositions to the start of agent `choose(j, trace)` and
+    `runs` yields each epoch with its roundabout run and the agent to
+    replay, and is advanced no further than the epoch that completes the
+    visit. In each epoch the explorer repositions to that agent's start and
     replays its moves. Returns the schedule through the end of the last
     epoch run, the (epoch, trace, agent) of each epoch replayed, and the step
     at which the last unvisited vertex is entered: None when a vertex is
@@ -361,9 +363,8 @@ def assemble_schedule(
     replayed: list[tuple[Epoch, RoundaboutTrace, int]] = []
     at, seen = start, {start}
     cover: Optional[int] = None
-    for j, (epoch, trace) in enumerate(runs):
-        agent = choose(j, trace)
-        route, at = _reposition_and_replay(graph, tour, j + 1, epoch, trace, agent, at)
+    for number, (epoch, trace, agent) in enumerate(runs, start=1):
+        route, at = _reposition_and_replay(graph, tour, number, epoch, trace, agent, at)
         replayed.append((epoch, trace, agent))
         actions.extend([None] * (epoch.end - len(actions)))
         for t, move in route:
@@ -534,7 +535,7 @@ def explore_detailed(
     try:
         tree = minimum_weight_spanning_tree(graph.n, graph.absences(len(chunk)))
         shown = max(map(len, graph.missing(tree.edges, chunk)))
-        last_step = min(graph.lifetime, paper_budget(graph.n, 2 * k, delta))
+        last_step = paper_budget(graph.n, 2 * k, delta)  # q - rho_for(2k), within the lifetime
         return _run_with_tree(
             graph, tree, min(2 * k, max(1, shown)), delta, start, strategy, last_step, "chunk"
         )
@@ -559,16 +560,15 @@ def _run_with_tree(
     rho = rho_for(k)
     budget = step_budget(graph.n, k)
     tour = build_dfs_tour(tree)
-    laid_out = _lay_out_epochs(graph, tree, k, delta, rho, budget, last_step)
-    runs = ((epoch, run_roundabout(graph, tour, epoch.roundabout_times)) for epoch in laid_out)
-    covered = 0
 
-    def greedy(j: int, trace: RoundaboutTrace) -> int:
-        nonlocal covered
-        agent, covered = greedy_pick(covered, trace.final)
-        return agent
+    def greedy() -> Iterator[tuple[Epoch, RoundaboutTrace, int]]:
+        covered = 0
+        for epoch, lacked in _lay_out_epochs(graph, tree, k, delta, rho, budget, last_step):
+            trace = run_roundabout(tour, epoch.roundabout_times, lacked)
+            agent, covered = greedy_pick(covered, trace.final)
+            yield epoch, trace, agent
 
-    schedule, replayed, cover = assemble_schedule(graph, tour, runs, greedy, start)
+    schedule, replayed, cover = assemble_schedule(graph, tour, greedy(), start)
     attempts = 1
     if cover is None:
         # The greedy tuple over all rho epochs is attempt 1 and missed a
@@ -576,9 +576,7 @@ def _run_with_tree(
         epochs, traces, _ = zip(*replayed)
         covering, searched = find_covering_tuple(traces, tour.n_positions, strategy)
         attempts += searched
-        schedule, replayed, cover = assemble_schedule(
-            graph, tour, zip(epochs, traces), lambda j, trace: covering[j], start
-        )
+        schedule, replayed, cover = assemble_schedule(graph, tour, zip(epochs, traces, covering), start)
     report = verify_schedule(graph, start, schedule)
     if not report.ok:
         raise InvalidSchedule(report)

@@ -102,7 +102,7 @@ def manifest_texts(draw) -> str:
         if draw(st.booleans()):
             row["start"] = draw(VERTEX)
         if draw(st.booleans()):
-            row["extraEdgeRate"] = draw(st.sampled_from((0.0, 0.5, 1.5)))
+            row["extraEdgeRate"] = draw(st.sampled_from((0.0, 1e-310, 0.5, 1.5)))
         if draw(st.integers(0, 4)) == 4:
             del row[draw(st.sampled_from(sorted(row)))]
         rows.append(row)
@@ -132,7 +132,7 @@ def draw_args(draw, d: Path) -> list[str]:
             "--tree-shape", draw(st.sampled_from(("path", "star", "random"))),
             "--connectivity", draw(st.sampled_from(("per-snapshot", "delta-only", "none"))),
             *optional(draw, "--delta", STEPS),
-            *optional(draw, "--extra-edge-rate", st.sampled_from((0.0, 0.5, 1.5))),
+            *optional(draw, "--extra-edge-rate", st.sampled_from((0.0, 1e-310, 0.5, 1.5))),
         ]
     if command == "explore":
         args = [

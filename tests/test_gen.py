@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reference import checked_roundabout, snapshot_is_connected
+from reference import checked_roundabout, lacking_run, snapshot_is_connected
 from strategies import spanning_trees
 from tempex.core import (
     SpanningTree,
@@ -24,7 +24,6 @@ from tempex.core import (
 from tempex import gen
 from tempex.gen import GenSpec, _reconnect, gen_blocking_front, gen_random_deficient
 from tempex.rng import SplitMix64
-from tempex.roundabout import run_roundabout
 from tempex.scheduler import rho_for, step_budget
 from tempex.tour import build_dfs_tour
 
@@ -326,7 +325,7 @@ class TestBlockingFront:
         result = gen_blocking_front(GenSpec(n, lifetime, k, seed))
         tour = build_dfs_tour(result.tree)
         budget = step_budget(n, k)
-        trace = run_roundabout(result.graph, tour, range(1, budget + 1))
+        trace = lacking_run(result.graph, tour, range(1, budget + 1))
         blocked_steps = 0
         for t, before in zip(trace.times, trace.history):
             lead = sorted(

@@ -13,6 +13,12 @@ def test_gap_at_rate_one_is_zero_and_draws_nothing():
     assert rng.next_u64() == twin.next_u64()
 
 
+def test_gap_at_a_subnormal_rate_is_an_int():
+    # log1p(-u) / log1p(-5e-324) overflows to infinity for all but u = 0
+    rng = SplitMix64(3)
+    assert all(isinstance(rng.gap(5e-324), int) for _ in range(5))
+
+
 @pytest.mark.parametrize("rate", [0.05, 0.3, 0.9])
 def test_gap_has_the_geometric_mean(rate):
     # failures before a success: mean (1 - rate) / rate; 20 000 draws put the

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reference import InvariantViolation, check_state_invariants, checked_roundabout
+from reference import InvariantViolation, check_state_invariants, checked_roundabout, lacking_run
 from tempex.core import SpanningTree, TemporalGraph
 from tempex.gen import GenSpec, gen_blocking_front, gen_random_deficient
 from tempex.roundabout import RoundaboutState, eliminate_redundant, movement_step, run_roundabout
@@ -104,8 +104,8 @@ class TestRunRoundabout:
         assert trace.final.states == (4, 2)
         assert trace.final.arc_masks() == [0b1110, 0b1011]
 
-    def test_zero_budget_returns_initial(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [])
+    def test_zero_budget_returns_initial(self, path3_tour):
+        trace = run_roundabout(path3_tour, [], [])
         assert trace.final == RoundaboutState.initial(4)
         assert trace.times == ()
         assert trace.history == (trace.final,)
@@ -120,8 +120,12 @@ class TestRunRoundabout:
         with pytest.raises(InvariantViolation, match="snapshot 1 is not 1-deficient"):
             checked_roundabout(graph, path3_tour, [1], 1)
 
-    def test_trace_format(self, path3_full, path3_tour):
-        trace = run_roundabout(path3_full, path3_tour, [1, 2])
+    def test_lacked_edges_come_one_per_time(self, path3_tour):
+        with pytest.raises(ValueError):
+            run_roundabout(path3_tour, [1, 2], [()])
+
+    def test_trace_format(self, path3_tour):
+        trace = run_roundabout(path3_tour, [1, 2], [(), ()])
         lines = trace.format_lines()
         assert lines[0] == "1 1 |A|=2 states=3,1"
         assert lines[1] == "2 2 |A|=2 states=4,2"
@@ -144,7 +148,7 @@ class TestRunRoundabout:
         # edges the snapshot lacks
         result = gen_blocking_front(GenSpec(7, 20, 2, seed))
         tour = build_dfs_tour(result.tree)
-        trace = run_roundabout(result.graph, tour, range(1, 4))
+        trace = lacking_run(result.graph, tour, range(1, 4))
         assert trace.times == (1, 2, 3)
         assert trace.history[0] == RoundaboutState.initial(tour.n_positions)
         for i in range(1, len(trace.history)):
@@ -168,9 +172,9 @@ class TestRunRoundabout:
         assert checked_roundabout(result.graph, tour, range(1, 6), 2) == expected
         assert gen_blocking_front(GenSpec(7, 20, 2, 0)) == front
 
-    def test_moves_of_final_agent_spans_all_steps(self, path3_full, path3_tour):
+    def test_moves_of_final_agent_spans_all_steps(self, path3_tour):
         # every tour edge is present, so each agent crosses one per step
-        trace = run_roundabout(path3_full, path3_tour, [1, 2])
+        trace = run_roundabout(path3_tour, [1, 2], [(), ()])
         for agent in trace.final.agents:
             moves = trace.moves_of(agent, path3_tour)
             assert [t for t, _ in moves] == [1, 2]
@@ -178,8 +182,7 @@ class TestRunRoundabout:
 
     def test_moves_of_reports_blocked_step(self, path3_tour):
         # snapshot 1 lacks tree edge {1,2}: agent 3 (at position 3) is blocked
-        graph = TemporalGraph.build(3, [[(0, 1)], [(0, 1), (1, 2)]])
-        trace = run_roundabout(graph, path3_tour, [1, 2])
+        trace = run_roundabout(path3_tour, [1, 2], [((1, 2),), ()])
         assert trace.final.agents == (3, 4)
         assert trace.moves_of(3, path3_tour) == ((2, (2, 1)),)
         assert trace.moves_of(4, path3_tour) == ((1, (1, 0)), (2, (0, 1)))

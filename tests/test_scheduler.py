@@ -16,6 +16,7 @@ from reference import (
     full_plan_schedule,
     greedy_reference,
     is_covering_tuple,
+    lacking_run,
     run_epoch_traces,
 )
 from test_golden import CASES
@@ -31,7 +32,7 @@ from tempex.core import (
 )
 from tempex.gen import FAMILIES, GenSpec, gen_random_deficient
 from tempex.rng import SplitMix64
-from tempex.roundabout import RoundaboutState, run_roundabout
+from tempex.roundabout import RoundaboutState
 from tempex.scheduler import (
     Epoch,
     InsufficientSnapshots,
@@ -68,11 +69,6 @@ def two_epoch_run(path3_full, path3_tree, path3_tour):
     plan = partition_epochs(path3_full, path3_tree, 1, 2, 2, 2)
     traces = run_epoch_traces(path3_full, path3_tour, plan)
     return plan, traces
-
-
-def replaying(choice):
-    """assemble_schedule's `choose` for a fixed tuple: entry j in epoch j."""
-    return lambda j, trace: choice[j]
 
 
 def agents(replayed):
@@ -155,6 +151,13 @@ class TestParameters:
     def test_paper_budget(self):
         assert paper_budget(100, 2, 99) == 13_320
         assert paper_budget(100, 1, 99) == 6_534
+
+    @given(n=st.integers(2, 400), k=st.integers(1, 8), delta=st.integers(1, 1_000))
+    def test_the_2k_budget_ends_rho_steps_before_the_recovery_prefix(self, n, k, delta):
+        # ceil(n / 2k) = floor((n - 1) / 2k) + 1, so the chunk run's last
+        # step, paper_budget(n, 2k, delta), lies inside the 2q steps that
+        # explore_detailed has checked the lifetime holds
+        assert recovery_prefix(n, k, delta) == paper_budget(n, 2 * k, delta) + rho_for(2 * k)
 
 
 class TestPartition:
@@ -324,9 +327,7 @@ class TestGreedyPick:
 class TestAssembleAndVerify:
     def test_end_to_end_small_path(self, path3_full, path3_tree, path3_tour, two_epoch_run):
         plan, traces = two_epoch_run
-        schedule, replayed, _ = assemble_schedule(
-            path3_full, path3_tour, zip(plan.epochs, traces), replaying((4, 2)), 0
-        )
+        schedule, replayed, _ = assemble_schedule(path3_full, path3_tour, zip(plan.epochs, traces, (4, 2)), 0)
         assert schedule.span == 8
         assert replayed == ((plan.epochs[0], traces[0], 4), (plan.epochs[1], traces[1], 2))
         report = verify_schedule(path3_full, 0, schedule)
@@ -338,8 +339,8 @@ class TestAssembleAndVerify:
         plan, traces = two_epoch_run
         advanced = []
 
-        def runs():
-            for j, run in enumerate(zip(plan.epochs, traces), start=1):
+        def runs(choice):
+            for j, run in enumerate(zip(plan.epochs, traces, choice), start=1):
                 advanced.append(j)
                 yield run
 
@@ -347,7 +348,7 @@ class TestAssembleAndVerify:
         # to epoch 2
         for choice, j in (((2, 4), 1), ((4, 2), 2)):
             advanced.clear()
-            _, replayed, cover = assemble_schedule(path3_full, path3_tour, runs(), replaying(choice), 0)
+            _, replayed, cover = assemble_schedule(path3_full, path3_tour, runs(choice), 0)
             assert cover is not None
             assert advanced == list(range(1, j + 1))
             assert agents(replayed) == choice[:j]
@@ -356,9 +357,9 @@ class TestAssembleAndVerify:
         full = [(0, 1), (1, 2)]
         graph = TemporalGraph.build(3, [[], [], full, full])
         epoch = Epoch(1, 2, 4, (3, 4))
-        runs = [(epoch, run_roundabout(graph, path3_tour, epoch.roundabout_times))]
+        runs = [(epoch, lacking_run(graph, path3_tour, epoch.roundabout_times), 2)]
         with pytest.raises(RepositionFailed) as exc:
-            assemble_schedule(graph, path3_tour, runs, replaying((2,)), 2)
+            assemble_schedule(graph, path3_tour, runs, 2)
         assert exc.value.epoch == 1
 
     def test_forged_move_rejected(self, path3_full):
@@ -405,9 +406,7 @@ class TestCoverStep:
         # from 0: 0 -> 1 repositions, agent 2 replays 1 -> 2 at step 3 and
         # 2 -> 1 at step 4; the run stops at the end of epoch 1
         plan, traces = two_epoch_run
-        schedule, replayed, cover = assemble_schedule(
-            path3_full, path3_tour, zip(plan.epochs, traces), replaying((2, 4)), 0
-        )
+        schedule, replayed, cover = assemble_schedule(path3_full, path3_tour, zip(plan.epochs, traces, (2, 4)), 0)
         assert schedule.actions == ((0, 1), None, (1, 2), (2, 1))
         assert (agents(replayed), cover) == ((2,), 3)
 
@@ -415,9 +414,7 @@ class TestCoverStep:
         # from 1, agent 4 returns to 1 in epoch 1 and agent 2 enters 2 at
         # step 7: a timeline step, not an offset into epoch 2 (steps 5-8)
         plan, traces = two_epoch_run
-        schedule, replayed, cover = assemble_schedule(
-            path3_full, path3_tour, zip(plan.epochs, traces), replaying((4, 2)), 1
-        )
+        schedule, replayed, cover = assemble_schedule(path3_full, path3_tour, zip(plan.epochs, traces, (4, 2)), 1)
         assert (schedule.span, agents(replayed), cover) == (8, (4, 2), 7)
 
     def test_lone_start_covers_at_zero(self):
@@ -427,18 +424,14 @@ class TestCoverStep:
     def test_never_covering(self, path3_full, path3_tour, two_epoch_run):
         # agent 2 in both epochs never enters vertex 0: every epoch runs
         plan, traces = two_epoch_run
-        schedule, replayed, cover = assemble_schedule(
-            path3_full, path3_tour, zip(plan.epochs, traces), replaying((2, 2)), 1
-        )
+        schedule, replayed, cover = assemble_schedule(path3_full, path3_tour, zip(plan.epochs, traces, (2, 2)), 1)
         assert (schedule.span, agents(replayed), cover) == (8, (2, 2), None)
 
 
 class TestScheduleWireFormat:
     def test_round_trip(self, path3_full, path3_tree, path3_tour, two_epoch_run):
         plan, traces = two_epoch_run
-        schedule, _, _ = assemble_schedule(
-            path3_full, path3_tour, zip(plan.epochs, traces), replaying((4, 2)), 0
-        )
+        schedule, _, _ = assemble_schedule(path3_full, path3_tour, zip(plan.epochs, traces, (4, 2)), 0)
         text = serialize_schedule(schedule)
         parsed = parse_schedule(text)
         assert parsed.start == schedule.start
@@ -506,6 +499,19 @@ class TestExplore:
         run = explore_detailed(result.graph, k, delta, 0, tree=tree)
         assert 1 <= len(run.traces) < rho_for(k)
         assert list(run.traces) == checked[: len(run.traces)]
+
+    def test_a_witness_run_asks_about_each_step_once(self, asked):
+        # the layout reads the tree edges each step after a window lacks, and
+        # each epoch's roundabout runs on those of its steps, asking nothing again
+        n, k = 30, 2
+        delta = n - 1
+        spec = GenSpec(n=n, lifetime=rho_for(k) * (delta + step_budget(n, k)), k=k, seed=3,
+                       tree_shape="random")
+        result = gen_random_deficient(spec)
+        asked.clear()
+        run = explore_detailed(result.graph, k, delta, 0, tree=result.tree)
+        assert len(asked) == len(set(asked))
+        assert asked == [t for e in run.plan.epochs for t in range(e.reposition_end + 1, e.end + 1)]
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_replayed_epoch_of_a_golden_case_keeps_the_invariants(self, name):
